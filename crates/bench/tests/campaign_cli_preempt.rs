@@ -4,8 +4,9 @@
 //! converges **bit-identically** to an uninterrupted thread-mode run.
 //!
 //! The drill matrix (driven by `MBAVF_PREEMPT_DRILL="<n>"`, which delivers
-//! a real SIGTERM to the campaign process right after the `n`-th freshly
-//! committed trial, or `"<n>:2"` for a double signal):
+//! a real SIGTERM to the campaign process once the `n`-th fresh trial has
+//! finished — committed, under isolation; still in its worker's open commit
+//! group, in thread mode — or `"<n>:2"` for a double signal):
 //!
 //! * **mid-shard** — process isolation, signal while a local daemon owns a
 //!   leased shard (the daemon is drained, not killed, exactly like a
@@ -161,8 +162,9 @@ fn sigterm_mid_batch_resumes_bit_identical() {
         &[("MBAVF_PREEMPT_DRILL", "7")],
     );
     assert_partial(&out, "signal");
-    // The signal landed inside lockstep group 2 (trials 5..=8): the group
-    // runs to its boundary, the next group is never claimed.
+    // The signal landed inside lockstep group 2 (trials 5..=8), before the
+    // group was journaled: the group commits whole at its boundary, the
+    // next group never runs.
     resume_and_compare(&dir, "batch.json", &base);
     std::fs::remove_dir_all(&dir).ok();
 }

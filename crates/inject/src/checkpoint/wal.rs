@@ -4,9 +4,10 @@
 //! The periodic snapshot ([`super::save`]) is an O(N) rewrite, so it runs
 //! on a cadence — which used to mean a crash could discard up to a whole
 //! cadence of committed trials. The journal closes that gap: each committed
-//! trial appends one frame to `<checkpoint>.wal` and fsyncs it, O(1) per
-//! trial, so after any crash at most the single *in-flight* frame is lost,
-//! never a committed one.
+//! trial is one frame in `<checkpoint>.wal`. Trials commit in groups — a
+//! group's frames go to disk as one write and one fsync
+//! ([`WalWriter::append_all`]) — so a crash loses at most the groups still
+//! in flight, never a committed frame.
 //!
 //! ## On-disk format (journal version 1)
 //!
@@ -66,12 +67,11 @@ pub fn wal_path(checkpoint: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-fn frame_bytes(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
+/// Append one `[len][crc][payload]` frame to `out`.
+fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(&crc32(payload).to_be_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 fn header_payload(workload: &str, config_hash: u64, mode_bits: u8) -> String {
@@ -86,10 +86,10 @@ fn io_err(path: &Path, e: &std::io::Error) -> CheckpointError {
     CheckpointError::Io { path: path.display().to_string(), detail: e.to_string() }
 }
 
-/// An open journal accepting one frame per committed trial.
+/// An open journal accepting committed trials in groups, one frame each.
 ///
 /// Appends are self-repairing under retry: before each attempt the file is
-/// truncated back to the last committed frame boundary, so a torn write
+/// truncated back to the last committed group boundary, so a torn write
 /// from a failed attempt can never leave a half-frame in front of a later
 /// successful one.
 #[derive(Debug)]
@@ -98,6 +98,11 @@ pub struct WalWriter {
     file: File,
     /// Byte length of the journal's committed (fsynced, whole-frame) prefix.
     committed: u64,
+    /// The encoded frames of the group being appended. Reused, like
+    /// `payload`, so steady-state appends do not allocate.
+    frames: Vec<u8>,
+    /// One record's JSON payload, encoded before it is framed.
+    payload: String,
 }
 
 impl WalWriter {
@@ -122,38 +127,56 @@ impl WalWriter {
             .truncate(false)
             .open(&path)
             .map_err(|e| io_err(&path, &e))?;
-        let mut writer = WalWriter { path, file, committed: 0 };
+        let mut writer =
+            WalWriter { path, file, committed: 0, frames: Vec::new(), payload: String::new() };
         writer.reset(workload, config_hash, mode_bits)?;
         Ok(writer)
     }
 
-    /// Append one committed trial record as a durable frame.
+    /// Append one committed trial record as a durable frame: a group of one.
+    ///
+    /// # Errors
+    ///
+    /// As [`WalWriter::append_all`].
+    pub fn append(&mut self, record: &SingleBitRecord) -> Result<(), CheckpointError> {
+        self.append_all(std::iter::once(record))
+    }
+
+    /// Append a group of committed trial records, one frame each, with one
+    /// write and one fsync for the whole group. An empty group does no I/O.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] once bounded retry is exhausted, or
     /// [`CheckpointError::Malformed`] for a record serializing past
     /// [`MAX_FRAME`]; either way the journal is left at its previous
-    /// committed length (the failed frame is rolled back or never written),
+    /// committed length (the failed group is rolled back or never written),
     /// so the writer stays usable if the caller wants to continue.
-    pub fn append(&mut self, record: &SingleBitRecord) -> Result<(), CheckpointError> {
-        let mut payload = String::with_capacity(96);
-        write_record(&mut payload, record);
-        if payload.len() > MAX_FRAME {
-            // Mirror the transport's write_frame cap: recover() treats any
-            // length prefix past MAX_FRAME as corruption, so writing such a
-            // frame now would quarantine the whole journal — and discard
-            // every frame after this one — at the next resume.
-            return Err(CheckpointError::Malformed {
-                detail: format!(
-                    "trial {} record serializes to {} bytes, over the {MAX_FRAME}-byte \
-                     journal frame cap",
-                    record.trial,
-                    payload.len()
-                ),
-            });
+    pub fn append_all<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = &'a SingleBitRecord>,
+    ) -> Result<(), CheckpointError> {
+        self.frames.clear();
+        for record in records {
+            self.payload.clear();
+            write_record(&mut self.payload, record);
+            if self.payload.len() > MAX_FRAME {
+                // Mirror the transport's write_frame cap: recover() treats
+                // any length prefix past MAX_FRAME as corruption, so writing
+                // such a frame now would quarantine the whole journal — and
+                // discard every frame after this one — at the next resume.
+                return Err(CheckpointError::Malformed {
+                    detail: format!(
+                        "trial {} record serializes to {} bytes, over the {MAX_FRAME}-byte \
+                         journal frame cap",
+                        record.trial,
+                        self.payload.len()
+                    ),
+                });
+            }
+            push_frame(&mut self.frames, self.payload.as_bytes());
         }
-        self.append_frame(payload.as_bytes())
+        self.write_frames()
     }
 
     /// Reset the journal to just the campaign header — called after each
@@ -167,18 +190,23 @@ impl WalWriter {
         mode_bits: u8,
     ) -> Result<(), CheckpointError> {
         self.committed = 0;
-        self.append_frame(header_payload(workload, config_hash, mode_bits).as_bytes())
+        self.frames.clear();
+        push_frame(&mut self.frames, header_payload(workload, config_hash, mode_bits).as_bytes());
+        self.write_frames()
     }
 
-    fn append_frame(&mut self, payload: &[u8]) -> Result<(), CheckpointError> {
-        let bytes = frame_bytes(payload);
-        let file = &mut self.file;
-        let committed = self.committed;
+    /// Make `self.frames` durable past the committed boundary: one write
+    /// and one fsync per attempt, retried from the boundary.
+    fn write_frames(&mut self) -> Result<(), CheckpointError> {
+        if self.frames.is_empty() {
+            return Ok(());
+        }
+        let (file, frames, committed) = (&mut self.file, &self.frames, self.committed);
         with_retry(|| {
             // Roll back any torn partial append before (re)trying.
             file.set_len(committed)?;
             file.seek(SeekFrom::Start(committed))?;
-            chaos_write(file, &bytes)?;
+            chaos_write(file, frames)?;
             chaos_fsync(file)
         })
         .map_err(|e| {
@@ -187,7 +215,7 @@ impl WalWriter {
             let _ = self.file.set_len(committed);
             io_err(&self.path, &e)
         })?;
-        self.committed += bytes.len() as u64;
+        self.committed += self.frames.len() as u64;
         Ok(())
     }
 }
@@ -413,15 +441,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn every_prefix_truncation_recovers_exactly_complete_frames() {
-        let dir = tmpdir("torn");
+    /// Write `all` through `write`, then cut the journal at every byte
+    /// length: recovery must return exactly the complete record frames.
+    fn assert_every_prefix_recovers_complete_frames(
+        tag: &str,
+        write: impl Fn(&mut WalWriter, &[SingleBitRecord]),
+    ) {
+        let dir = tmpdir(tag);
         let ckpt = dir.join("c.json");
         let mut w = WalWriter::create(&ckpt, "dct", 0xFEED, 1).unwrap();
-        let all: Vec<SingleBitRecord> = (0..4).map(rec).collect();
-        for r in &all {
-            w.append(r).unwrap();
-        }
+        let all: Vec<SingleBitRecord> = (0..8).map(rec).collect();
+        write(&mut w, &all);
         drop(w);
         let path = wal_path(&ckpt);
         let intact = std::fs::read(&path).unwrap();
@@ -438,6 +468,50 @@ mod tests {
             assert_eq!(again.torn_tail, 0, "cut={cut} second pass must be clean");
             assert_eq!(again.records, got.records);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_prefix_truncation_recovers_exactly_complete_frames() {
+        assert_every_prefix_recovers_complete_frames("torn", |w, all| {
+            for r in all {
+                w.append(r).unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn every_prefix_truncation_of_grouped_appends_recovers_exactly_complete_frames() {
+        // A torn group is no different from a torn frame: every frame of it
+        // that landed whole survives, including an empty group's nothing.
+        assert_every_prefix_recovers_complete_frames("torn-groups", |w, all| {
+            let mut rest = all;
+            for size in [3, 0, 1, 4] {
+                let (group, tail) = rest.split_at(size);
+                w.append_all(group).unwrap();
+                rest = tail;
+            }
+            assert!(rest.is_empty());
+        });
+    }
+
+    #[test]
+    fn append_all_writes_the_bytes_of_one_append_per_record() {
+        let dir = tmpdir("group-bytes");
+        let (single, grouped) = (dir.join("single.json"), dir.join("grouped.json"));
+        let all: Vec<SingleBitRecord> = (0..9).map(rec).collect();
+        let mut w = WalWriter::create(&single, "dct", 0xFEED, 1).unwrap();
+        for r in &all {
+            w.append(r).unwrap();
+        }
+        let mut w = WalWriter::create(&grouped, "dct", 0xFEED, 1).unwrap();
+        w.append_all(&all).unwrap();
+        w.append_all(std::iter::empty()).unwrap();
+        drop(w);
+        assert_eq!(
+            std::fs::read(wal_path(&single)).unwrap(),
+            std::fs::read(wal_path(&grouped)).unwrap()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -531,17 +605,26 @@ mod tests {
     fn oversized_record_is_rejected_at_append_and_never_poisons_the_journal() {
         let dir = tmpdir("oversize");
         let ckpt = dir.join("c.json");
+        let path = wal_path(&ckpt);
         let mut w = WalWriter::create(&ckpt, "dct", 0xFEED, 1).unwrap();
         w.append(&rec(0)).unwrap();
+        let boundary = std::fs::metadata(&path).unwrap().len();
         let mut big = rec(1);
         big.outcome = Outcome::Crash { reason: "x".repeat(MAX_FRAME + 1) };
         assert!(matches!(w.append(&big), Err(CheckpointError::Malformed { .. })));
+        // Anywhere in a group, it rejects the whole group before any write.
+        for pos in 0..3 {
+            let mut group = vec![rec(2), rec(3), rec(4)];
+            group[pos] = big.clone();
+            assert!(matches!(w.append_all(&group), Err(CheckpointError::Malformed { .. })));
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), boundary, "big at {pos}");
+        }
         // The writer stays usable at its committed boundary, and recovery
         // sees a clean journal — no quarantine, no lost later frames.
-        w.append(&rec(2)).unwrap();
+        w.append_all(&[rec(2), rec(3)]).unwrap();
         drop(w);
         let got = recover(&ckpt, "dct", 0xFEED).unwrap();
-        assert_eq!(got.records, vec![rec(0), rec(2)]);
+        assert_eq!(got.records, vec![rec(0), rec(2), rec(3)]);
         assert_eq!(got.torn_tail, 0);
         assert!(got.quarantined.is_none());
         std::fs::remove_dir_all(&dir).ok();

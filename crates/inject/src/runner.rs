@@ -16,11 +16,16 @@
 //! With [`RunnerConfig::checkpoint`] set, the runner loads any existing
 //! checkpoint (validating its config fingerprint), replays the write-ahead
 //! trial journal over it ([`checkpoint::wal`]), and runs only the missing
-//! trials. Every committed trial appends one CRC-framed, fsynced frame to
-//! `<checkpoint>.wal` — O(1) durability per trial — and every
-//! [`RunnerConfig::checkpoint_every`] completions the snapshot is compacted
-//! atomically and the journal reset. A campaign killed at any point loses
-//! at most the single in-flight trial, never a committed one.
+//! trials. Each worker commits its finished trials in groups: a group is
+//! journaled to `<checkpoint>.wal` as one CRC-framed frame per trial, with
+//! one write and one fsync for the group, before any of it counts. A group
+//! closes at the end of a lockstep group (batch width > 1), at the end of
+//! the claimed chunk of `SITE_CHUNK` (32) trials, where the completion count
+//! would reach the next [`RunnerConfig::checkpoint_every`] multiple, or
+//! when the cancel token trips. Whenever a commit carries the count over
+//! such a multiple, the snapshot is compacted atomically and the journal
+//! reset. A campaign killed at any point loses at most each worker's open
+//! group — ≤ 32 trials at width 1, ≤ W at width W — never a committed one.
 //!
 //! Durable-write failures degrade instead of killing the run: a failed
 //! journal append falls back to snapshot-only checkpointing, repeated
@@ -269,13 +274,18 @@ impl Shared {
         }
     }
 
-    /// Append one committed trial through an already-held journal guard —
-    /// the O(1) durability step. A failed append (already retried with
-    /// backoff inside the writer) degrades the run to snapshot-only mode
-    /// rather than killing it; the failure is counted and reported.
-    fn append_locked(&self, journal: &mut Option<wal::WalWriter>, record: &SingleBitRecord) {
+    /// Journal committed trials through an already-held journal guard — one
+    /// write and one fsync for the whole group. A failed append (already
+    /// retried with backoff inside the writer) degrades the run to
+    /// snapshot-only mode rather than killing it; the failure is counted
+    /// and reported.
+    fn journal_locked<'a>(
+        &self,
+        journal: &mut Option<wal::WalWriter>,
+        records: impl IntoIterator<Item = &'a SingleBitRecord>,
+    ) {
         if let Some(writer) = journal.as_mut() {
-            if let Err(e) = writer.append(record) {
+            if let Err(e) = writer.append_all(records) {
                 self.snapshot_failures.fetch_add(1, Ordering::SeqCst);
                 eprintln!(
                     "warning: trial journal append failed ({e}); journaling disabled, \
@@ -286,35 +296,47 @@ impl Shared {
         }
     }
 
-    /// Durably commit one locally-run trial: the journal frame first, then
-    /// the in-memory slot, *both under the journal lock*. Holding the lock
-    /// across the pair is what makes [`Shared::snapshot`] safe — it also
-    /// holds the journal lock while it collects slots and resets the
-    /// journal, so it can never observe a record's frame without its slot.
-    /// Splitting the two (append, release, insert) reopens the race where a
-    /// concurrent snapshot collects slots missing the record, saves, and
-    /// then resets the journal over the only durable copy of it.
-    pub(crate) fn commit_journaled(&self, record: SingleBitRecord, elapsed_us: u64) -> usize {
-        let mut journal = self.journal.lock().expect("journal lock");
-        self.append_locked(&mut journal, &record);
-        self.commit(record, elapsed_us)
-    }
-
-    /// Record one completed trial into its slot and the heartbeat counters,
-    /// returning the new completion count (drives checkpoint cadence).
-    pub(crate) fn commit(&self, record: SingleBitRecord, elapsed_us: u64) -> usize {
-        let kind = record.outcome.kind();
-        let trial = record.trial as usize;
-        {
-            let mut slots = self.slots.lock().expect("slots lock");
-            slots[trial] = Some(record);
-        }
-        self.kind_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
+    /// Count freshly stored trials into the heartbeat counters, the latency
+    /// log (one lock for the group), and the completion count. Returns the
+    /// completion counts before and after: the range whose crossings drive
+    /// the checkpoint cadence.
+    fn count_fresh(
+        &self,
+        fresh: impl ExactSizeIterator<Item = (OutcomeKind, u64)>,
+    ) -> (usize, usize) {
+        let n = fresh.len();
         {
             let mut lat = self.latencies_us.lock().expect("latency lock");
-            lat.push(elapsed_us);
+            for (kind, elapsed_us) in fresh {
+                self.kind_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
+                lat.push(elapsed_us);
+            }
         }
-        self.completed.fetch_add(1, Ordering::SeqCst) + 1
+        let after = self.completed.fetch_add(n, Ordering::SeqCst) + n;
+        (after - n, after)
+    }
+
+    /// Durably commit a group of locally-run trials, draining `group`: the
+    /// journal frames first (one write, one fsync), then the in-memory
+    /// slots, *all under the journal lock*. Holding the lock across the
+    /// pair is what makes [`Shared::snapshot`] safe — it also holds the
+    /// journal lock while it collects slots and resets the journal, so it
+    /// can never observe a record's frame without its slot. Splitting the
+    /// two (append, release, insert) reopens the race where a concurrent
+    /// snapshot collects slots missing the records, saves, and then resets
+    /// the journal over the only durable copy of them.
+    ///
+    /// Returns the completion counts before and after the group.
+    pub(crate) fn commit_group(&self, group: &mut Vec<(SingleBitRecord, u64)>) -> (usize, usize) {
+        let mut journal = self.journal.lock().expect("journal lock");
+        self.journal_locked(&mut journal, group.iter().map(|(record, _)| record));
+        let range = self.count_fresh(group.iter().map(|(r, us)| (r.outcome.kind(), *us)));
+        let mut slots = self.slots.lock().expect("slots lock");
+        for (record, _) in group.drain(..) {
+            let verdict = merge_slot(&mut slots, record, true);
+            debug_assert_eq!(verdict, MergeVerdict::Fresh, "a local trial commits once");
+        }
+        range
     }
 
     /// Commit one record arriving from a remote (or replayed) stream
@@ -346,17 +368,31 @@ impl Shared {
                 // Journal only what the merge accepted: writing Foreign or
                 // out-of-budget records ahead of the merge would poison the
                 // journal for every future recovery.
-                self.append_locked(&mut journal, &journal_copy);
-                self.kind_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
-                {
-                    let mut lat = self.latencies_us.lock().expect("latency lock");
-                    lat.push(elapsed_us);
-                }
-                RemoteCommit::Fresh(self.completed.fetch_add(1, Ordering::SeqCst) + 1)
+                self.journal_locked(&mut journal, [&journal_copy]);
+                let (_, done) = self.count_fresh(std::iter::once((kind, elapsed_us)));
+                RemoteCommit::Fresh(done)
             }
             MergeVerdict::Duplicate => RemoteCommit::Duplicate,
             MergeVerdict::Conflict { detail } => RemoteCommit::Conflict { detail },
             MergeVerdict::Foreign { .. } => RemoteCommit::Foreign,
+        }
+    }
+
+    /// What follows every commit, local group or remote record: a snapshot
+    /// when the completion count crossed a [`RunnerConfig::checkpoint_every`]
+    /// multiple in `(before, after]`.
+    pub(crate) fn after_commit(
+        &self,
+        (before, after): (usize, usize),
+        runner: &RunnerConfig,
+        workload: &str,
+        fingerprint: u64,
+        mode_bits: u8,
+    ) {
+        if let Some(path) = &runner.checkpoint {
+            if crosses_multiple(before, after, runner.checkpoint_every) {
+                self.snapshot(workload, fingerprint, mode_bits, path);
+            }
         }
     }
 
@@ -742,6 +778,13 @@ pub fn run_campaign(
     run_campaign_with(workload, cfg, runner, &golden)
 }
 
+/// Whether a multiple of `every` lies in `(before, after]` — how a commit
+/// that moves the completion count by a whole group still hits every
+/// checkpoint cadence point. An empty range crosses nothing.
+pub(crate) fn crosses_multiple(before: usize, after: usize, every: usize) -> bool {
+    every > 0 && after / every > before / every
+}
+
 /// Trials claimed per atomic increment. Workers pre-sample every fault site
 /// of a claimed chunk in one pass before executing any of its trials, so
 /// the per-trial hot loop touches no sampler state at all. Chunking changes
@@ -876,6 +919,37 @@ pub(crate) fn run_campaign_with(
                 // allocation per trial.
                 let mut exec: Option<TrialExec> = None;
                 let mut sites: Vec<(u64, FaultSite)> = Vec::with_capacity(SITE_CHUNK);
+                // The worker's open commit group: finished trials not yet
+                // journaled. A crash loses at most this group.
+                let mut group: Vec<(SingleBitRecord, u64)> = Vec::with_capacity(SITE_CHUNK);
+                let flush = |group: &mut Vec<(SingleBitRecord, u64)>| {
+                    if !group.is_empty() {
+                        let range = shared.commit_group(group);
+                        shared.after_commit(
+                            range,
+                            runner,
+                            workload.name,
+                            fingerprint,
+                            cfg.mode_bits,
+                        );
+                    }
+                };
+                // Close the group early where committing it would carry the
+                // completion count onto the next snapshot point, so a
+                // single-threaded run snapshots at exact multiples. The
+                // preempt drill counts the open group, so its signal lands
+                // while a lockstep group is still uncommitted.
+                let add = |group: &mut Vec<(SingleBitRecord, u64)>, record, elapsed_us| {
+                    group.push((record, elapsed_us));
+                    let done = shared.completed.load(Ordering::SeqCst);
+                    let open = done + group.len();
+                    if runner.checkpoint.is_some()
+                        && crosses_multiple(done, open, runner.checkpoint_every)
+                    {
+                        flush(group);
+                    }
+                    crate::signals::preempt_drill(open - 1, open);
+                };
                 loop {
                     // Graceful preemption: stop claiming work once the token
                     // trips. Unclaimed and unstarted trials simply stay
@@ -895,23 +969,11 @@ pub(crate) fn run_campaign_with(
                     }
                     let exec = exec
                         .get_or_insert_with(|| TrialExec::build(workload, cfg, runner.batch_width));
-                    let commit = |record: SingleBitRecord, elapsed_us: u64| {
-                        // Write-ahead: the trial reaches the durable journal
-                        // before it reaches the in-memory slots (atomically
-                        // with respect to snapshot resets), so a crash can
-                        // lose at most the single in-flight trial.
-                        let done = shared.commit_journaled(record, elapsed_us);
-                        if let Some(path) = &runner.checkpoint {
-                            if done.is_multiple_of(runner.checkpoint_every) {
-                                shared.snapshot(workload.name, fingerprint, cfg.mode_bits, path);
-                            }
-                        }
-                        crate::signals::preempt_drill(done);
-                    };
                     match exec {
                         TrialExec::Sequential(arena) => {
                             for &(trial, site) in &sites {
                                 if runner.cancel.cancelled().is_some() {
+                                    flush(&mut group);
                                     return;
                                 }
                                 let t0 = Instant::now();
@@ -922,7 +984,8 @@ pub(crate) fn run_campaign_with(
                                     cfg.mode_bits.max(1),
                                 );
                                 let elapsed_us = t0.elapsed().as_micros() as u64;
-                                commit(
+                                add(
+                                    &mut group,
                                     SingleBitRecord {
                                         trial,
                                         site,
@@ -934,10 +997,9 @@ pub(crate) fn run_campaign_with(
                             }
                         }
                         TrialExec::Batched { batch, injections } => {
-                            // Sub-chunk the claimed sites by batch width;
-                            // records still commit per trial index in order,
-                            // so checkpoint/WAL semantics are unchanged.
-                            for group in sites.chunks(batch.width()) {
+                            // Sub-chunk the claimed sites by batch width. Each
+                            // lockstep group commits as (at least) one group.
+                            for lockstep in sites.chunks(batch.width()) {
                                 // Lockstep groups are the batched trial
                                 // boundary: a group in flight finishes and
                                 // commits whole before the token is honored.
@@ -946,7 +1008,7 @@ pub(crate) fn run_campaign_with(
                                 }
                                 injections.clear();
                                 injections.extend(
-                                    group
+                                    lockstep
                                         .iter()
                                         .map(|&(_, site)| site.injection(cfg.mode_bits.max(1))),
                                 );
@@ -955,22 +1017,26 @@ pub(crate) fn run_campaign_with(
                                     batch.run_batch(injections, golden.max_steps, &golden.output);
                                 let span_us = t0.elapsed().as_micros() as u64;
                                 for (k, (&(trial, site), result)) in
-                                    group.iter().zip(results).enumerate()
+                                    lockstep.iter().zip(results).enumerate()
                                 {
                                     let (outcome, read) = crate::campaign::classify_trial(result);
-                                    commit(
+                                    add(
+                                        &mut group,
                                         SingleBitRecord {
                                             trial,
                                             site,
                                             outcome,
                                             read_before_overwrite: read,
                                         },
-                                        per_trial_latency_us(span_us, group.len(), k),
+                                        per_trial_latency_us(span_us, lockstep.len(), k),
                                     );
                                 }
+                                flush(&mut group);
                             }
                         }
                     }
+                    // The end of the claimed chunk closes the group.
+                    flush(&mut group);
                 }
             });
         }
@@ -1211,19 +1277,21 @@ mod tests {
     }
 
     /// Regression test for the commit/snapshot race: a worker whose journal
-    /// frame landed but whose slot insert had not yet been observed by a
-    /// concurrent snapshot would get its frame truncated by the journal
-    /// reset while absent from the snapshot — durable nowhere. With commits
-    /// and the snapshot's collect→save→reset window serialized on the
-    /// journal lock, the on-disk union (checkpoint + journal) must contain
-    /// every committed record at every instant; we check the end state
-    /// through the real recovery path.
+    /// frames landed but whose slot inserts had not yet been observed by a
+    /// concurrent snapshot would get its frames truncated by the journal
+    /// reset while absent from the snapshot — durable nowhere. With group
+    /// commits and the snapshot's collect→save→reset window serialized on
+    /// the journal lock, the on-disk union (checkpoint + journal) must
+    /// contain every committed record at every instant; we check the end
+    /// state through the real recovery path. Groups of mixed sizes make
+    /// commits straddle and skip over snapshot points.
     #[test]
     fn concurrent_commits_and_snapshots_never_lose_a_committed_record() {
         use crate::campaign::Outcome;
 
-        const TRIALS: usize = 240;
+        const TRIALS: usize = 480;
         const WORKERS: usize = 4;
+        const GROUP_SIZES: [usize; 3] = [1, 7, 32];
         let dir = tmpdir("snapshot-race");
         let path = dir.join("race.ckpt.json");
         std::fs::remove_file(&path).ok();
@@ -1232,12 +1300,20 @@ mod tests {
         let shared = Shared::new(vec![None; TRIALS], TRIALS);
         let journal = wal::WalWriter::create(&path, "dct", 0xFEED, 1).unwrap();
         shared.adopt_durable(Some(journal), 0);
+        // A tight cadence maximizes snapshot/commit interleavings.
+        let runner = RunnerConfig {
+            checkpoint: Some(path.clone()),
+            checkpoint_every: 8,
+            ..RunnerConfig::default()
+        };
 
         std::thread::scope(|scope| {
             for worker in 0..WORKERS {
-                let shared = &shared;
-                let path = &path;
+                let (shared, runner) = (&shared, &runner);
                 scope.spawn(move || {
+                    let mut group = Vec::new();
+                    let mut sizes = GROUP_SIZES.iter().cycle().skip(worker);
+                    let mut size = *sizes.next().unwrap();
                     for trial in (worker..TRIALS).step_by(WORKERS) {
                         let record = SingleBitRecord {
                             trial: trial as u64,
@@ -1251,23 +1327,54 @@ mod tests {
                             outcome: Outcome::Sdc,
                             read_before_overwrite: false,
                         };
-                        let done = shared.commit_journaled(record, 1);
-                        // A tight cadence from every worker maximizes
-                        // snapshot/commit interleavings.
-                        if done.is_multiple_of(8) {
-                            shared.snapshot("dct", 0xFEED, 1, path);
+                        group.push((record, 1));
+                        if group.len() == size {
+                            let range = shared.commit_group(&mut group);
+                            assert!(group.is_empty(), "commit_group drains the group");
+                            assert_eq!(range.1 - range.0, size);
+                            shared.after_commit(range, runner, "dct", 0xFEED, 1);
+                            size = *sizes.next().unwrap();
                         }
                     }
+                    let range = shared.commit_group(&mut group);
+                    shared.after_commit(range, runner, "dct", 0xFEED, 1);
                 });
             }
         });
         assert_eq!(shared.snapshot_failures.load(Ordering::SeqCst), 0);
+        assert_eq!(shared.completed.load(Ordering::SeqCst), TRIALS);
 
         // "Crash" here: resume from disk alone and demand every record back.
-        let runner = RunnerConfig { checkpoint: Some(path.clone()), ..RunnerConfig::default() };
         let durable = restore_durable(&runner, "dct", 0xFEED, 1, TRIALS).unwrap();
         assert_eq!(durable.slots.iter().flatten().count(), TRIALS);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cadence_fires_on_crossings_not_exact_counts() {
+        // A group straddling a multiple crosses it; groups on either side
+        // do not.
+        assert!(crosses_multiple(60, 68, 64));
+        assert!(!crosses_multiple(56, 63, 64));
+        assert!(!crosses_multiple(64, 70, 64));
+        // Landing exactly on a multiple counts; starting on one does not.
+        assert!(crosses_multiple(60, 64, 64));
+        assert!(!crosses_multiple(64, 64, 64));
+        // One group crossing two multiples crosses (it snapshots once).
+        assert!(crosses_multiple(3, 9, 4));
+        // Empty groups cross nothing, wherever they sit.
+        for at in [0, 4, 5] {
+            assert!(!crosses_multiple(at, at, 4), "empty group at {at}");
+        }
+        // Every commit crosses at checkpoint_every = 1, a one-record commit
+        // exactly as today.
+        for before in 0..5 {
+            assert!(crosses_multiple(before, before + 1, 1));
+            assert!(crosses_multiple(before, before + 3, 1));
+        }
+        // One-record commits (the supervisor) fire exactly at the multiples.
+        let fired: Vec<usize> = (1..=12).filter(|&d| crosses_multiple(d - 1, d, 4)).collect();
+        assert_eq!(fired, vec![4, 8, 12]);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! (budgets, explicit cancels), there is just no signal source.
 
 use crate::cancel::{CancelReason, CancelToken};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// The token the installed handlers trip. Installed once per process.
@@ -107,20 +108,26 @@ pub fn reset_sigpipe() {
 pub fn reset_sigpipe() {}
 
 /// `MBAVF_PREEMPT_DRILL` — the preemption member of the drill family
-/// (`MBAVF_KILL_DRILL`, `MBAVF_NET_DRILL`, ...): after the `n`-th freshly
-/// committed trial, deliver a real SIGTERM to this process, exactly as a
-/// preempting scheduler would. Spelled `"<n>"` for a single graceful
-/// signal, `"<n>:2"` for a double signal (second strike → immediate
-/// abort, exit `143`). Used by the SIGTERM-at-every-phase torture drill
-/// to pin cancellation to a deterministic trial count.
-pub(crate) fn preempt_drill(done: usize) {
-    let Ok(spec) = std::env::var("MBAVF_PREEMPT_DRILL") else { return };
-    let (at, double) = match spec.split_once(':') {
-        Some((n, "2")) => (n.parse::<usize>().ok(), true),
-        Some(_) => (None, false),
-        None => (spec.parse::<usize>().ok(), false),
+/// (`MBAVF_KILL_DRILL`, `MBAVF_NET_DRILL`, ...): once the fresh-completion
+/// count moves over `n` — that is, `n` lies in `(before, after]` — deliver
+/// a real SIGTERM to this process, exactly as a preempting scheduler
+/// would. Thread workers call it per finished trial, counting their open
+/// commit group, so the signal lands while that group is still in flight;
+/// the supervisor calls it per committed record. Spelled `"<n>"` for a
+/// single graceful signal, `"<n>:2"` for a double signal (second strike →
+/// immediate abort, exit `143`). Fires at most once per process. Used by
+/// the SIGTERM-at-every-phase torture drill to pin cancellation to a
+/// deterministic trial count.
+pub(crate) fn preempt_drill(before: usize, after: usize) {
+    static SPEC: OnceLock<Option<String>> = OnceLock::new();
+    static FIRED: AtomicBool = AtomicBool::new(false);
+    let Some(spec) = SPEC.get_or_init(|| std::env::var("MBAVF_PREEMPT_DRILL").ok()) else {
+        return;
     };
-    if at != Some(done) {
+    let Some(double) = drill_fires(spec, before, after) else { return };
+    // Several threads can each count the same `n` (each sees only its own
+    // open group); a second delivery would escalate to an abort.
+    if FIRED.swap(true, Ordering::SeqCst) {
         return;
     }
     term_self();
@@ -138,6 +145,18 @@ pub(crate) fn preempt_drill(done: usize) {
         // boundary until it does so the abort point is deterministic too.
         std::thread::sleep(std::time::Duration::from_secs(10));
     }
+}
+
+/// Whether the drill `spec` fires for a commit covering `(before, after]`:
+/// `Some(double)` when its count lies in the range, `None` otherwise or for
+/// a malformed spec.
+fn drill_fires(spec: &str, before: usize, after: usize) -> Option<bool> {
+    let (at, double) = match spec.split_once(':') {
+        Some((n, "2")) => (n.parse::<usize>().ok()?, true),
+        Some(_) => return None,
+        None => (spec.parse::<usize>().ok()?, false),
+    };
+    (before < at && at <= after).then_some(double)
 }
 
 /// Deliver SIGTERM to ourselves via `kill(1)`, mirroring how the chaos
@@ -170,7 +189,27 @@ mod tests {
     fn drill_spec_parsing_ignores_garbage() {
         // No env var set in the test process: must be a no-op.
         std::env::remove_var("MBAVF_PREEMPT_DRILL");
-        preempt_drill(0);
-        preempt_drill(usize::MAX);
+        preempt_drill(0, 1);
+        preempt_drill(0, usize::MAX);
+        for bad in ["", "x", "7:3", ":2", "7:", "-1"] {
+            assert_eq!(drill_fires(bad, 0, usize::MAX), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn drill_fires_when_its_count_lies_in_the_commit_range() {
+        // A group straddling the count fires; the groups around it do not.
+        assert_eq!(drill_fires("7", 4, 8), Some(false));
+        assert_eq!(drill_fires("7", 0, 4), None);
+        assert_eq!(drill_fires("7", 8, 12), None);
+        // The range is half-open: `before` is already past, `after` is in.
+        assert_eq!(drill_fires("8", 8, 12), None);
+        assert_eq!(drill_fires("8", 4, 8), Some(false));
+        // An empty group covers nothing.
+        assert_eq!(drill_fires("5", 5, 5), None);
+        // One-record commits (the supervisor, or every = 1) fire exactly
+        // at the count.
+        assert_eq!(drill_fires("6:2", 5, 6), Some(true));
+        assert_eq!(drill_fires("6:2", 6, 7), None);
     }
 }

@@ -841,17 +841,14 @@ impl SupCtx<'_> {
                             remaining.remove(pos);
                             progress = true;
                             lease.renew();
-                            if let Some(path) = &self.runner.checkpoint {
-                                if done.is_multiple_of(self.runner.checkpoint_every) {
-                                    self.shared.snapshot(
-                                        self.workload_name,
-                                        self.fingerprint,
-                                        self.cfg.mode_bits,
-                                        path,
-                                    );
-                                }
-                            }
-                            crate::signals::preempt_drill(done);
+                            self.shared.after_commit(
+                                (done - 1, done),
+                                self.runner,
+                                self.workload_name,
+                                self.fingerprint,
+                                self.cfg.mode_bits,
+                            );
+                            crate::signals::preempt_drill(done - 1, done);
                             match audit {
                                 AuditOutcome::Skipped => {}
                                 AuditOutcome::Passed => self.ledger.record_pass(),

@@ -94,6 +94,49 @@ fn batched_artifacts_match_width_one_byte_for_byte() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Group commits change only how many trials share a journal write: at
+/// every checkpoint cadence, batch width, and thread count the final
+/// checkpoint is byte-identical, also when a first run stops at a trial
+/// count that is no multiple of the cadence or the width.
+#[test]
+fn group_commits_leave_byte_identical_checkpoints() {
+    let w = by_name("fast_walsh").expect("registered");
+    let cfg = CampaignConfig { seed: 0x6C0, injections: 70, ..CampaignConfig::default() };
+    let dir = tmpdir("group-commits");
+    let mut reference: Option<Vec<u8>> = None;
+    for every in [1usize, 5, 64] {
+        for width in [1usize, 8] {
+            for threads in [1usize, 3] {
+                let label = format!("every {every}, width {width}, threads {threads}");
+                let ckpt = dir.join(format!("e{every}-w{width}-t{threads}.json"));
+                std::fs::remove_file(&ckpt).ok();
+                let runner = RunnerConfig {
+                    threads,
+                    batch_width: width,
+                    checkpoint: Some(ckpt.clone()),
+                    checkpoint_every: every,
+                    ..RunnerConfig::default()
+                };
+                let partial = run_campaign(
+                    &w,
+                    &cfg,
+                    &RunnerConfig { cancel: CancelToken::limited(23), ..runner.clone() },
+                )
+                .unwrap();
+                assert_eq!(partial.newly_run, 23, "{label}");
+                let finished = run_campaign(&w, &cfg, &runner).unwrap();
+                assert!(finished.complete, "{label}");
+                let bytes = std::fs::read(&ckpt).unwrap();
+                match &reference {
+                    None => reference = Some(bytes),
+                    Some(expect) => assert_eq!(&bytes, expect, "{label}: checkpoint diverged"),
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Interrupting a batched campaign and resuming it at a *different* batch
 /// width converges on the width-1 uninterrupted summary: the checkpoint
 /// carries no trace of how trials were grouped.

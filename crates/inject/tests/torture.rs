@@ -47,9 +47,14 @@ fn main() {
             wal_crash_at_every_boundary_resumes_byte_identical,
         ),
         (
+            "wal_torn_group_rolls_back_to_the_group_boundary",
+            wal_torn_group_rolls_back_to_the_group_boundary,
+        ),
+        (
             "chaos_campaign_checkpoint_matches_fault_free",
             chaos_campaign_checkpoint_matches_fault_free,
         ),
+        ("chaos_group_commits_match_fault_free", chaos_group_commits_match_fault_free),
         (
             "process_isolation_matches_thread_mode_bit_exact",
             process_isolation_matches_thread_mode_bit_exact,
@@ -390,6 +395,67 @@ fn wal_crash_at_every_boundary_resumes_byte_identical() {
     std::fs::remove_dir_all(&ref_dir).ok();
 }
 
+/// Uninstalls the global chaos engine on every exit path, including panics,
+/// so a failing chaos test cannot leak faults into the rest of the suite.
+struct ClearChaos;
+
+impl Drop for ClearChaos {
+    fn drop(&mut self) {
+        mbavf_inject::chaos::clear();
+    }
+}
+
+/// A journal group write that fails under chaos — torn write, full disk,
+/// failed fsync — rolls the file back to the previous group boundary, and
+/// the writer keeps appending once the faults stop: recovery returns
+/// exactly the groups that were acknowledged.
+fn wal_torn_group_rolls_back_to_the_group_boundary() {
+    use mbavf_inject::campaign::{FaultSite, SingleBitRecord};
+    use mbavf_inject::checkpoint::wal;
+
+    let rec = |trial: u64| SingleBitRecord {
+        trial,
+        site: FaultSite { wg: 0, after_retired: trial * 5, reg: 1, lane: 2, bit: 3 },
+        outcome: Outcome::Sdc,
+        read_before_overwrite: false,
+    };
+    let dir = tmpdir("wal-torn-group");
+    let ckpt = dir.join("c.json");
+    let path = wal::wal_path(&ckpt);
+    let mut w = wal::WalWriter::create(&ckpt, "dct", 0xFEED, 1).unwrap();
+    let mut committed = Vec::new();
+    let mut torn_failures = 0;
+    {
+        // Every write and fsync draws a fault and only stalls proceed, so
+        // about half of the groups exhaust their retries.
+        let _guard = ClearChaos;
+        mbavf_inject::chaos::install(mbavf_inject::ChaosSpec { seed: 0x7042, rate: 1.0 });
+        for g in 0..16u64 {
+            let group: Vec<SingleBitRecord> = (g * 3..g * 3 + 3).map(rec).collect();
+            let boundary = std::fs::metadata(&path).unwrap().len();
+            match w.append_all(&group) {
+                Ok(()) => committed.extend(group),
+                Err(CheckpointError::Io { detail, .. }) => {
+                    torn_failures += usize::from(detail.contains("torn write"));
+                    let len = std::fs::metadata(&path).unwrap().len();
+                    assert_eq!(len, boundary, "group {g} must roll back: {detail}");
+                }
+                Err(e) => panic!("group {g}: unexpected error {e}"),
+            }
+        }
+    }
+    assert!(torn_failures > 0, "the schedule must end some group on a torn write");
+    assert!(!committed.is_empty(), "the schedule must let some group through");
+    w.append_all(&[rec(100), rec(101)]).unwrap();
+    committed.extend([rec(100), rec(101)]);
+    drop(w);
+    let got = wal::recover(&ckpt, "dct", 0xFEED).unwrap();
+    assert_eq!(got.records, committed);
+    assert_eq!(got.torn_tail, 0);
+    assert!(got.quarantined.is_none());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// End-to-end chaos: with the deterministic fault engine injecting into
 /// every durable write the harness makes, a campaign still completes, no
 /// committed record is lost, and the final checkpoint is byte-identical to
@@ -397,19 +463,28 @@ fn wal_crash_at_every_boundary_resumes_byte_identical() {
 /// engine is process-global — installing it under libtest's parallel
 /// harness would inject faults into unrelated tests.
 fn chaos_campaign_checkpoint_matches_fault_free() {
-    /// Uninstall on every exit path, including panics, so a failure here
-    /// cannot leak faults into the rest of the suite.
-    struct ClearChaos;
-    impl Drop for ClearChaos {
-        fn drop(&mut self) {
-            mbavf_inject::chaos::clear();
-        }
-    }
+    assert_chaos_run_matches_fault_free("chaos", 60, RunnerConfig::serial());
+}
 
+/// The same contract for group commits: two threads committing width-8
+/// lockstep groups, split at every fourth completion by the checkpoint
+/// cadence, so torn journal writes and failed fsyncs land mid-group.
+fn chaos_group_commits_match_fault_free() {
+    assert_chaos_run_matches_fault_free(
+        "chaos-groups",
+        96,
+        RunnerConfig { threads: 2, batch_width: 8, ..RunnerConfig::default() },
+    );
+}
+
+/// Run `injections` fast_walsh trials under `runner` (checkpointing every
+/// 4 completions) with a 10% chaos engine installed, and compare the final
+/// checkpoint, records, and repro bundles with a fault-free serial run's.
+fn assert_chaos_run_matches_fault_free(tag: &str, injections: usize, runner: RunnerConfig) {
     let w = by_name("fast_walsh").expect("registered");
-    let cfg = CampaignConfig { seed: 7, injections: 60, ..CampaignConfig::default() };
+    let cfg = CampaignConfig { seed: 7, injections, ..CampaignConfig::default() };
 
-    let clean_dir = tmpdir("chaos-clean");
+    let clean_dir = tmpdir(&format!("{tag}-clean"));
     let clean_ckpt = clean_dir.join("camp.json");
     let clean = run_campaign(
         &w,
@@ -423,13 +498,13 @@ fn chaos_campaign_checkpoint_matches_fault_free() {
     .unwrap();
     let reference = std::fs::read(&clean_ckpt).unwrap();
 
-    let dir = tmpdir("chaos");
+    let dir = tmpdir(tag);
     let ckpt = dir.join("camp.json");
     let runner = RunnerConfig {
         checkpoint: Some(ckpt.clone()),
         checkpoint_every: 4,
         repro_dir: Some(dir.join("repro")),
-        ..RunnerConfig::serial()
+        ..runner
     };
     let _guard = ClearChaos;
     let engine =
