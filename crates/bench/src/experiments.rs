@@ -341,6 +341,10 @@ mod tests {
         for (i, v) in row.normalized.iter().enumerate() {
             assert!((0.99..=2.02).contains(v), "scheme {i}: 2x1/SB = {v}");
         }
+        // Logical interleaving keeps a 2x1 fault inside one line, whose
+        // bytes are ACE together: the MB-AVF is the SB-AVF (1.00x).
+        let logical = row.normalized[0];
+        assert!((1.0..=1.01).contains(&logical), "logical x2 2x1/SB = {logical}");
     }
 
     #[test]
@@ -362,6 +366,10 @@ mod tests {
         assert!(row.secded[6] > 0.0);
         let rel = row.secded[6] / row.parity[0];
         assert!((0.5..=2.0).contains(&rel), "8x1 SEC-DED vs 2x1 parity: {rel}");
+        // Both put one detected region in each of the same four domains:
+        // 8x1 SEC-DED equals 4x1 parity.
+        let rel = row.secded[6] / row.parity[2];
+        assert!((rel - 1.0).abs() <= 0.01, "8x1 SEC-DED vs 4x1 parity: {rel}");
     }
 
     #[test]
@@ -370,6 +378,13 @@ mod tests {
         let row = fig9(&d);
         // 6x1 SDC >= 5x1 SDC (a 5x1 fault leaves one detectable region).
         assert!(row.sdc[1] >= row.sdc[0] - 1e-9, "{:?}", row.sdc);
+        // From 6x1 on every region defeats SEC-DED: the SDC MB-AVF
+        // plateaus.
+        assert!(row.sdc[1] > 0.0, "{:?}", row.sdc);
+        for m in [7, 8] {
+            let rel = row.sdc[m - 5] / row.sdc[1];
+            assert!((rel - 1.0).abs() <= 0.01, "{m}x1 vs 6x1 SDC: {rel} in {:?}", row.sdc);
+        }
     }
 
     #[test]
@@ -410,6 +425,15 @@ mod tests {
             e_rx2.sdc_mb
         );
         assert!(p_tx4.sdc_mb <= e_tx2.sdc_mb + 1e-12);
+        // For every scheme and factor, inter-thread interleaving beats
+        // intra-thread interleaving on SDC.
+        for scheme in ["parity", "SEC-DED"] {
+            for f in [2, 4] {
+                let tx = find(&format!("{scheme} tx{f}")).sdc_mb;
+                let rx = find(&format!("{scheme} rx{f}")).sdc_mb;
+                assert!(tx <= rx, "{scheme} x{f}: tx SDC {tx} must not exceed rx SDC {rx}");
+            }
+        }
         // Parity is cheaper than SEC-DED.
         assert!(rows[0].overhead < rows[4].overhead);
     }

@@ -24,11 +24,12 @@
 //!   lock-step inter-thread-read rule of Section VIII).
 
 use crate::error::CoreError;
-use crate::geometry::FaultMode;
+use crate::geometry::{FaultGroup, FaultMode};
 use crate::layout::{BitRef, PhysicalLayout};
 use crate::protection::{Action, ProtectionKind};
 use crate::timeline::{BitState, Cycle, Interval, TimelineStore};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Classification of one fault group during one cycle, in increasing order of
 /// severity (the precedence order of Section VII-B).
@@ -222,37 +223,25 @@ pub fn mb_avf<L: PhysicalLayout>(
     let groups = mode.group_count(layout.rows(), layout.cols());
     let mut result = MbAvfResult::new(mode, groups, store.total_cycles(), None);
     if mode.len() <= MEMO_MAX_BITS {
-        // Whole-run totals admit memoization: two fault groups whose member
-        // bits have identical timeline *content*, bit positions, and domain
-        // partition classify identically in every cycle. This collapses the
-        // 64 replicated SIMT lanes of a register file — and the sea of
-        // untouched cache bytes — into one computation each.
-        let content_ids = content_ids(store);
-        let mut memo: HashMap<MemoKey, [u128; 3]> = HashMap::new();
-        let mut scratch = Scratch::default();
-        for group in mode.groups(layout.rows(), layout.cols())? {
-            gather_group(store, layout, mode, &group, cfg, &mut scratch)?;
-            if scratch.actions.iter().all(|a| *a == Action::Correct) {
-                continue;
-            }
-            let mut key = MemoKey::default();
-            for (i, b) in scratch.bits.iter().enumerate() {
-                key.push(content_ids[b.byte as usize], b.bit, scratch.region_of[i]);
-            }
-            let totals = match memo.get(&key) {
-                Some(t) => *t,
+        // Whole-run totals admit memoization at two levels: a repeated band
+        // fingerprint reuses a whole row's totals (`Band`), a repeated group
+        // key one group's (`GroupMemo`). This collapses the 64 replicated
+        // SIMT lanes of a register file, and the sea of untouched cache
+        // lines, into one row computation each.
+        mode.groups(layout.rows(), layout.cols())?; // fails before any bit is resolved
+        let mut memo = GroupMemo::new(store);
+        let mut bands: FxHashMap<Vec<BandCell>, [u128; 3]> = FxHashMap::default();
+        let mut band = Band::default();
+        for anchor_row in 0..=layout.rows() - mode.rows() {
+            let keyed = band.build(layout, &memo.content_ids, anchor_row, mode.rows());
+            let cached = if keyed { bands.get(band.cells.as_slice()).copied() } else { None };
+            let totals = match cached {
+                Some(t) => t,
                 None => {
-                    let mut t = [0u128; 3];
-                    sweep_one_group(store, cfg, &mut scratch, &mut |class, s, e| {
-                        let d = u128::from(e - s);
-                        match class {
-                            GroupClass::FalseDue => t[0] += d,
-                            GroupClass::TrueDue => t[1] += d,
-                            GroupClass::Sdc => t[2] += d,
-                            GroupClass::UnAce => {}
-                        }
-                    });
-                    memo.insert(key, t);
+                    let t = memo.row_totals(store, layout, mode, cfg, anchor_row)?;
+                    if keyed {
+                        bands.insert(band.cells.clone(), t);
+                    }
                     t
                 }
             };
@@ -319,10 +308,162 @@ impl MemoKey {
     }
 }
 
+/// The group level of the memo: whole-run `[false DUE, true DUE, SDC]`
+/// group-cycles per [`MemoKey`], shared by every band of one analysis.
+struct GroupMemo {
+    content_ids: Vec<u32>,
+    totals: FxHashMap<MemoKey, [u128; 3]>,
+    scratch: Scratch,
+}
+
+impl GroupMemo {
+    fn new(store: &TimelineStore) -> Self {
+        Self {
+            content_ids: content_ids(store),
+            totals: FxHashMap::default(),
+            scratch: Scratch::default(),
+        }
+    }
+
+    /// Summed totals of every group anchored on `anchor_row`, sweeping only
+    /// the groups whose key has not been seen.
+    fn row_totals<L: PhysicalLayout>(
+        &mut self,
+        store: &TimelineStore,
+        layout: &L,
+        mode: &FaultMode,
+        cfg: &AnalysisConfig,
+        anchor_row: u32,
+    ) -> Result<[u128; 3], CoreError> {
+        let mut row = [0u128; 3];
+        let s = &mut self.scratch;
+        for anchor_col in 0..=layout.cols() - mode.cols() {
+            let group = FaultGroup { anchor_row, anchor_col };
+            gather_group(store, layout, mode, &group, cfg, s)?;
+            if s.actions.iter().all(|a| *a == Action::Correct) {
+                continue;
+            }
+            let mut key = MemoKey::default();
+            for (i, b) in s.bits.iter().enumerate() {
+                key.push(self.content_ids[b.byte as usize], b.bit, s.region_of[i]);
+            }
+            let totals = match self.totals.get(&key) {
+                Some(t) => *t,
+                None => {
+                    let mut t = [0u128; 3];
+                    sweep_one_group(store, cfg, s, &mut |class, start, end| {
+                        let d = u128::from(end - start);
+                        match class {
+                            GroupClass::FalseDue => t[0] += d,
+                            GroupClass::TrueDue => t[1] += d,
+                            GroupClass::Sdc => t[2] += d,
+                            GroupClass::UnAce => {}
+                        }
+                    });
+                    self.totals.insert(key, t);
+                    t
+                }
+            };
+            for (acc, x) in row.iter_mut().zip(totals) {
+                *acc += x;
+            }
+        }
+        Ok(row)
+    }
+}
+
+/// One cell of a wordline band's fingerprint: the canonical content id of
+/// the bit's timeline, its bit index, and its band-local domain label (the
+/// domain's first-appearance index within the band).
+type BandCell = (u32, u8, u32);
+
+/// Reused buffers for a wordline band's fingerprint: physical rows
+/// `anchor_row .. anchor_row + mode.rows()` across every column, row-major.
+///
+/// Equal fingerprints give every group anchored at the same column equal
+/// member content, bit indices, and domain partition — hence equal
+/// [`MemoKey`]s and equal totals.
+#[derive(Default)]
+struct Band {
+    cells: Vec<BandCell>,
+    labels: FxHashMap<u64, u32>,
+}
+
+impl Band {
+    /// Fingerprint the band anchored at `anchor_row`. Returns `false` (and
+    /// leaves the fingerprint unusable) if a cell lies outside the store, so
+    /// the caller's per-group path reports the error exactly as a plain
+    /// group sweep would.
+    fn build<L: PhysicalLayout>(
+        &mut self,
+        layout: &L,
+        content_ids: &[u32],
+        anchor_row: u32,
+        rows: u32,
+    ) -> bool {
+        self.cells.clear();
+        self.labels.clear();
+        for row in anchor_row..anchor_row + rows {
+            for col in 0..layout.cols() {
+                let b = layout.bit_at(row, col);
+                let Some(&content) = content_ids.get(b.byte as usize) else { return false };
+                if b.bit >= 8 {
+                    return false;
+                }
+                let next = self.labels.len() as u32;
+                let label = *self.labels.entry(b.domain).or_insert(next);
+                self.cells.push((content, b.bit, label));
+            }
+        }
+        true
+    }
+}
+
+/// Multiplicative (Fx-style) hasher for the memo tables. Keys are still
+/// compared with `Eq`, so the hash only picks buckets and needs no
+/// collision resistance — just speed on small integer keys.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; rotate the well-mixed high bits down to
+        // where the table takes its bucket index.
+        self.0.rotate_left(26)
+    }
+}
+
+type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
 /// Canonical content id per byte: bytes with byte-for-byte identical
-/// timelines share an id (exact comparison, no hashing shortcuts).
+/// timelines share an id (exact comparison: the hash only picks buckets).
 fn content_ids(store: &TimelineStore) -> Vec<u32> {
-    let mut canon: HashMap<&[Interval], u32> = HashMap::new();
+    let mut canon: FxHashMap<&[Interval], u32> = FxHashMap::default();
     (0..store.num_bytes())
         .map(|b| {
             let next = canon.len() as u32;
@@ -426,7 +567,7 @@ fn gather_group<L: PhysicalLayout>(
     store: &TimelineStore,
     layout: &L,
     mode: &FaultMode,
-    group: &crate::geometry::FaultGroup,
+    group: &FaultGroup,
     cfg: &AnalysisConfig,
     s: &mut Scratch,
 ) -> Result<(), CoreError> {

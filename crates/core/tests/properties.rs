@@ -6,17 +6,18 @@
 //! [`SplitMix64`] streams. Every case's stream index is part of the panic
 //! message, so a failure reproduces with `SplitMix64::stream(SEED, index)`.
 
+use mbavf_core::analysis::{mb_avf, windowed_mb_avf, AnalysisConfig};
 use mbavf_core::ecc::{Crc32, Crc8, DecTed, Decoded, Gf64, Parity, SecDed};
 use mbavf_core::geometry::FaultMode;
 use mbavf_core::layout::{
-    CacheGeometry, CacheInterleave, CacheLayout, PhysicalLayout, VgprGeometry, VgprInterleave,
-    VgprLayout,
+    CacheGeometry, CacheInterleave, CacheLayout, LinearLayout, PhysicalLayout, VgprGeometry,
+    VgprInterleave, VgprLayout,
 };
 use mbavf_core::markov::MarkovModel;
 use mbavf_core::mttf::MemoryModel;
 use mbavf_core::protection::{Action, ProtectionKind};
 use mbavf_core::rng::SplitMix64;
-use mbavf_core::timeline::{ByteTimeline, Interval};
+use mbavf_core::timeline::{ByteTimeline, Interval, TimelineStore};
 use std::collections::HashSet;
 
 /// Test-suite master seed: every property derives its cases from streams of
@@ -254,6 +255,131 @@ fn vgpr_layouts_bijective() {
             }
         }
     }
+}
+
+/// Run length of the memo-differential stores.
+const MEMO_CYCLES: u64 = 100;
+
+/// A random timeline of a few labelled intervals (possibly none).
+fn random_timeline(rng: &mut SplitMix64) -> ByteTimeline {
+    let mut tl = ByteTimeline::new();
+    let mut t = rng.below(20);
+    while t < MEMO_CYCLES - 20 && !rng.chance(0.3) {
+        let end = t + rng.range_u64(1, 20);
+        tl.push(Interval { start: t, end, ace_mask: rng.next_u32() as u8, checked: rng.bool() })
+            .unwrap();
+        t = end + rng.below(10);
+    }
+    tl
+}
+
+/// A store of `units` runs of `unit_bytes` bytes (cache lines, register
+/// instances) whose content repeats, so both memo levels hit: each unit
+/// copies its lane group's pattern (`lanes` consecutive units share one),
+/// except for an occasional divergent unit. Patterns draw their bytes from
+/// a small timeline pool, so bytes repeat within and across units too.
+fn replicated_store(
+    rng: &mut SplitMix64,
+    units: usize,
+    unit_bytes: usize,
+    lanes: usize,
+) -> TimelineStore {
+    let pool: Vec<ByteTimeline> = (0..4).map(|_| random_timeline(rng)).collect();
+    let patterns: Vec<Vec<usize>> =
+        (0..3).map(|_| (0..unit_bytes).map(|_| rng.below(4) as usize).collect()).collect();
+    let base: Vec<usize> = (0..units.div_ceil(lanes)).map(|_| rng.below(3) as usize).collect();
+    let mut store = TimelineStore::new(units * unit_bytes, MEMO_CYCLES);
+    for u in 0..units {
+        let p = if rng.chance(0.125) { rng.below(3) as usize } else { base[u / lanes] };
+        for (b, &tl) in patterns[p].iter().enumerate() {
+            *store.byte_mut(u * unit_bytes + b) = pool[tl].clone();
+        }
+    }
+    store
+}
+
+/// Check memoized `mb_avf` against the unmemoized direct sweep for every
+/// mode and analysis configuration.
+fn assert_memo_matches_direct<L: PhysicalLayout>(store: &TimelineStore, layout: &L, what: &str) {
+    let sparse = FaultMode::from_offsets("sparse", [(0, 0), (1, 2), (0, 3)]).unwrap();
+    let modes = (1..=8).map(FaultMode::mx1).chain([FaultMode::rect(2, 2), sparse]);
+    let schemes = [
+        ProtectionKind::None,
+        ProtectionKind::Parity,
+        ProtectionKind::SecDed,
+        ProtectionKind::DecTed,
+        ProtectionKind::Crc { burst_detect: 3 },
+    ];
+    for mode in modes {
+        for scheme in schemes {
+            for lock_step in [false, true] {
+                let cfg = AnalysisConfig::new(scheme).with_due_preempts_sdc(lock_step);
+                let ctx = format!("{what} {mode} {scheme:?} lock_step={lock_step}");
+                let memo = mb_avf(store, layout, &mode, &cfg).map(|r| {
+                    [r.false_due_group_cycles(), r.true_due_group_cycles(), r.sdc_group_cycles()]
+                });
+                let direct =
+                    windowed_mb_avf(store, layout, &mode, &cfg, MEMO_CYCLES).map(|windows| {
+                        windows.iter().fold([0u128; 3], |[f, t, s], r| {
+                            [
+                                f + r.false_due_group_cycles(),
+                                t + r.true_due_group_cycles(),
+                                s + r.sdc_group_cycles(),
+                            ]
+                        })
+                    });
+                // Modes wider than the layout must fail the same way.
+                assert_eq!(memo, direct, "[false DUE, true DUE, SDC] of {ctx}");
+            }
+        }
+    }
+}
+
+/// The two-level MB-AVF memo (wordline bands, then fault groups) is exact:
+/// on stores with replicated rows and lanes, memoized `mb_avf` equals the
+/// direct sweep — `windowed_mb_avf` with one run-long window — in every
+/// group-cycle counter, across layouts, modes, schemes, and both SDC
+/// precedence rules.
+#[test]
+fn memoized_mb_avf_matches_direct_sweep() {
+    for_cases(2, |rng| {
+        // Linear rows over (mostly) one repeated byte: 12-bit rows put equal
+        // bytes on different bit indices, and 8-bit rows with an odd domain
+        // width put them on different domain partitions. Regular layouts
+        // never vary either between rows.
+        let bits_per_domain = [3, 5, 6, 7][rng.below(4) as usize];
+        for layout in [LinearLayout::new(4, 12, 4), LinearLayout::new(4, 8, bits_per_domain)] {
+            let bytes = (layout.num_bits() as usize).div_ceil(8);
+            let store = replicated_store(rng, bytes, 1, bytes);
+            assert_memo_matches_direct(&store, &layout, &format!("{layout:?}"));
+        }
+
+        let geom = CacheGeometry { sets: 4, ways: 4, line_bytes: 2 };
+        for f in [2, 4] {
+            for il in [
+                CacheInterleave::Logical(f),
+                CacheInterleave::WayPhysical(f),
+                CacheInterleave::IndexPhysical(f),
+            ] {
+                let layout = CacheLayout::new(geom, il).unwrap();
+                let store = replicated_store(rng, geom.lines() as usize, 2, 1);
+                assert_memo_matches_direct(&store, &layout, &il.label());
+            }
+        }
+
+        // Lanes of one register share a pattern, as lockstep SIMT lanes do.
+        let geom = VgprGeometry { threads: 4, regs: 4 };
+        for il in [
+            VgprInterleave::IntraThread(2),
+            VgprInterleave::IntraThread(4),
+            VgprInterleave::InterThread(2),
+            VgprInterleave::InterThread(4),
+        ] {
+            let layout = VgprLayout::new(geom, il).unwrap();
+            let store = replicated_store(rng, geom.instances() as usize, 4, 4);
+            assert_memo_matches_direct(&store, &layout, &il.label());
+        }
+    });
 }
 
 /// Timeline pushes preserve total ACE accounting under coalescing.
