@@ -6,11 +6,11 @@
 //! reference check is reported and skipped, and every exhibit is produced
 //! from the surviving workloads (exhibits tied to a failed workload, like
 //! the MiniFE time-series figures, are skipped with a note). Set
-//! `MBAVF_FAIL_WORKLOAD=name[,name...]` to drill the degraded path.
+//! `MBAVF_DRILL=fail@name[,fail@name...]` to drill the degraded path.
 //!
 //! Budget knobs: `MBAVF_SCALE=test` for small problem sizes,
 //! `MBAVF_INJECTIONS` / `MBAVF_GROUPS` for the Table II and validation-gate
-//! budgets. Set `MBAVF_NONDET_DRILL=1` to append the deliberately
+//! budgets. Set `MBAVF_DRILL=nondet` to append the deliberately
 //! nondeterministic control workload and watch the golden-run integrity
 //! check report it as skipped.
 
@@ -36,6 +36,10 @@ fn section(title: &str) {
 }
 
 fn main() {
+    if let Err(e) = mbavf_inject::drill::plan() {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
     let scale = scale_from_env();
     eprintln!("simulating the workload suite ({:?} scale) ...", scale);
     let outcome = mbavf_bench::try_run_suite_at(scale);

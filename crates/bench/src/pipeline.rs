@@ -5,16 +5,16 @@
 //! simulator, fails its reference check, or fails the double-golden
 //! determinism check is reported as a [`PipelineError`] and *skipped*, so
 //! the remaining workloads still produce their tables and figures. Two
-//! resilience drills exercise the degraded path end-to-end: setting
-//! `MBAVF_FAIL_WORKLOAD` to a workload name forces that workload to fail,
-//! and setting `MBAVF_NONDET_DRILL=1` appends the deliberately
-//! nondeterministic control workload, which the golden-integrity check
-//! must catch.
+//! entries of the `MBAVF_DRILL` plan ([`mbavf_inject::drill`]) exercise
+//! the degraded path end-to-end: `fail@<workload>` forces that workload to
+//! fail, and `nondet` appends the deliberately nondeterministic control
+//! workload, which the golden-integrity check must catch.
 
 use mbavf_core::error::PipelineError;
 use mbavf_core::layout::{CacheGeometry, VgprGeometry};
 use mbavf_core::rng::fnv1a;
 use mbavf_core::timeline::TimelineStore;
+use mbavf_inject::drill::{self, DrillPlan};
 use mbavf_sim::extract::{l1_timelines, l2_timelines, vgpr_timelines};
 use mbavf_sim::interp::run_golden;
 use mbavf_sim::liveness::analyze;
@@ -144,8 +144,8 @@ pub fn run_workload(w: &Workload, scale: Scale) -> WorkloadData {
 /// Run the whole suite at the given scale with one worker thread per
 /// workload (runs are independent and deterministic), keeping the survivors
 /// and reporting failures instead of aborting. `should_fail` forces named
-/// workloads to fail — the seam resilience tests and the
-/// `MBAVF_FAIL_WORKLOAD` drill use.
+/// workloads to fail — the seam resilience tests and the `fail@` drill
+/// use.
 pub fn try_run_suite_with(
     scale: Scale,
     should_fail: &(dyn Fn(&str) -> bool + Sync),
@@ -154,7 +154,7 @@ pub fn try_run_suite_with(
     // The nondeterminism drill: appending the deliberately unstable workload
     // must end with it in `failures` (caught by the double-golden check),
     // never in `data`.
-    if std::env::var("MBAVF_NONDET_DRILL").is_ok_and(|v| !v.is_empty() && v != "0") {
+    if drills().nondet {
         workloads.push(nondet_drill());
     }
     let results: Vec<Result<WorkloadData, PipelineError>> = std::thread::scope(|scope| {
@@ -198,11 +198,15 @@ pub fn try_run_suite_with(
 }
 
 /// Run the whole suite at the given scale, degrading gracefully. Workloads
-/// named by the `MBAVF_FAIL_WORKLOAD` environment variable (comma-separated)
-/// are forced to fail.
+/// named by `fail@` drill entries are forced to fail.
 pub fn try_run_suite_at(scale: Scale) -> SuiteOutcome {
-    let forced = std::env::var("MBAVF_FAIL_WORKLOAD").unwrap_or_default();
-    try_run_suite_with(scale, &move |name| forced.split(',').any(|f| f == name))
+    let forced = &drills().fail;
+    try_run_suite_with(scale, &|name| forced.iter().any(|f| f == name))
+}
+
+/// The drill plan; a malformed one is a hard error, never run undrilled.
+fn drills() -> &'static DrillPlan {
+    drill::plan().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Run the whole suite at the given scale, printing a warning for each

@@ -3,7 +3,7 @@
 //!
 //! * `--isolation process` produces the same printed rates as thread mode
 //!   on a clean run;
-//! * a daemon that aborts mid-shard (the `MBAVF_ABORT_DRILL` drill) does
+//! * a daemon that dies mid-shard (the `MBAVF_DRILL=die@T` drill) does
 //!   not kill the campaign: the offending trial is bisected, quarantined
 //!   into the poison sidecar with a repro bundle, and the run still exits 0;
 //! * resuming the same checkpoint without the drill re-runs nothing and
@@ -104,7 +104,7 @@ fn abort_drill_is_quarantined_and_resume_is_clean() {
     let mut flags = vec!["--checkpoint", "c.json"];
     flags.extend_from_slice(PROCESS_FLAGS);
 
-    let out = campaign(&dir, &flags, Some(("MBAVF_ABORT_DRILL", "5")));
+    let out = campaign(&dir, &flags, Some(("MBAVF_DRILL", "die@5")));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "drilled campaign must survive, stderr: {stderr}");
     assert!(stderr.contains("poisoning trial 5"), "stderr: {stderr}");
@@ -136,7 +136,7 @@ fn fail_on_crash_counts_poisoned_trials() {
     let dir = temp_dir("failon");
     let mut flags = vec!["--checkpoint", "c.json", "--fail-on", "crash"];
     flags.extend_from_slice(PROCESS_FLAGS);
-    let out = campaign(&dir, &flags, Some(("MBAVF_ABORT_DRILL", "3")));
+    let out = campaign(&dir, &flags, Some(("MBAVF_DRILL", "die@3")));
     assert_eq!(
         out.status.code(),
         Some(2),

@@ -3,10 +3,10 @@
 //! partial exit code (4), a loadable checkpoint, and a resume that
 //! converges **bit-identically** to an uninterrupted thread-mode run.
 //!
-//! The drill matrix (driven by `MBAVF_PREEMPT_DRILL="<n>"`, which delivers
-//! a real SIGTERM to the campaign process once the `n`-th fresh trial has
+//! The drill matrix (driven by `MBAVF_DRILL=term@<n>`, which delivers a
+//! real SIGTERM to the campaign process once the `n`-th fresh trial has
 //! finished — committed, under isolation; still in its worker's open commit
-//! group, in thread mode — or `"<n>:2"` for a double signal):
+//! group, in thread mode — or `term2@<n>` for a double signal):
 //!
 //! * **mid-shard** — process isolation, signal while a local daemon owns a
 //!   leased shard (the daemon is drained, not killed, exactly like a
@@ -141,7 +141,7 @@ fn sigterm_mid_shard_under_process_isolation_resumes_bit_identical() {
             "--workers",
             "1",
         ],
-        &[("MBAVF_PREEMPT_DRILL", "3")],
+        &[("MBAVF_DRILL", "term@3")],
     );
     assert_partial(&out, "signal");
     assert!(
@@ -159,7 +159,7 @@ fn sigterm_mid_batch_resumes_bit_identical() {
     let out = campaign(
         &dir,
         &["--checkpoint", "batch.json", "--threads", "1", "--batch-width", "4"],
-        &[("MBAVF_PREEMPT_DRILL", "7")],
+        &[("MBAVF_DRILL", "term@7")],
     );
     assert_partial(&out, "signal");
     // The signal landed inside lockstep group 2 (trials 5..=8), before the
@@ -178,7 +178,7 @@ fn sigterm_mid_compaction_resumes_bit_identical() {
     let out = campaign(
         &dir,
         &["--checkpoint", "compact.json", "--threads", "1", "--checkpoint-every", "4"],
-        &[("MBAVF_PREEMPT_DRILL", "8")],
+        &[("MBAVF_DRILL", "term@8")],
     );
     assert_partial(&out, "signal");
     resume_and_compare(&dir, "compact.json", &base);
@@ -207,7 +207,7 @@ fn sigterm_mid_audit_drains_the_tcp_fleet_and_resumes_bit_identical() {
             "--audit",
             "1.0",
         ],
-        &[("MBAVF_PREEMPT_DRILL", "6")],
+        &[("MBAVF_DRILL", "term@6")],
     );
     assert_partial(&out, "signal");
     assert!(
@@ -227,7 +227,7 @@ fn double_sigterm_mid_drain_aborts_and_the_wal_still_recovers() {
     let base = baseline(&dir);
     let (_a, _b) = (Daemon::spawn(), Daemon::spawn());
     let connect = format!("{},{}", _a.addr, _b.addr);
-    // "6:2": SIGTERM after trial 6 starts the drain, then a second SIGTERM
+    // term2@6: SIGTERM after trial 6 starts the drain, then a second SIGTERM
     // lands while it is still in flight — the escalation contract is an
     // immediate abort with exit 128+15, no final checkpoint, WAL only.
     let out = campaign(
@@ -246,7 +246,7 @@ fn double_sigterm_mid_drain_aborts_and_the_wal_still_recovers() {
             "--checkpoint-every",
             "1",
         ],
-        &[("MBAVF_PREEMPT_DRILL", "6:2")],
+        &[("MBAVF_DRILL", "term2@6")],
     );
     assert_eq!(
         out.status.code(),
@@ -255,6 +255,42 @@ fn double_sigterm_mid_drain_aborts_and_the_wal_still_recovers() {
         String::from_utf8_lossy(&out.stderr)
     );
     resume_and_compare(&dir, "abort.json", &base);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn adaptive_campaign_killed_mid_stage_resumes_bit_identical() {
+    let dir = temp_dir("adaptive-mid-stage");
+    // Stages 4, 8, …, 256; the 0.06 target is first met at 256. The drill
+    // counts fresh trials per stage, so term2@40 aborts inside stage 128
+    // with trials ≥ 64 committed to the journal but not yet snapshotted —
+    // the resume must pick its stage from the journal too, or its first
+    // stage rejects them as outside the budget.
+    let run = |ckpt: &str, env: &[(&str, &str)]| {
+        let adaptive = ["--target-ci-halfwidth", "0.06", "--batch", "4", "--max-injections", "256"];
+        campaign(&dir, &[&["--checkpoint", ckpt, "--threads", "1"][..], &adaptive].concat(), env)
+    };
+    let base = run("base.json", &[]);
+    assert!(base.status.success(), "baseline: {}", String::from_utf8_lossy(&base.stderr));
+    let out = run("adaptive.json", &[("MBAVF_DRILL", "term2@40")]);
+    assert_eq!(
+        out.status.code(),
+        Some(143),
+        "second signal must abort with 128+SIGTERM; stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let resume = run("adaptive.json", &[]);
+    assert_eq!(
+        resume.status.code(),
+        Some(0),
+        "resume: {}",
+        String::from_utf8_lossy(&resume.stderr)
+    );
+    assert_eq!(
+        std::fs::read(dir.join("adaptive.json")).unwrap(),
+        std::fs::read(dir.join("base.json")).unwrap(),
+        "the resumed adaptive checkpoint must be byte-identical to the uninterrupted run"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

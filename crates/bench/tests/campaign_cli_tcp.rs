@@ -5,7 +5,7 @@
 //!   binds an ephemeral port and announces it as a single JSON stdout line;
 //! * `--isolation tcp --connect ...` produces the same printed rates and a
 //!   byte-identical checkpoint versus thread mode, with no poison sidecar;
-//! * killing one of two daemons mid-campaign (`MBAVF_NET_KILL_DRILL`) fails
+//! * killing one of two daemons mid-campaign (`MBAVF_DRILL=die@T`) fails
 //!   over to the survivor and still exits 0 with identical rates;
 //! * `--isolation tcp` without `--connect` is a usage error.
 //!
@@ -153,7 +153,7 @@ fn killed_daemon_fails_over_to_the_survivor() {
     assert!(thread.status.success());
 
     let doomed =
-        Daemon::spawn(&["__serve", "--listen", "127.0.0.1:0"], &[("MBAVF_NET_KILL_DRILL", "2")]);
+        Daemon::spawn(&["__serve", "--listen", "127.0.0.1:0"], &[("MBAVF_DRILL", "die@2")]);
     let survivor = Daemon::spawn(&["__serve", "--listen", "127.0.0.1:0"], &[]);
     let connect = format!("{},{}", doomed.addr, survivor.addr);
     let tcp = campaign(

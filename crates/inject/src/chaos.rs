@@ -84,8 +84,8 @@ pub enum OpClass {
     /// Sending a length-prefixed transport frame.
     Frame,
     /// Classifying one trial's outcome in a worker daemon — the Byzantine
-    /// lie drill (`MBAVF_LIE_DRILL`), where the fault is a flipped verdict
-    /// rather than a failed operation.
+    /// lie drill (`MBAVF_DRILL=lie@<seed>:<rate>`), where the fault is a
+    /// flipped verdict rather than a failed operation.
     Verdict,
 }
 

@@ -153,27 +153,27 @@ pub(crate) fn parse_record(rec: &Value, i: usize) -> Result<SingleBitRecord, Che
     let read = rec.get("read").and_then(Value::as_bool).ok_or_else(|| {
         CheckpointError::Malformed { detail: format!("record {i}: missing \"read\"") }
     })?;
-    let narrow = |v: u64, key: &str, max: u64| -> Result<u64, CheckpointError> {
-        if v > max {
-            Err(CheckpointError::Malformed {
-                detail: format!("record {i}: \"{key}\" = {v} out of range"),
-            })
-        } else {
-            Ok(v)
-        }
+    let (trial, site) =
+        parse_site(rec, i).map_err(|detail| CheckpointError::Malformed { detail })?;
+    Ok(SingleBitRecord { trial, site, outcome, read_before_overwrite: read })
+}
+
+/// Parse the trial index and fault site every record-shaped object carries
+/// (records, record frames, poison entries); `i` labels it in errors.
+pub(crate) fn parse_site(rec: &Value, i: usize) -> Result<(u64, FaultSite), String> {
+    let field = |key: &str, max: u64| match rec.get(key).and_then(Value::as_u64) {
+        None => Err(format!("record {i}: missing or non-integer \"{key}\"")),
+        Some(v) if v > max => Err(format!("record {i}: \"{key}\" = {v} out of range")),
+        Some(v) => Ok(v),
     };
-    Ok(SingleBitRecord {
-        trial: field_u64(rec, "trial", i)?,
-        site: FaultSite {
-            wg: narrow(field_u64(rec, "wg", i)?, "wg", u64::from(u32::MAX))? as u32,
-            after_retired: field_u64(rec, "after", i)?,
-            reg: narrow(field_u64(rec, "reg", i)?, "reg", 255)? as u8,
-            lane: narrow(field_u64(rec, "lane", i)?, "lane", 63)? as u8,
-            bit: narrow(field_u64(rec, "bit", i)?, "bit", 31)? as u8,
-        },
-        outcome,
-        read_before_overwrite: read,
-    })
+    let site = FaultSite {
+        wg: field("wg", u32::MAX.into())? as u32,
+        after_retired: field("after", u64::MAX)?,
+        reg: field("reg", 255)? as u8,
+        lane: field("lane", 63)? as u8,
+        bit: field("bit", 31)? as u8,
+    };
+    Ok((field("trial", u64::MAX)?, site))
 }
 
 /// Serialize a checkpoint document.
@@ -216,12 +216,6 @@ pub fn save(
     crate::durable::atomic_write_durable(path, doc.as_bytes()).map_err(|e| CheckpointError::Io {
         path: path.display().to_string(),
         detail: e.to_string(),
-    })
-}
-
-fn field_u64(rec: &Value, key: &str, i: usize) -> Result<u64, CheckpointError> {
-    rec.get(key).and_then(Value::as_u64).ok_or_else(|| CheckpointError::Malformed {
-        detail: format!("record {i}: missing or non-integer \"{key}\""),
     })
 }
 

@@ -44,7 +44,9 @@
 
 use super::{parse_record, write_record, VERSION};
 use crate::campaign::SingleBitRecord;
-use crate::durable::{chaos_fsync, chaos_write, quarantine_corrupt, with_retry};
+use crate::durable::{
+    chaos_fsync, chaos_write, quarantine_corrupt, quarantine_with_warning, with_retry,
+};
 use crate::json::{self, Value};
 use mbavf_core::crc::crc32;
 use mbavf_core::error::CheckpointError;
@@ -294,35 +296,34 @@ pub fn recover(
     let mut records = Vec::new();
     if let Some(header) = payloads.first() {
         if let Err(detail) = check_header(header, workload, config_hash) {
-            let quarantined = quarantine_corrupt(&path);
-            warn_quarantine(&path, &detail, quarantined.as_deref());
-            return Ok(WalRecovery { records, torn_tail: 0, quarantined });
-        }
-        for (i, payload) in payloads[1..].iter().enumerate() {
-            let parsed = std::str::from_utf8(payload)
-                .map_err(|_| CheckpointError::Malformed {
-                    detail: format!("frame {i}: non-UTF-8 payload"),
-                })
-                .and_then(|text| {
-                    json::parse(text).map_err(|detail| CheckpointError::Malformed { detail })
-                })
-                .and_then(|value| parse_record(&value, i));
-            match parsed {
-                Ok(record) => records.push(record),
-                Err(e) => {
-                    // A frame with a valid CRC but an unparseable record is
-                    // writer damage, not a crash signature: quarantine, keep
-                    // what parsed.
-                    corrupt = Some(format!("journal frame {i}: {e}"));
-                    break;
+            corrupt = Some(detail);
+        } else {
+            for (i, payload) in payloads[1..].iter().enumerate() {
+                let parsed = std::str::from_utf8(payload)
+                    .map_err(|_| CheckpointError::Malformed {
+                        detail: format!("frame {i}: non-UTF-8 payload"),
+                    })
+                    .and_then(|text| {
+                        json::parse(text).map_err(|detail| CheckpointError::Malformed { detail })
+                    })
+                    .and_then(|value| parse_record(&value, i));
+                match parsed {
+                    Ok(record) => records.push(record),
+                    Err(e) => {
+                        // A frame with a valid CRC but an unparseable record
+                        // is writer damage, not a crash signature:
+                        // quarantine, keep what parsed.
+                        corrupt = Some(format!("journal frame {i}: {e}"));
+                        break;
+                    }
                 }
             }
         }
     }
 
     if let Some(detail) = corrupt {
-        let quarantined = quarantine_corrupt(&path);
-        warn_quarantine(&path, &detail, quarantined.as_deref());
+        let quarantined =
+            quarantine_with_warning(&path, "or foreign journal", &detail, "continuing over it");
         return Ok(WalRecovery { records, torn_tail: 0, quarantined });
     }
 
@@ -372,20 +373,6 @@ fn check_header(payload: &[u8], workload: &str, config_hash: u64) -> Result<(), 
         other => {
             Err(format!("journal config hash {other:?}, campaign expects {config_hash:#018x}"))
         }
-    }
-}
-
-fn warn_quarantine(path: &Path, detail: &str, dest: Option<&Path>) {
-    match dest {
-        Some(q) => eprintln!(
-            "warning: corrupt or foreign journal at {} ({detail}); moved to {}",
-            path.display(),
-            q.display()
-        ),
-        None => eprintln!(
-            "warning: corrupt or foreign journal at {} ({detail}); quarantine failed, continuing over it",
-            path.display()
-        ),
     }
 }
 

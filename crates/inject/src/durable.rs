@@ -207,6 +207,23 @@ pub fn quarantine_corrupt(path: &Path) -> Option<PathBuf> {
     std::fs::rename(path, &dest).ok().map(|()| dest)
 }
 
+/// [`quarantine_corrupt`] with the warning every recovery route prints:
+/// what was corrupt and why, and where it went — or, when even the rename
+/// fails, what the caller does `instead`.
+pub(crate) fn quarantine_with_warning(
+    path: &Path,
+    what: &str,
+    detail: &str,
+    instead: &str,
+) -> Option<PathBuf> {
+    let dest = quarantine_corrupt(path);
+    let fate = dest
+        .as_ref()
+        .map_or(format!("quarantine failed, {instead}"), |q| format!("moved to {}", q.display()));
+    eprintln!("warning: corrupt {what} at {} ({detail}); {fate}", path.display());
+    dest
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

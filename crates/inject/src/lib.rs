@@ -44,6 +44,7 @@ pub mod campaign;
 pub mod cancel;
 pub mod chaos;
 pub mod checkpoint;
+pub mod drill;
 pub mod durable;
 pub mod interference;
 pub mod json;

@@ -35,13 +35,13 @@
 //! layer must never do.
 
 use crate::campaign::{
-    golden_shape, CampaignConfig, CampaignSummary, FaultSite, GoldenShape, OutcomeKind,
+    golden_shape, CampaignConfig, CampaignSummary, FaultSite, GoldenShape, Outcome, OutcomeKind,
     SingleBitRecord, SiteSampler,
 };
 use crate::checkpoint::{self, wal};
 use crate::supervisor::merge::{merge_slot, MergeVerdict};
 use crate::supervisor::PoisonEntry;
-use mbavf_core::error::{CheckpointError, InjectError};
+use mbavf_core::error::{CheckpointError, InjectError, SupervisorError};
 use mbavf_workloads::Workload;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -107,15 +107,17 @@ impl RunnerConfig {
     pub fn serial() -> Self {
         Self { threads: 1, ..Self::default() }
     }
+}
 
-    fn resolved_threads(&self, pending: usize) -> usize {
-        let n = if self.threads == 0 {
-            std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-        } else {
-            self.threads
-        };
-        n.clamp(1, pending.max(1))
-    }
+/// `requested` workers (`0` = one per available CPU), clamped to
+/// `1..=units` so no worker starts without work.
+pub(crate) fn worker_count(requested: usize, units: usize) -> usize {
+    let n = if requested == 0 {
+        std::thread::available_parallelism().map(usize::from).unwrap_or(1)
+    } else {
+        requested
+    };
+    n.clamp(1, units.max(1))
 }
 
 /// Wall-clock percentiles over the trials a single call executed.
@@ -263,14 +265,46 @@ impl Shared {
         }
     }
 
-    /// Install the durable state recovered by [`restore_durable`]: the live
-    /// journal writer (if any) and failures already counted during
-    /// recovery.
-    pub(crate) fn adopt_durable(&self, journal: Option<wal::WalWriter>, failures: usize) {
-        *self.journal.lock().expect("journal lock") = journal;
-        self.snapshot_failures.store(failures, Ordering::SeqCst);
-        if failures >= MAX_SNAPSHOT_FAILURES {
-            self.checkpointing_disabled.store(true, Ordering::SeqCst);
+    /// Fold the `journaled` journal-only records into the snapshot, then
+    /// open a fresh journal. Degradation, not death: if either write fails,
+    /// the old journal stays on disk (still the only durable copy of its
+    /// records), the failure is counted, and the run goes on with periodic
+    /// snapshots only.
+    fn reopen_journal(
+        &self,
+        path: &std::path::Path,
+        workload: &str,
+        fingerprint: u64,
+        mode_bits: u8,
+        journaled: usize,
+    ) {
+        if journaled > 0 {
+            let records: Vec<SingleBitRecord> =
+                self.slots.lock().expect("slots lock").iter().flatten().cloned().collect();
+            if let Err(e) = checkpoint::save(path, workload, fingerprint, mode_bits, &records) {
+                self.snapshot_failures.fetch_add(1, Ordering::SeqCst);
+                eprintln!(
+                    "warning: could not compact {journaled} journaled trial(s) into {} ({e}); \
+                     keeping the journal on disk and running with periodic snapshots only",
+                    path.display()
+                );
+                return;
+            }
+            eprintln!(
+                "note: recovered {journaled} trial(s) from the write-ahead journal at {}",
+                wal::wal_path(path).display()
+            );
+        }
+        match wal::WalWriter::create(path, workload, fingerprint, mode_bits) {
+            Ok(writer) => *self.journal.lock().expect("journal lock") = Some(writer),
+            Err(e) => {
+                self.snapshot_failures.fetch_add(1, Ordering::SeqCst);
+                eprintln!(
+                    "warning: could not open the trial journal at {} ({e}); running with \
+                     periodic snapshots only",
+                    wal::wal_path(path).display()
+                );
+            }
         }
     }
 
@@ -375,24 +409,6 @@ impl Shared {
             MergeVerdict::Duplicate => RemoteCommit::Duplicate,
             MergeVerdict::Conflict { detail } => RemoteCommit::Conflict { detail },
             MergeVerdict::Foreign { .. } => RemoteCommit::Foreign,
-        }
-    }
-
-    /// What follows every commit, local group or remote record: a snapshot
-    /// when the completion count crossed a [`RunnerConfig::checkpoint_every`]
-    /// multiple in `(before, after]`.
-    pub(crate) fn after_commit(
-        &self,
-        (before, after): (usize, usize),
-        runner: &RunnerConfig,
-        workload: &str,
-        fingerprint: u64,
-        mode_bits: u8,
-    ) {
-        if let Some(path) = &runner.checkpoint {
-            if crosses_multiple(before, after, runner.checkpoint_every) {
-                self.snapshot(workload, fingerprint, mode_bits, path);
-            }
         }
     }
 
@@ -536,18 +552,12 @@ impl Shared {
     }
 }
 
-/// An RAII guard retiring one pre-registered worker slot on drop. The
-/// spawning side calls [`Shared::new`]-then-`active_workers.store(n)` before
-/// launching workers, and each worker (thread or supervisor-side shard
-/// handler) holds one guard — so [`Shared::monitor`] observes a non-zero
-/// count from before the first worker starts until after the last exits.
-pub(crate) struct WorkerGuard<'a>(&'a Shared);
-
-impl<'a> WorkerGuard<'a> {
-    pub(crate) fn retire_on_drop(shared: &'a Shared) -> Self {
-        WorkerGuard(shared)
-    }
-}
+/// An RAII guard retiring one pre-registered worker slot on drop.
+/// [`OpenCampaign::execute`] stores the worker count before launching
+/// workers, and each worker (thread or supervisor-side shard handler) holds
+/// one guard — so [`Shared::monitor`] observes a non-zero count from before
+/// the first worker starts until after the last exits.
+struct WorkerGuard<'a>(&'a Shared);
 
 impl Drop for WorkerGuard<'_> {
     fn drop(&mut self) {
@@ -567,108 +577,61 @@ pub(crate) fn load_or_quarantine(
     match checkpoint::load(path) {
         Ok(ck) => Ok(Some(ck)),
         Err(CheckpointError::Malformed { detail }) => {
-            match quarantine_corrupt(path) {
-                Some(quarantine) => eprintln!(
-                    "warning: corrupt checkpoint at {} ({detail}); moved to {} and restarting campaign",
-                    path.display(),
-                    quarantine.display()
-                ),
-                // Quarantine failing (permissions, a vanished parent dir) is
-                // a warning, not an abort: the campaign restarts from zero
-                // and its next snapshot overwrites the corrupt file anyway.
-                None => eprintln!(
-                    "warning: corrupt checkpoint at {} ({detail}); quarantine failed, restarting campaign over it",
-                    path.display()
-                ),
-            }
+            // Quarantine failing (permissions, a vanished parent dir) is a
+            // warning, not an abort: the campaign restarts from zero and its
+            // next snapshot overwrites the corrupt file anyway.
+            let instead = "restarting campaign over it";
+            crate::durable::quarantine_with_warning(path, "checkpoint", &detail, instead);
             Ok(None)
         }
         Err(e) => Err(e),
     }
 }
 
-/// Restore completed trials from `runner.checkpoint` (when set and present)
-/// into a fresh slot vector of `budget` entries, validating the config
-/// fingerprint. Returns the slots plus how many trials were restored.
-/// Shared by the thread-mode runner and the process-isolation supervisor so
-/// both resume from the same checkpoint identically.
-pub(crate) fn restore_slots(
-    runner: &RunnerConfig,
-    fingerprint: u64,
-    budget: usize,
-) -> Result<(Vec<Option<SingleBitRecord>>, usize), InjectError> {
-    let mut slots: Vec<Option<SingleBitRecord>> = vec![None; budget];
-    let mut resumed = 0usize;
-    if let Some(path) = &runner.checkpoint {
-        if path.exists() {
-            if let Some(ck) = load_or_quarantine(path)? {
-                if ck.config_hash != fingerprint {
-                    return Err(CheckpointError::ConfigMismatch {
-                        expected: fingerprint,
-                        found: ck.config_hash,
-                    }
-                    .into());
-                }
-                for rec in ck.records {
-                    let trial = rec.trial;
-                    let slot = slots
-                        .get_mut(trial as usize)
-                        .ok_or(CheckpointError::TrialOutOfRange { trial, budget: budget as u64 })?;
-                    if slot.is_none() {
-                        resumed += 1;
-                    }
-                    *slot = Some(rec);
-                }
-            }
-        }
-    }
-    Ok((slots, resumed))
-}
-
-/// Everything [`restore_durable`] recovered: the slot vector with both the
-/// snapshot's and the journal's surviving records merged in, the live
-/// journal writer for the rest of the run (or `None` when degraded), and
-/// how many durable-write failures recovery itself already hit.
-pub(crate) struct DurableState {
-    pub(crate) slots: Vec<Option<SingleBitRecord>>,
-    pub(crate) resumed: usize,
-    pub(crate) journal: Option<wal::WalWriter>,
-    pub(crate) snapshot_failures: usize,
-}
-
-/// Full durable-state recovery, shared by the thread-mode runner and the
-/// process-isolation supervisor: restore the snapshot ([`restore_slots`]),
-/// replay the write-ahead journal's surviving frames through the idempotent
-/// trial-index merge, compact any journal-only records back into the
-/// snapshot, and open a fresh journal for the run ahead.
-///
-/// Degradation, not death: if the compaction or the journal open fails, the
-/// old journal is left untouched on disk (it is still the only durable copy
-/// of its records) and the campaign proceeds with journaling disabled.
+/// The trials a campaign has durably completed: the checkpoint snapshot
+/// (fingerprint-validated) with the write-ahead journal's surviving frames
+/// merged over it, in `budget` slots. Returns the slots, how many trials
+/// they hold, and how many only the journal held. Writes nothing beyond the
+/// journal's own repair (torn tails truncated, corruption quarantined).
 ///
 /// # Errors
 ///
-/// Checkpoint errors from [`restore_slots`]; [`CheckpointError::TrialOutOfRange`]
-/// for a journaled trial outside the budget; [`CheckpointError::Malformed`]
-/// when a journal frame *conflicts* with the snapshot — same trial, different
-/// record — which a deterministic campaign can only produce from mixed-up
-/// artifacts.
-pub(crate) fn restore_durable(
+/// A snapshot that cannot be read or belongs to another campaign;
+/// [`CheckpointError::TrialOutOfRange`] for a recorded trial outside the
+/// budget; [`CheckpointError::Malformed`] when a journal frame *conflicts*
+/// with the snapshot, which only mixed-up artifacts can produce.
+fn recover_slots(
     runner: &RunnerConfig,
     workload: &str,
     fingerprint: u64,
-    mode_bits: u8,
     budget: usize,
-) -> Result<DurableState, InjectError> {
-    let (mut slots, mut resumed) = restore_slots(runner, fingerprint, budget)?;
+) -> Result<(Vec<Option<SingleBitRecord>>, usize, usize), InjectError> {
+    let mut slots: Vec<Option<SingleBitRecord>> = vec![None; budget];
+    let (mut resumed, mut journaled) = (0usize, 0usize);
     let Some(path) = &runner.checkpoint else {
-        return Ok(DurableState { slots, resumed, journal: None, snapshot_failures: 0 });
+        return Ok((slots, resumed, journaled));
     };
-    let mut failures = 0usize;
-
-    let recovery = wal::recover(path, workload, fingerprint)?;
-    let mut journaled = 0usize;
-    for rec in recovery.records {
+    let out_of_range = |trial| CheckpointError::TrialOutOfRange { trial, budget: budget as u64 };
+    if path.exists() {
+        if let Some(ck) = load_or_quarantine(path)? {
+            if ck.config_hash != fingerprint {
+                return Err(CheckpointError::ConfigMismatch {
+                    expected: fingerprint,
+                    found: ck.config_hash,
+                }
+                .into());
+            }
+            for rec in ck.records {
+                let trial = rec.trial;
+                let slot = slots.get_mut(trial as usize).ok_or(out_of_range(trial))?;
+                if slot.is_none() {
+                    resumed += 1;
+                }
+                *slot = Some(rec);
+            }
+        }
+    }
+    for rec in wal::recover(path, workload, fingerprint)?.records {
         let trial = rec.trial;
         match merge_slot(&mut slots, rec, true) {
             MergeVerdict::Fresh => {
@@ -687,70 +650,10 @@ pub(crate) fn restore_durable(
                 }
                 .into())
             }
-            MergeVerdict::Foreign { trial } => {
-                return Err(CheckpointError::TrialOutOfRange { trial, budget: budget as u64 }.into())
-            }
+            MergeVerdict::Foreign { trial } => return Err(out_of_range(trial).into()),
         }
     }
-
-    if journaled > 0 {
-        // Fold the journal-only records into the snapshot now, so the
-        // journal can be reset without any record existing only in memory.
-        let records: Vec<SingleBitRecord> = slots.iter().flatten().cloned().collect();
-        if let Err(e) = checkpoint::save(path, workload, fingerprint, mode_bits, &records) {
-            failures += 1;
-            eprintln!(
-                "warning: could not compact {journaled} journaled trial(s) into {} ({e}); \
-                 keeping the journal on disk and running with periodic snapshots only",
-                path.display()
-            );
-            return Ok(DurableState { slots, resumed, journal: None, snapshot_failures: failures });
-        }
-        eprintln!(
-            "note: recovered {journaled} trial(s) from the write-ahead journal at {}",
-            wal::wal_path(path).display()
-        );
-    }
-
-    let journal = match wal::WalWriter::create(path, workload, fingerprint, mode_bits) {
-        Ok(writer) => Some(writer),
-        Err(e) => {
-            failures += 1;
-            eprintln!(
-                "warning: could not open the trial journal at {} ({e}); running with \
-                 periodic snapshots only",
-                wal::wal_path(path).display()
-            );
-            None
-        }
-    };
-    Ok(DurableState { slots, resumed, journal, snapshot_failures: failures })
-}
-
-/// Write the final checkpoint and, on success, remove the trial journal —
-/// a finished campaign leaves exactly one durable artifact. This is the one
-/// durable write that cannot be degraded away: its failure is the typed
-/// [`CheckpointError::FinalSaveFailed`], carrying the run's accumulated
-/// failure count, and the campaign exits nonzero rather than pretending
-/// completed trials are safe.
-pub(crate) fn final_save(
-    path: &std::path::Path,
-    workload: &str,
-    fingerprint: u64,
-    mode_bits: u8,
-    records: &[SingleBitRecord],
-    snapshot_failures: u64,
-) -> Result<(), CheckpointError> {
-    match checkpoint::save(path, workload, fingerprint, mode_bits, records) {
-        Ok(()) => {
-            let _ = std::fs::remove_file(wal::wal_path(path));
-            Ok(())
-        }
-        Err(CheckpointError::Io { path, detail }) => {
-            Err(CheckpointError::FinalSaveFailed { path, detail, snapshot_failures })
-        }
-        Err(e) => Err(e),
-    }
+    Ok((slots, resumed, journaled))
 }
 
 /// Run (or resume) a single-bit campaign under the given execution config.
@@ -846,254 +749,404 @@ pub(crate) fn run_campaign_with(
     runner: &RunnerConfig,
     golden: &GoldenShape,
 ) -> Result<CampaignReport, InjectError> {
-    if runner.checkpoint.is_some() && runner.checkpoint_every == 0 {
-        return Err(InjectError::BadConfig {
-            detail: "checkpoint_every must be at least 1 when checkpointing".into(),
-        });
-    }
     if runner.batch_width == 0 {
         return Err(InjectError::BadConfig {
             detail: "batch_width must be at least 1 (1 = sequential execution)".into(),
         });
     }
+    let campaign = OpenCampaign::open(workload, cfg, runner, golden, &[])?;
+    let threads = worker_count(runner.threads, campaign.pending.len());
+    campaign.execute(
+        threads,
+        "thread",
+        &|| campaign.shared.active_workers.load(Ordering::SeqCst),
+        &String::new,
+        &|_| campaign.run_thread_worker(),
+    );
+    campaign.finish(Supervision::default())
+}
 
-    // A zero-budget campaign samples nothing, so a degenerate retirement
-    // shape is only an error when there are trials to draw.
-    let sampler = if cfg.injections == 0 {
-        None
-    } else {
-        Some(SiteSampler::new(&golden.per_wg_retired, golden.num_vregs).map_err(|e| match e {
-            InjectError::EmptySampleSpace { detail } => {
-                InjectError::EmptySampleSpace { detail: format!("{}: {detail}", workload.name) }
-            }
-            other => other,
-        })?)
-    };
-    let fingerprint = checkpoint::config_fingerprint(workload.name, cfg);
+/// A campaign opened for execution: validated, its sampler built, its
+/// completed trials restored from the checkpoint and journal, and its work
+/// list cut to the trial budget. Both execution modes run the same
+/// lifecycle — [`OpenCampaign::open`], then [`OpenCampaign::execute`] with
+/// their own workers, then [`OpenCampaign::finish`] — and differ only in
+/// what their workers do and the [`Supervision`] data they hand back.
+pub(crate) struct OpenCampaign<'a> {
+    pub(crate) workload: &'a Workload,
+    pub(crate) cfg: &'a CampaignConfig,
+    pub(crate) runner: &'a RunnerConfig,
+    golden: &'a GoldenShape,
+    /// `None` only for a zero-budget campaign, which samples nothing.
+    pub(crate) sampler: Option<SiteSampler>,
+    pub(crate) fingerprint: u64,
+    /// Trials restored from the checkpoint and journal.
+    resumed: usize,
+    /// Trials this call will run, oldest first.
+    pub(crate) pending: Vec<u64>,
+    /// Trials missing before the trial budget cut the work list.
+    total_missing: usize,
+    pub(crate) shared: Shared,
+}
 
-    // Restore completed trials from the checkpoint and its write-ahead
-    // journal, if they exist.
-    let durable =
-        restore_durable(runner, workload.name, fingerprint, cfg.mode_bits, cfg.injections)?;
-    let (slots, resumed) = (durable.slots, durable.resumed);
+/// What supervised execution adds to a finished campaign, as plain data.
+/// Thread mode passes the default: nothing poisoned, no sidecar, no fatal
+/// error, nothing audited.
+#[derive(Default)]
+pub(crate) struct Supervision {
+    /// Every poisoned trial — earlier runs' and this run's — by trial.
+    pub(crate) poisoned: Vec<PoisonEntry>,
+    /// How many of `poisoned` this run added; they count as finished work.
+    pub(crate) newly_poisoned: usize,
+    /// Where the poison sidecar lives; written when anything is poisoned.
+    pub(crate) poison_path: Option<PathBuf>,
+    /// A campaign-fatal supervisor error, returned once the final
+    /// checkpoint and the sidecar are safely written.
+    pub(crate) fatal: Option<SupervisorError>,
+    /// Audit and trust counters for the summary.
+    pub(crate) audited: u64,
+    pub(crate) audit_divergences: u64,
+    pub(crate) merge_conflicts: u64,
+    pub(crate) quarantined_endpoints: Vec<String>,
+}
 
-    // The work list: every trial not already restored, oldest first, cut to
-    // the graceful-stop budget.
-    let mut pending: Vec<u64> =
-        (0..cfg.injections as u64).filter(|&t| slots[t as usize].is_none()).collect();
-    let total_missing = pending.len();
-    if let Some(cap) = runner.cancel.trial_budget() {
-        pending.truncate(cap);
-    }
-
-    let threads = runner.resolved_threads(pending.len());
-    let shared = Shared::new(slots, pending.len());
-    shared.adopt_durable(durable.journal, durable.snapshot_failures);
-    shared.active_workers.store(threads, Ordering::SeqCst);
-
-    std::thread::scope(|scope| {
-        if let Some(interval) = runner.heartbeat {
-            if !pending.is_empty() {
-                let shared = &shared;
-                scope.spawn(move || {
-                    shared.monitor(
-                        interval,
-                        resumed,
-                        cfg.injections,
-                        "thread",
-                        &|| shared.active_workers.load(Ordering::SeqCst),
-                        &|| match runner.cancel.cancelled() {
-                            Some(reason) => format!(", draining ({reason})"),
-                            None => String::new(),
-                        },
-                    );
-                });
-            }
-        }
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let _slot = WorkerGuard::retire_on_drop(&shared);
-                // Per-thread reusable executor (sequential arena or lockstep
-                // batch), built lazily on the first claimed chunk: one
-                // instance build per worker per campaign, zero steady-state
-                // allocation per trial.
-                let mut exec: Option<TrialExec> = None;
-                let mut sites: Vec<(u64, FaultSite)> = Vec::with_capacity(SITE_CHUNK);
-                // The worker's open commit group: finished trials not yet
-                // journaled. A crash loses at most this group.
-                let mut group: Vec<(SingleBitRecord, u64)> = Vec::with_capacity(SITE_CHUNK);
-                let flush = |group: &mut Vec<(SingleBitRecord, u64)>| {
-                    if !group.is_empty() {
-                        let range = shared.commit_group(group);
-                        shared.after_commit(
-                            range,
-                            runner,
-                            workload.name,
-                            fingerprint,
-                            cfg.mode_bits,
-                        );
-                    }
-                };
-                // Close the group early where committing it would carry the
-                // completion count onto the next snapshot point, so a
-                // single-threaded run snapshots at exact multiples. The
-                // preempt drill counts the open group, so its signal lands
-                // while a lockstep group is still uncommitted.
-                let add = |group: &mut Vec<(SingleBitRecord, u64)>, record, elapsed_us| {
-                    group.push((record, elapsed_us));
-                    let done = shared.completed.load(Ordering::SeqCst);
-                    let open = done + group.len();
-                    if runner.checkpoint.is_some()
-                        && crosses_multiple(done, open, runner.checkpoint_every)
-                    {
-                        flush(group);
-                    }
-                    crate::signals::preempt_drill(open - 1, open);
-                };
-                loop {
-                    // Graceful preemption: stop claiming work once the token
-                    // trips. Unclaimed and unstarted trials simply stay
-                    // pending; every committed trial is already durable.
-                    if runner.cancel.cancelled().is_some() {
-                        return;
-                    }
-                    let start = shared.next.fetch_add(SITE_CHUNK, Ordering::SeqCst);
-                    let end = pending.len().min(start.saturating_add(SITE_CHUNK));
-                    if start >= end {
-                        return;
-                    }
-                    let sampler = sampler.as_ref().expect("pending trials imply a sampler");
-                    sites.clear();
-                    for &trial in &pending[start..end] {
-                        sites.push((trial, sampler.sample(cfg.seed, trial)));
-                    }
-                    let exec = exec
-                        .get_or_insert_with(|| TrialExec::build(workload, cfg, runner.batch_width));
-                    match exec {
-                        TrialExec::Sequential(arena) => {
-                            for &(trial, site) in &sites {
-                                if runner.cancel.cancelled().is_some() {
-                                    flush(&mut group);
-                                    return;
-                                }
-                                let t0 = Instant::now();
-                                let (outcome, read) = crate::campaign::run_one_arena(
-                                    arena,
-                                    golden,
-                                    site,
-                                    cfg.mode_bits.max(1),
-                                );
-                                let elapsed_us = t0.elapsed().as_micros() as u64;
-                                add(
-                                    &mut group,
-                                    SingleBitRecord {
-                                        trial,
-                                        site,
-                                        outcome,
-                                        read_before_overwrite: read,
-                                    },
-                                    elapsed_us,
-                                );
-                            }
-                        }
-                        TrialExec::Batched { batch, injections } => {
-                            // Sub-chunk the claimed sites by batch width. Each
-                            // lockstep group commits as (at least) one group.
-                            for lockstep in sites.chunks(batch.width()) {
-                                // Lockstep groups are the batched trial
-                                // boundary: a group in flight finishes and
-                                // commits whole before the token is honored.
-                                if runner.cancel.cancelled().is_some() {
-                                    return;
-                                }
-                                injections.clear();
-                                injections.extend(
-                                    lockstep
-                                        .iter()
-                                        .map(|&(_, site)| site.injection(cfg.mode_bits.max(1))),
-                                );
-                                let t0 = Instant::now();
-                                let results =
-                                    batch.run_batch(injections, golden.max_steps, &golden.output);
-                                let span_us = t0.elapsed().as_micros() as u64;
-                                for (k, (&(trial, site), result)) in
-                                    lockstep.iter().zip(results).enumerate()
-                                {
-                                    let (outcome, read) = crate::campaign::classify_trial(result);
-                                    add(
-                                        &mut group,
-                                        SingleBitRecord {
-                                            trial,
-                                            site,
-                                            outcome,
-                                            read_before_overwrite: read,
-                                        },
-                                        per_trial_latency_us(span_us, lockstep.len(), k),
-                                    );
-                                }
-                                flush(&mut group);
-                            }
-                        }
-                    }
-                    // The end of the claimed chunk closes the group.
-                    flush(&mut group);
-                }
+impl<'a> OpenCampaign<'a> {
+    /// Validate the runner settings, build the site sampler, restore the
+    /// durable state, and list the pending trials: every trial neither
+    /// restored nor in `skip` (trials an earlier run poisoned), cut to the
+    /// graceful-stop budget.
+    ///
+    /// # Errors
+    ///
+    /// [`InjectError::BadConfig`] for a zero `checkpoint_every` while
+    /// checkpointing, or a malformed drill plan; a degenerate sample space;
+    /// everything [`recover_slots`] raises.
+    pub(crate) fn open(
+        workload: &'a Workload,
+        cfg: &'a CampaignConfig,
+        runner: &'a RunnerConfig,
+        golden: &'a GoldenShape,
+        skip: &[u64],
+    ) -> Result<Self, InjectError> {
+        if runner.checkpoint.is_some() && runner.checkpoint_every == 0 {
+            return Err(InjectError::BadConfig {
+                detail: "checkpoint_every must be at least 1 when checkpointing".into(),
             });
         }
-    });
-
-    let snapshot_failures = shared.snapshot_failures.load(Ordering::SeqCst) as u64;
-    let slots = shared.slots.into_inner().expect("slots lock");
-    let records: Vec<SingleBitRecord> = slots.into_iter().flatten().collect();
-    if let Some(path) = &runner.checkpoint {
-        final_save(path, workload.name, fingerprint, cfg.mode_bits, &records, snapshot_failures)?;
-    }
-
-    // Emit repro bundles for every visible error, in trial order. Records
-    // are thread-count- and resume-invariant and an interrupted run's
-    // records are a prefix of the full trial sequence, so the bundle set a
-    // completed campaign ends up with is a pure function of its config.
-    let mut bundles = Vec::new();
-    if let Some(dir) = &runner.repro_dir {
-        let writer = crate::bundle::BundleWriter {
-            dir,
-            workload: workload.name,
-            cfg,
-            fingerprint,
-            golden_digest: mbavf_core::rng::fnv1a(&golden.output),
-            cap: runner.repro_cap,
+        crate::drill::plan().map_err(|e| InjectError::BadConfig { detail: e.into() })?;
+        // A zero-budget campaign samples nothing, so a degenerate retirement
+        // shape is only an error when there are trials to draw.
+        let sampler = if cfg.injections == 0 {
+            None
+        } else {
+            Some(SiteSampler::new(&golden.per_wg_retired, golden.num_vregs).map_err(
+                |e| match e {
+                    InjectError::EmptySampleSpace { detail } => InjectError::EmptySampleSpace {
+                        detail: format!("{}: {detail}", workload.name),
+                    },
+                    other => other,
+                },
+            )?)
         };
-        bundles = writer.write(&records, &|r| r.outcome.is_error())?;
+        let fingerprint = checkpoint::config_fingerprint(workload.name, cfg);
+        let (slots, resumed, journaled) =
+            recover_slots(runner, workload.name, fingerprint, cfg.injections)?;
+        let mut pending: Vec<u64> = (0..cfg.injections as u64)
+            .filter(|&t| slots[t as usize].is_none() && !skip.contains(&t))
+            .collect();
+        let total_missing = pending.len();
+        if let Some(cap) = runner.cancel.trial_budget() {
+            pending.truncate(cap);
+        }
+        let shared = Shared::new(slots, pending.len());
+        if let Some(path) = &runner.checkpoint {
+            shared.reopen_journal(path, workload.name, fingerprint, cfg.mode_bits, journaled);
+        }
+        Ok(OpenCampaign {
+            workload,
+            cfg,
+            runner,
+            golden,
+            sampler,
+            fingerprint,
+            resumed,
+            pending,
+            total_missing,
+            shared,
+        })
     }
 
-    let newly_run = shared.completed.into_inner();
-    let complete = newly_run == total_missing;
-    let trial_latency =
-        LatencyStats::from_micros(shared.latencies_us.into_inner().expect("latency lock"));
-    Ok(CampaignReport {
-        summary: CampaignSummary {
-            workload: workload.name,
-            records,
-            snapshot_failures,
-            // Thread-mode trials run in this very process; there is nothing
-            // to audit and no endpoint to distrust.
-            audited: 0,
-            audit_divergences: 0,
-            merge_conflicts: 0,
-            quarantined_endpoints: Vec::new(),
-        },
-        resumed,
-        newly_run,
-        complete,
-        // An incomplete run with no tripped token can only be the armed
-        // trial budget: the pending list was truncated before any worker
-        // spawned, so there is no reason atomic to consult.
-        interrupted: (!complete)
-            .then(|| runner.cancel.cancelled().unwrap_or(crate::cancel::CancelReason::TrialBudget)),
-        bundles,
-        poisoned: Vec::new(),
-        trial_latency,
-    })
+    /// Run `work(id)` on `workers` scoped threads, each retiring its worker
+    /// slot on exit, with the heartbeat monitor alongside when one is
+    /// configured. `label` names the execution mode, `live` counts its
+    /// current workers, and `extra` appends mode-specific heartbeat detail.
+    pub(crate) fn execute(
+        &self,
+        workers: usize,
+        label: &str,
+        live: &(dyn Fn() -> usize + Sync),
+        extra: &(dyn Fn() -> String + Sync),
+        work: &(dyn Fn(usize) + Sync),
+    ) {
+        self.shared.active_workers.store(workers, Ordering::SeqCst);
+        std::thread::scope(|scope| {
+            if let Some(interval) = self.runner.heartbeat {
+                if !self.pending.is_empty() {
+                    scope.spawn(move || {
+                        self.shared.monitor(
+                            interval,
+                            self.resumed,
+                            self.cfg.injections,
+                            label,
+                            live,
+                            &|| match self.runner.cancel.cancelled() {
+                                Some(reason) => format!(", draining ({reason}){}", extra()),
+                                None => extra(),
+                            },
+                        );
+                    });
+                }
+            }
+            for id in 0..workers {
+                scope.spawn(move || {
+                    let _slot = WorkerGuard(&self.shared);
+                    work(id)
+                });
+            }
+        });
+    }
+
+    /// Close the campaign: write the final checkpoint and the poison
+    /// sidecar — both *before* a fatal supervisor error is returned, so the
+    /// evidence survives for the resume that follows the fix — then, on
+    /// success only, the repro bundles, and assemble the report.
+    ///
+    /// # Errors
+    ///
+    /// A failed final save or sidecar write, `supervision.fatal`, or a
+    /// bundle write failure.
+    pub(crate) fn finish(self, supervision: Supervision) -> Result<CampaignReport, InjectError> {
+        let (workload, fingerprint, shared) = (self.workload.name, self.fingerprint, self.shared);
+        let snapshot_failures = shared.snapshot_failures.load(Ordering::SeqCst) as u64;
+        let records: Vec<SingleBitRecord> =
+            shared.slots.into_inner().expect("slots lock").into_iter().flatten().collect();
+        // The final checkpoint replaces the journal — a finished campaign
+        // leaves exactly one durable artifact. This is the one durable write
+        // that cannot be degraded away: its failure is the typed
+        // FinalSaveFailed, and the campaign exits nonzero rather than
+        // pretending completed trials are safe.
+        if let Some(path) = &self.runner.checkpoint {
+            match checkpoint::save(path, workload, fingerprint, self.cfg.mode_bits, &records) {
+                Ok(()) => {
+                    let _ = std::fs::remove_file(wal::wal_path(path));
+                }
+                Err(CheckpointError::Io { path, detail }) => {
+                    return Err(CheckpointError::FinalSaveFailed {
+                        path,
+                        detail,
+                        snapshot_failures,
+                    }
+                    .into())
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+        if let Some(path) = &supervision.poison_path {
+            if !supervision.poisoned.is_empty() {
+                crate::supervisor::save_poison(path, workload, fingerprint, &supervision.poisoned)
+                    .map_err(InjectError::from)?;
+            }
+        }
+        if let Some(e) = supervision.fatal {
+            return Err(e.into());
+        }
+
+        // Emit repro bundles for every visible error, in trial order. Records
+        // are thread-count- and resume-invariant and an interrupted run's
+        // records are a prefix of the full trial sequence, so the bundle set a
+        // completed campaign ends up with is a pure function of its config.
+        let mut bundles = Vec::new();
+        if let Some(dir) = &self.runner.repro_dir {
+            let writer = crate::bundle::BundleWriter {
+                dir,
+                workload,
+                cfg: self.cfg,
+                fingerprint,
+                golden_digest: mbavf_core::rng::fnv1a(&self.golden.output),
+                cap: self.runner.repro_cap,
+            };
+            bundles = writer.write(&records, &|r| r.outcome.is_error())?;
+            // Poisoned trials get repro bundles too: the whole point of the
+            // quarantine is that someone replays them later, in isolation.
+            let poison_records: Vec<SingleBitRecord> = supervision
+                .poisoned
+                .iter()
+                .map(|e| SingleBitRecord {
+                    trial: e.trial,
+                    site: e.site,
+                    outcome: Outcome::Crash { reason: format!("poison: {}", e.reason) },
+                    read_before_overwrite: false,
+                })
+                .collect();
+            bundles.extend(writer.write(&poison_records, &|_| true)?);
+        }
+
+        let newly_run = shared.completed.into_inner();
+        let complete = newly_run + supervision.newly_poisoned == self.total_missing;
+        let trial_latency =
+            LatencyStats::from_micros(shared.latencies_us.into_inner().expect("latency lock"));
+        Ok(CampaignReport {
+            summary: CampaignSummary {
+                workload,
+                records,
+                snapshot_failures,
+                audited: supervision.audited,
+                audit_divergences: supervision.audit_divergences,
+                merge_conflicts: supervision.merge_conflicts,
+                quarantined_endpoints: supervision.quarantined_endpoints,
+            },
+            resumed: self.resumed,
+            newly_run,
+            complete,
+            // An incomplete run with no tripped token can only be the armed
+            // trial budget: the pending list was truncated before any worker
+            // spawned, so there is no reason atomic to consult.
+            interrupted: (!complete).then(|| {
+                self.runner.cancel.cancelled().unwrap_or(crate::cancel::CancelReason::TrialBudget)
+            }),
+            bundles,
+            poisoned: supervision.poisoned,
+            trial_latency,
+        })
+    }
+
+    /// What follows every commit, local group or remote record: a snapshot
+    /// when the completion count crossed a [`RunnerConfig::checkpoint_every`]
+    /// multiple in `(before, after]`.
+    pub(crate) fn after_commit(&self, (before, after): (usize, usize)) {
+        if let Some(path) = &self.runner.checkpoint {
+            if crosses_multiple(before, after, self.runner.checkpoint_every) {
+                let (workload, mode_bits) = (self.workload.name, self.cfg.mode_bits);
+                self.shared.snapshot(workload, self.fingerprint, mode_bits, path);
+            }
+        }
+    }
+
+    /// One thread-mode worker: claim chunks of pending trials, run them on
+    /// a per-thread executor, and commit them in groups.
+    fn run_thread_worker(&self) {
+        let (cfg, runner, shared) = (self.cfg, self.runner, &self.shared);
+        // Per-thread reusable executor (sequential arena or lockstep batch),
+        // built lazily on the first claimed chunk: one instance build per
+        // worker per campaign, zero steady-state allocation per trial.
+        let mut exec: Option<TrialExec> = None;
+        let mut sites: Vec<(u64, FaultSite)> = Vec::with_capacity(SITE_CHUNK);
+        // The worker's open commit group: finished trials not yet
+        // journaled. A crash loses at most this group.
+        let mut group: Vec<(SingleBitRecord, u64)> = Vec::with_capacity(SITE_CHUNK);
+        let flush = |group: &mut Vec<(SingleBitRecord, u64)>| {
+            if !group.is_empty() {
+                let range = shared.commit_group(group);
+                self.after_commit(range);
+            }
+        };
+        // Close the group early where committing it would carry the
+        // completion count onto the next snapshot point, so a
+        // single-threaded run snapshots at exact multiples. The preempt
+        // drill counts the open group, so its signal lands while a lockstep
+        // group is still uncommitted.
+        let add = |group: &mut Vec<(SingleBitRecord, u64)>, record, elapsed_us| {
+            group.push((record, elapsed_us));
+            let done = shared.completed.load(Ordering::SeqCst);
+            let open = done + group.len();
+            if runner.checkpoint.is_some() && crosses_multiple(done, open, runner.checkpoint_every)
+            {
+                flush(group);
+            }
+            crate::signals::preempt_drill(open - 1, open);
+        };
+        loop {
+            // Graceful preemption: stop claiming work once the token trips.
+            // Unclaimed and unstarted trials simply stay pending; every
+            // committed trial is already durable.
+            if runner.cancel.cancelled().is_some() {
+                return;
+            }
+            let start = shared.next.fetch_add(SITE_CHUNK, Ordering::SeqCst);
+            let end = self.pending.len().min(start.saturating_add(SITE_CHUNK));
+            if start >= end {
+                return;
+            }
+            let sampler = self.sampler.as_ref().expect("pending trials imply a sampler");
+            sites.clear();
+            for &trial in &self.pending[start..end] {
+                sites.push((trial, sampler.sample(cfg.seed, trial)));
+            }
+            let exec = exec
+                .get_or_insert_with(|| TrialExec::build(self.workload, cfg, runner.batch_width));
+            match exec {
+                TrialExec::Sequential(arena) => {
+                    for &(trial, site) in &sites {
+                        if runner.cancel.cancelled().is_some() {
+                            flush(&mut group);
+                            return;
+                        }
+                        let t0 = Instant::now();
+                        let (outcome, read) = crate::campaign::run_one_arena(
+                            arena,
+                            self.golden,
+                            site,
+                            cfg.mode_bits.max(1),
+                        );
+                        let elapsed_us = t0.elapsed().as_micros() as u64;
+                        add(
+                            &mut group,
+                            SingleBitRecord { trial, site, outcome, read_before_overwrite: read },
+                            elapsed_us,
+                        );
+                    }
+                }
+                TrialExec::Batched { batch, injections } => {
+                    // Sub-chunk the claimed sites by batch width. Each
+                    // lockstep group commits as (at least) one group.
+                    for lockstep in sites.chunks(batch.width()) {
+                        // Lockstep groups are the batched trial boundary: a
+                        // group in flight finishes and commits whole before
+                        // the token is honored.
+                        if runner.cancel.cancelled().is_some() {
+                            return;
+                        }
+                        injections.clear();
+                        injections.extend(
+                            lockstep.iter().map(|&(_, site)| site.injection(cfg.mode_bits.max(1))),
+                        );
+                        let t0 = Instant::now();
+                        let results =
+                            batch.run_batch(injections, self.golden.max_steps, &self.golden.output);
+                        let span_us = t0.elapsed().as_micros() as u64;
+                        for (k, (&(trial, site), result)) in
+                            lockstep.iter().zip(results).enumerate()
+                        {
+                            let (outcome, read) = crate::campaign::classify_trial(result);
+                            add(
+                                &mut group,
+                                SingleBitRecord {
+                                    trial,
+                                    site,
+                                    outcome,
+                                    read_before_overwrite: read,
+                                },
+                                per_trial_latency_us(span_us, lockstep.len(), k),
+                            );
+                        }
+                        flush(&mut group);
+                    }
+                }
+            }
+            // The end of the claimed chunk closes the group.
+            flush(&mut group);
+        }
+    }
 }
 
 /// How an adaptive campaign decides it has run enough trials.
@@ -1204,27 +1257,18 @@ pub fn run_adaptive(
     })?;
 
     // Resuming: skip straight to the first stage whose budget covers every
-    // already-recorded trial, so a checkpoint from a later stage never
-    // trips the budget bound. Corrupt files are left for run_campaign's
-    // quarantine; skipped stages were already evaluated as "not tight
-    // enough" by the run that recorded past them.
+    // already-recorded trial — in the snapshot *or* the journal, recovered
+    // exactly as the stage's own open step will — so a run killed mid-stage
+    // never trips the budget bound. Skipped stages were already evaluated
+    // as "not tight enough" by the run that recorded past them.
     let budgets = adaptive.stage_budgets();
-    let mut start_stage = 0usize;
-    if let Some(path) = &runner.checkpoint {
-        if path.exists() {
-            if let Ok(ck) = checkpoint::load(path) {
-                if ck.config_hash == checkpoint::config_fingerprint(workload.name, cfg) {
-                    if let Some(max_trial) = ck.records.iter().map(|r| r.trial).max() {
-                        while start_stage + 1 < budgets.len()
-                            && (budgets[start_stage] as u64) <= max_trial
-                        {
-                            start_stage += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let fingerprint = checkpoint::config_fingerprint(workload.name, cfg);
+    let (recorded, _, _) =
+        recover_slots(runner, workload.name, fingerprint, adaptive.max_injections)?;
+    let start_stage = match recorded.iter().rposition(Option::is_some) {
+        Some(max_trial) => budgets.iter().position(|&b| b > max_trial).unwrap_or(budgets.len() - 1),
+        None => 0,
+    };
 
     let mut stages = Vec::new();
     for (i, &budget) in budgets.iter().enumerate().skip(start_stage) {
@@ -1298,8 +1342,8 @@ mod tests {
         std::fs::remove_file(wal::wal_path(&path)).ok();
 
         let shared = Shared::new(vec![None; TRIALS], TRIALS);
-        let journal = wal::WalWriter::create(&path, "dct", 0xFEED, 1).unwrap();
-        shared.adopt_durable(Some(journal), 0);
+        *shared.journal.lock().unwrap() =
+            Some(wal::WalWriter::create(&path, "dct", 0xFEED, 1).unwrap());
         // A tight cadence maximizes snapshot/commit interleavings.
         let runner = RunnerConfig {
             checkpoint: Some(path.clone()),
@@ -1307,9 +1351,16 @@ mod tests {
             ..RunnerConfig::default()
         };
 
+        // What a campaign does after each commit (`OpenCampaign::after_commit`).
+        let snapshot_if_crossed = |(before, after)| {
+            if crosses_multiple(before, after, runner.checkpoint_every) {
+                shared.snapshot("dct", 0xFEED, 1, &path);
+            }
+        };
+
         std::thread::scope(|scope| {
             for worker in 0..WORKERS {
-                let (shared, runner) = (&shared, &runner);
+                let (shared, snapshot_if_crossed) = (&shared, &snapshot_if_crossed);
                 scope.spawn(move || {
                     let mut group = Vec::new();
                     let mut sizes = GROUP_SIZES.iter().cycle().skip(worker);
@@ -1332,12 +1383,11 @@ mod tests {
                             let range = shared.commit_group(&mut group);
                             assert!(group.is_empty(), "commit_group drains the group");
                             assert_eq!(range.1 - range.0, size);
-                            shared.after_commit(range, runner, "dct", 0xFEED, 1);
+                            snapshot_if_crossed(range);
                             size = *sizes.next().unwrap();
                         }
                     }
-                    let range = shared.commit_group(&mut group);
-                    shared.after_commit(range, runner, "dct", 0xFEED, 1);
+                    snapshot_if_crossed(shared.commit_group(&mut group));
                 });
             }
         });
@@ -1345,8 +1395,8 @@ mod tests {
         assert_eq!(shared.completed.load(Ordering::SeqCst), TRIALS);
 
         // "Crash" here: resume from disk alone and demand every record back.
-        let durable = restore_durable(&runner, "dct", 0xFEED, 1, TRIALS).unwrap();
-        assert_eq!(durable.slots.iter().flatten().count(), TRIALS);
+        let (slots, ..) = recover_slots(&runner, "dct", 0xFEED, TRIALS).unwrap();
+        assert_eq!(slots.iter().flatten().count(), TRIALS);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -16,7 +16,9 @@
 //! Also here: [`reset_sigpipe`]. Rust sets SIGPIPE to ignore before
 //! `main`, which turns `campaign ... | head` into a broken-pipe panic;
 //! CLI mains call this first to restore the default die-quietly
-//! disposition.
+//! disposition. And the hook for the `term@N` / `term2@N` entries of
+//! `MBAVF_DRILL` ([`crate::drill`]), which signal this process at an exact
+//! trial count.
 //!
 //! On non-unix targets everything degrades to a no-op: tokens still work
 //! (budgets, explicit cancels), there is just no signal source.
@@ -107,24 +109,21 @@ pub fn reset_sigpipe() {
 #[cfg(not(unix))]
 pub fn reset_sigpipe() {}
 
-/// `MBAVF_PREEMPT_DRILL` — the preemption member of the drill family
-/// (`MBAVF_KILL_DRILL`, `MBAVF_NET_DRILL`, ...): once the fresh-completion
-/// count moves over `n` — that is, `n` lies in `(before, after]` — deliver
-/// a real SIGTERM to this process, exactly as a preempting scheduler
-/// would. Thread workers call it per finished trial, counting their open
-/// commit group, so the signal lands while that group is still in flight;
-/// the supervisor calls it per committed record. Spelled `"<n>"` for a
-/// single graceful signal, `"<n>:2"` for a double signal (second strike →
-/// immediate abort, exit `143`). Fires at most once per process. Used by
-/// the SIGTERM-at-every-phase torture drill to pin cancellation to a
-/// deterministic trial count.
+/// The `term@N` / `term2@N` drill ([`crate::drill`]): once the
+/// fresh-completion count moves over `N` — that is, `N` lies in `(before,
+/// after]` — deliver a real SIGTERM to this process, exactly as a
+/// preempting scheduler would. Thread workers call it per finished trial,
+/// counting their open commit group, so the signal lands while that group
+/// is still in flight; the supervisor calls it per committed record.
+/// `term2` adds a second signal (second strike → immediate abort, exit
+/// `143`). Fires at most once per process. Used by the SIGTERM-at-every-
+/// phase torture drill to pin cancellation to a deterministic trial count.
 pub(crate) fn preempt_drill(before: usize, after: usize) {
-    static SPEC: OnceLock<Option<String>> = OnceLock::new();
     static FIRED: AtomicBool = AtomicBool::new(false);
-    let Some(spec) = SPEC.get_or_init(|| std::env::var("MBAVF_PREEMPT_DRILL").ok()) else {
+    let Some((at, double)) = crate::drill::armed().term else { return };
+    if !covers(before, after, at) {
         return;
-    };
-    let Some(double) = drill_fires(spec, before, after) else { return };
+    }
     // Several threads can each count the same `n` (each sees only its own
     // open group); a second delivery would escalate to an abort.
     if FIRED.swap(true, Ordering::SeqCst) {
@@ -147,16 +146,10 @@ pub(crate) fn preempt_drill(before: usize, after: usize) {
     }
 }
 
-/// Whether the drill `spec` fires for a commit covering `(before, after]`:
-/// `Some(double)` when its count lies in the range, `None` otherwise or for
-/// a malformed spec.
-fn drill_fires(spec: &str, before: usize, after: usize) -> Option<bool> {
-    let (at, double) = match spec.split_once(':') {
-        Some((n, "2")) => (n.parse::<usize>().ok()?, true),
-        Some(_) => return None,
-        None => (spec.parse::<usize>().ok()?, false),
-    };
-    (before < at && at <= after).then_some(double)
+/// Whether a commit moving the completion count over `(before, after]`
+/// covers count `at`.
+fn covers(before: usize, after: usize, at: usize) -> bool {
+    before < at && at <= after
 }
 
 /// Deliver SIGTERM to ourselves via `kill(1)`, mirroring how the chaos
@@ -184,32 +177,21 @@ mod tests {
 
     // Handler installation is process-global, so the handler/escalation
     // behaviour proper is exercised end-to-end by the CLI preemption
-    // drill; here we only pin the drill-spec parsing contract.
-    #[test]
-    fn drill_spec_parsing_ignores_garbage() {
-        // No env var set in the test process: must be a no-op.
-        std::env::remove_var("MBAVF_PREEMPT_DRILL");
-        preempt_drill(0, 1);
-        preempt_drill(0, usize::MAX);
-        for bad in ["", "x", "7:3", ":2", "7:", "-1"] {
-            assert_eq!(drill_fires(bad, 0, usize::MAX), None, "{bad:?}");
-        }
-    }
-
+    // drill; here we only pin which commits the drill count lands in.
     #[test]
     fn drill_fires_when_its_count_lies_in_the_commit_range() {
         // A group straddling the count fires; the groups around it do not.
-        assert_eq!(drill_fires("7", 4, 8), Some(false));
-        assert_eq!(drill_fires("7", 0, 4), None);
-        assert_eq!(drill_fires("7", 8, 12), None);
+        assert!(covers(4, 8, 7));
+        assert!(!covers(0, 4, 7));
+        assert!(!covers(8, 12, 7));
         // The range is half-open: `before` is already past, `after` is in.
-        assert_eq!(drill_fires("8", 8, 12), None);
-        assert_eq!(drill_fires("8", 4, 8), Some(false));
+        assert!(!covers(8, 12, 8));
+        assert!(covers(4, 8, 8));
         // An empty group covers nothing.
-        assert_eq!(drill_fires("5", 5, 5), None);
+        assert!(!covers(5, 5, 5));
         // One-record commits (the supervisor, or every = 1) fire exactly
         // at the count.
-        assert_eq!(drill_fires("6:2", 5, 6), Some(true));
-        assert_eq!(drill_fires("6:2", 6, 7), None);
+        assert!(covers(5, 6, 6));
+        assert!(!covers(6, 7, 6));
     }
 }

@@ -71,15 +71,15 @@
 //! raises [`TransportError::AllEndpointsLost`].
 
 use crate::campaign::{
-    golden_shape, run_one_arena, trial_arena, CampaignConfig, CampaignSummary, FaultSite,
-    GoldenShape, Outcome, OutcomeKind, SingleBitRecord, SiteSampler,
+    golden_shape, run_one_arena, trial_arena, CampaignConfig, FaultSite, GoldenShape,
+    SingleBitRecord, SiteSampler,
 };
 use crate::checkpoint;
-use crate::durable::{atomic_write_durable, jittered_backoff};
+use crate::durable::{atomic_write_durable, jittered_backoff, quarantine_with_warning};
 use crate::json::{self, Value};
 use crate::runner::{
-    final_save, quarantine_corrupt, restore_durable, run_campaign_with, CampaignReport,
-    LatencyStats, RemoteCommit, RunnerConfig, Shared, WorkerGuard,
+    run_campaign_with, worker_count, CampaignReport, OpenCampaign, RemoteCommit, RunnerConfig,
+    Supervision,
 };
 use mbavf_core::error::{InjectError, SupervisorError, TransportError};
 use mbavf_workloads::Workload;
@@ -381,29 +381,19 @@ pub fn load_poison(path: &Path) -> Result<PoisonSidecar, SupervisorError> {
         .ok_or_else(|| bad("poison sidecar: missing \"poisoned\"".into()))?;
     let mut entries = Vec::with_capacity(raw.len());
     for (i, e) in raw.iter().enumerate() {
-        let field = |k: &str| {
-            e.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| bad(format!("poison entry {i}: missing \"{k}\"")))
-        };
+        let missing = |k: &str| bad(format!("poison entry {i}: missing \"{k}\""));
+        let (trial, site) = checkpoint::parse_site(e, i).map_err(|d| bad(format!("poison {d}")))?;
         entries.push(PoisonEntry {
-            trial: field("trial")?,
-            site: FaultSite {
-                wg: u32::try_from(field("wg")?)
-                    .map_err(|_| bad(format!("poison entry {i}: \"wg\" out of range")))?,
-                after_retired: field("after")?,
-                reg: u8::try_from(field("reg")?)
-                    .map_err(|_| bad(format!("poison entry {i}: \"reg\" out of range")))?,
-                lane: u8::try_from(field("lane")?)
-                    .map_err(|_| bad(format!("poison entry {i}: \"lane\" out of range")))?,
-                bit: u8::try_from(field("bit")?)
-                    .map_err(|_| bad(format!("poison entry {i}: \"bit\" out of range")))?,
-            },
-            attempts: field("attempts")? as u32,
+            trial,
+            site,
+            attempts: e
+                .get("attempts")
+                .and_then(Value::as_u64)
+                .ok_or_else(|| missing("attempts"))? as u32,
             reason: e
                 .get("reason")
                 .and_then(Value::as_str)
-                .ok_or_else(|| bad(format!("poison entry {i}: missing \"reason\"")))?
+                .ok_or_else(|| missing("reason"))?
                 .to_string(),
         });
     }
@@ -434,81 +424,28 @@ fn load_or_quarantine_poison(
             Ok(sidecar.entries)
         }
         Err(SupervisorError::Protocol { detail }) => {
-            match quarantine_corrupt(path) {
-                Some(q) => eprintln!(
-                    "warning: corrupt poison sidecar at {} ({detail}); moved to {}",
-                    path.display(),
-                    q.display()
-                ),
-                None => eprintln!(
-                    "warning: corrupt poison sidecar at {} ({detail}); quarantine failed, ignoring it",
-                    path.display()
-                ),
-            }
+            quarantine_with_warning(path, "poison sidecar", &detail, "ignoring it");
             Ok(Vec::new())
         }
         Err(e) => Err(e),
     }
 }
 
+/// A record frame: the checkpoint's record object
+/// ([`checkpoint::write_record`]) plus `"us"`, the trial's wall-clock in
+/// microseconds.
 pub(crate) fn render_record_frame(r: &SingleBitRecord, us: u64) -> String {
     let mut out = String::with_capacity(128);
-    let _ = write!(
-        out,
-        "{{\"trial\": {}, \"wg\": {}, \"after\": {}, \"reg\": {}, \"lane\": {}, \"bit\": {}, \"outcome\": \"{}\", ",
-        r.trial,
-        r.site.wg,
-        r.site.after_retired,
-        r.site.reg,
-        r.site.lane,
-        r.site.bit,
-        r.outcome.kind().as_str(),
-    );
-    if let Outcome::Crash { reason } = &r.outcome {
-        out.push_str("\"reason\": ");
-        json::write_str(&mut out, reason);
-        out.push_str(", ");
-    }
-    let _ = write!(out, "\"read\": {}, \"us\": {us}}}", r.read_before_overwrite);
+    checkpoint::write_record(&mut out, r);
+    out.pop(); // the record object's closing brace
+    let _ = write!(out, ", \"us\": {us}}}");
     out
 }
 
 fn parse_record_frame(v: &Value) -> Result<(SingleBitRecord, u64), String> {
-    let field = |k: &str| {
-        v.get(k).and_then(Value::as_u64).ok_or_else(|| format!("missing or non-integer \"{k}\""))
-    };
-    let kind = v
-        .get("outcome")
-        .and_then(Value::as_str)
-        .and_then(OutcomeKind::parse)
-        .ok_or_else(|| "missing or unknown \"outcome\"".to_string())?;
-    let outcome = match kind {
-        OutcomeKind::Masked => Outcome::Masked,
-        OutcomeKind::Sdc => Outcome::Sdc,
-        OutcomeKind::Hang => Outcome::Hang,
-        OutcomeKind::Crash => Outcome::Crash {
-            reason: v
-                .get("reason")
-                .and_then(Value::as_str)
-                .unwrap_or("unrecorded crash reason")
-                .to_string(),
-        },
-    };
-    let read =
-        v.get("read").and_then(Value::as_bool).ok_or_else(|| "missing \"read\"".to_string())?;
-    let record = SingleBitRecord {
-        trial: field("trial")?,
-        site: FaultSite {
-            wg: u32::try_from(field("wg")?).map_err(|_| "\"wg\" out of range".to_string())?,
-            after_retired: field("after")?,
-            reg: u8::try_from(field("reg")?).map_err(|_| "\"reg\" out of range".to_string())?,
-            lane: u8::try_from(field("lane")?).map_err(|_| "\"lane\" out of range".to_string())?,
-            bit: u8::try_from(field("bit")?).map_err(|_| "\"bit\" out of range".to_string())?,
-        },
-        outcome,
-        read_before_overwrite: read,
-    };
-    Ok((record, field("us")?))
+    let record = checkpoint::parse_record(v, 0).map_err(|e| e.to_string())?;
+    let us = v.get("us").and_then(Value::as_u64).ok_or("missing or non-integer \"us\"")?;
+    Ok((record, us))
 }
 
 // ---------------------------------------------------------------------------
@@ -603,13 +540,8 @@ enum ShardEnd {
 }
 
 struct SupCtx<'a> {
-    cfg: &'a CampaignConfig,
-    runner: &'a RunnerConfig,
+    campaign: &'a OpenCampaign<'a>,
     sup: &'a SupervisorConfig,
-    workload_name: &'a str,
-    fingerprint: u64,
-    sampler: Option<&'a SiteSampler>,
-    shared: &'a Shared,
     prior_poison: usize,
     /// Local re-executor for audited records; built once when auditing is
     /// on and trials are pending. Serializes audits across handlers.
@@ -622,6 +554,8 @@ struct SupCtx<'a> {
     degrade: AtomicBool,
     stop: AtomicBool,
     live_children: AtomicUsize,
+    /// Handlers holding (or about to take) a shard that may be given back.
+    holders: AtomicUsize,
     handlers: usize,
     retired: AtomicUsize,
 }
@@ -634,7 +568,7 @@ impl SupCtx<'_> {
         // cancellation are deliberate, not stranded.
         self.stop.load(Ordering::SeqCst)
             || self.degrade.load(Ordering::SeqCst)
-            || self.runner.cancel.cancelled().is_some()
+            || self.campaign.runner.cancel.cancelled().is_some()
     }
 
     fn raise_fatal(&self, e: SupervisorError) {
@@ -645,7 +579,7 @@ impl SupCtx<'_> {
     /// Degrade is only safe while nothing has happened yet: no completed
     /// trial, no new poison. Returns whether degradation was initiated.
     fn try_degrade(&self) -> bool {
-        let untouched = self.shared.completed.load(Ordering::SeqCst) == 0
+        let untouched = self.campaign.shared.completed.load(Ordering::SeqCst) == 0
             && self.poison.lock().expect("poison lock").is_empty();
         if untouched {
             self.degrade.store(true, Ordering::SeqCst);
@@ -657,7 +591,7 @@ impl SupCtx<'_> {
         jittered_backoff(
             self.sup.backoff_base,
             self.sup.backoff_cap,
-            self.cfg.seed,
+            self.campaign.cfg.seed,
             handler,
             consecutive_failures,
         )
@@ -665,7 +599,8 @@ impl SupCtx<'_> {
 
     /// Build handler `id`'s channel to its worker.
     fn make_transport(&self, id: usize) -> Transport {
-        let hello = render_hello(self.workload_name, self.cfg, self.sup.lease_timeout);
+        let hello =
+            render_hello(self.campaign.workload.name, self.campaign.cfg, self.sup.lease_timeout);
         match &self.sup.transport {
             TransportKind::Local => {
                 Transport::local(self.sup.worker_env.clone(), self.sup.lease_timeout, hello)
@@ -700,7 +635,7 @@ impl SupCtx<'_> {
                     detail: "supervisor shutdown".into(),
                 };
             }
-            if let Some(reason) = self.runner.cancel.cancelled() {
+            if let Some(reason) = self.campaign.runner.cancel.cancelled() {
                 if handshaken {
                     // Graceful preemption of a live daemon: ask it to finish
                     // the trial in flight and part cleanly, then keep
@@ -746,7 +681,7 @@ impl SupCtx<'_> {
                         let ok = parsed.is_some_and(|v| {
                             v.get("mbavf_worker").and_then(Value::as_u64) == Some(PROTOCOL_VERSION)
                                 && v.get("fingerprint").and_then(Value::as_u64)
-                                    == Some(self.fingerprint)
+                                    == Some(self.campaign.fingerprint)
                         });
                         if !ok {
                             transport.revoke();
@@ -822,7 +757,7 @@ impl SupCtx<'_> {
                     let mut audit = AuditOutcome::Skipped;
                     if leased.is_some() {
                         if let (Some(policy), Some(auditor)) = (self.sup.audit, &self.auditor) {
-                            if policy.selects(self.cfg.seed, trial) {
+                            if policy.selects(self.campaign.cfg.seed, trial) {
                                 let (local, local_us) =
                                     auditor.lock().expect("auditor lock").run_trial(trial);
                                 if local == record {
@@ -835,19 +770,13 @@ impl SupCtx<'_> {
                             }
                         }
                     }
-                    match self.shared.commit_remote(record, us, leased.is_some()) {
+                    match self.campaign.shared.commit_remote(record, us, leased.is_some()) {
                         RemoteCommit::Fresh(done) => {
                             let pos = leased.expect("fresh commits are leased");
                             remaining.remove(pos);
                             progress = true;
                             lease.renew();
-                            self.shared.after_commit(
-                                (done - 1, done),
-                                self.runner,
-                                self.workload_name,
-                                self.fingerprint,
-                                self.cfg.mode_bits,
-                            );
+                            self.campaign.after_commit((done - 1, done));
                             crate::signals::preempt_drill(done - 1, done);
                             match audit {
                                 AuditOutcome::Skipped => {}
@@ -937,11 +866,12 @@ impl SupCtx<'_> {
             }
             if shard.attempts > self.sup.max_retries {
                 let trial = shard.remaining.pop_front().expect("remaining is non-empty");
-                let sampler = self.sampler.expect("pending trials imply a sampler");
+                let sampler =
+                    self.campaign.sampler.as_ref().expect("pending trials imply a sampler");
                 let (attempts, last_fail) = (shard.attempts, shard.last_fail.clone());
                 let entry = PoisonEntry {
                     trial,
-                    site: sampler.sample(self.cfg.seed, trial),
+                    site: sampler.sample(self.campaign.cfg.seed, trial),
                     reason: last_fail.clone(),
                     attempts,
                 };
@@ -1062,35 +992,35 @@ impl SupCtx<'_> {
             if self.should_stop() {
                 return;
             }
-            match self.queue.take() {
-                Some(mut shard) => match self.run_shard(&mut transport, id, &mut shard) {
-                    ShardEnd::Finished => {}
-                    ShardEnd::Stop => return,
-                    ShardEnd::EndpointDead { detail } => {
-                        eprintln!(
-                            "warning: worker endpoint {} lost ({detail}); re-offering its shard",
-                            transport.endpoint()
-                        );
-                        self.queue.give_back(shard);
-                        return;
-                    }
-                },
-                None => {
-                    // Another handler may yet give its shard back if its
-                    // endpoint dies mid-stream; stay alive while anyone is
-                    // still streaming.
-                    if self.live_children.load(Ordering::SeqCst) > 0 {
-                        std::thread::sleep(Duration::from_millis(25));
-                        continue;
-                    }
-                    return;
+            // Count as a holder *before* taking, so a peer that finds the
+            // queue empty never misses a shard that may yet come back.
+            self.holders.fetch_add(1, Ordering::SeqCst);
+            let Some(mut shard) = self.queue.take() else {
+                // Another handler may yet give its shard back if its
+                // endpoint dies — mid-stream or while redialing — so stay
+                // alive while anyone still holds one.
+                if self.holders.fetch_sub(1, Ordering::SeqCst) > 1 {
+                    std::thread::sleep(Duration::from_millis(25));
+                    continue;
                 }
+                return;
+            };
+            let end = self.run_shard(&mut transport, id, &mut shard);
+            if let ShardEnd::EndpointDead { detail } = &end {
+                eprintln!(
+                    "warning: worker endpoint {} lost ({detail}); re-offering its shard",
+                    transport.endpoint()
+                );
+                self.queue.give_back(shard);
+            }
+            self.holders.fetch_sub(1, Ordering::SeqCst);
+            if !matches!(end, ShardEnd::Finished) {
+                return;
             }
         }
     }
 
     fn handler(&self, id: usize) {
-        let _slot = WorkerGuard::retire_on_drop(self.shared);
         self.drive(id);
         // Backstop: the last handler out must not strand re-offered shards.
         // With work still queued and no stop in flight, every endpoint died
@@ -1135,11 +1065,6 @@ pub fn run_supervised(
     runner: &RunnerConfig,
     sup: &SupervisorConfig,
 ) -> Result<CampaignReport, InjectError> {
-    if runner.checkpoint.is_some() && runner.checkpoint_every == 0 {
-        return Err(InjectError::BadConfig {
-            detail: "checkpoint_every must be at least 1 when checkpointing".into(),
-        });
-    }
     if sup.shard_size == 0 {
         return Err(InjectError::BadConfig { detail: "shard_size must be at least 1".into() });
     }
@@ -1153,21 +1078,7 @@ pub fn run_supervised(
         workload: workload.name.to_string(),
         detail,
     })?;
-    let sampler = if cfg.injections == 0 {
-        None
-    } else {
-        Some(SiteSampler::new(&golden.per_wg_retired, golden.num_vregs).map_err(|e| match e {
-            InjectError::EmptySampleSpace { detail } => {
-                InjectError::EmptySampleSpace { detail: format!("{}: {detail}", workload.name) }
-            }
-            other => other,
-        })?)
-    };
     let fingerprint = checkpoint::config_fingerprint(workload.name, cfg);
-
-    let durable =
-        restore_durable(runner, workload.name, fingerprint, cfg.mode_bits, cfg.injections)?;
-    let (slots, resumed) = (durable.slots, durable.resumed);
     let poison_path = sup
         .poison_path
         .clone()
@@ -1176,21 +1087,13 @@ pub fn run_supervised(
         Some(p) => load_or_quarantine_poison(p, fingerprint).map_err(InjectError::from)?,
         None => Vec::new(),
     };
-
-    // Work list: not restored, not previously poisoned, cut to the
-    // graceful-stop budget — same ordering contract as thread mode.
-    let mut pending: Vec<u64> = (0..cfg.injections as u64)
-        .filter(|&t| slots[t as usize].is_none() && !prior_poison.iter().any(|e| e.trial == t))
-        .collect();
-    let total_missing = pending.len();
-    if let Some(cap) = runner.cancel.trial_budget() {
-        pending.truncate(cap);
-    }
+    let skip: Vec<u64> = prior_poison.iter().map(|e| e.trial).collect();
+    let campaign = OpenCampaign::open(workload, cfg, runner, &golden, &skip)?;
 
     // Contiguous shards with boundaries fixed by trial index, so the shard
     // layout is invariant under the worker count.
     let mut shards: VecDeque<Shard> = VecDeque::new();
-    for &t in &pending {
+    for &t in &campaign.pending {
         let shard_id = t / sup.shard_size as u64;
         match shards.back_mut() {
             Some(last)
@@ -1204,17 +1107,11 @@ pub fn run_supervised(
             _ => shards.push_back(Shard::new(VecDeque::from([t]))),
         }
     }
-    let workers = match &sup.transport {
+    let requested = match &sup.transport {
         TransportKind::Tcp { endpoints } => endpoints.len(),
-        TransportKind::Local => {
-            if sup.workers == 0 {
-                std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-            } else {
-                sup.workers
-            }
-        }
-    }
-    .clamp(1, shards.len().max(1));
+        TransportKind::Local => sup.workers,
+    };
+    let workers = worker_count(requested, shards.len());
     let label = match &sup.transport {
         TransportKind::Local => "process",
         TransportKind::Tcp { .. } => "tcp",
@@ -1223,7 +1120,7 @@ pub fn run_supervised(
     // The audit re-executor walks the same arena path the workers do:
     // golden run, sampler, and arena built once, reused for every audited
     // trial. Built only when something can actually be audited.
-    let auditor = if sup.audit.is_some() && !pending.is_empty() {
+    let auditor = if sup.audit.is_some() && !campaign.pending.is_empty() {
         Some(Mutex::new(ShardExecutor::new(workload, *cfg).map_err(|detail| {
             InjectError::GoldenRunFailed { workload: workload.name.to_string(), detail }
         })?))
@@ -1231,17 +1128,9 @@ pub fn run_supervised(
         None
     };
 
-    let shared = Shared::new(slots, pending.len());
-    shared.adopt_durable(durable.journal, durable.snapshot_failures);
-    shared.active_workers.store(workers, Ordering::SeqCst);
     let ctx = SupCtx {
-        cfg,
-        runner,
+        campaign: &campaign,
         sup,
-        workload_name: workload.name,
-        fingerprint,
-        sampler: sampler.as_ref(),
-        shared: &shared,
         prior_poison: prior_poison.len(),
         auditor,
         ledger: TrustLedger::new(sup.audit.map_or(0, |a| a.max_failures())),
@@ -1251,54 +1140,33 @@ pub fn run_supervised(
         degrade: AtomicBool::new(false),
         stop: AtomicBool::new(false),
         live_children: AtomicUsize::new(0),
+        holders: AtomicUsize::new(0),
         handlers: workers,
         retired: AtomicUsize::new(0),
     };
-
-    std::thread::scope(|scope| {
-        if let Some(interval) = runner.heartbeat {
-            if !pending.is_empty() {
-                let ctx = &ctx;
-                scope.spawn(move || {
-                    ctx.shared.monitor(
-                        interval,
-                        resumed,
-                        cfg.injections,
-                        label,
-                        &|| ctx.live_children.load(Ordering::SeqCst),
-                        &|| {
-                            let mut extra = String::new();
-                            if let Some(reason) = ctx.runner.cancel.cancelled() {
-                                let _ = write!(extra, ", draining ({reason})");
-                            }
-                            let n =
-                                ctx.prior_poison + ctx.poison.lock().expect("poison lock").len();
-                            if n > 0 {
-                                let _ = write!(extra, ", poisoned {n}");
-                            }
-                            let audited = ctx.ledger.audited();
-                            if audited > 0 {
-                                let _ = write!(
-                                    extra,
-                                    ", audited {audited} ({} divergent)",
-                                    ctx.ledger.divergences()
-                                );
-                            }
-                            let q = ctx.ledger.quarantined_count();
-                            if q > 0 {
-                                let _ = write!(extra, ", quarantined {q}");
-                            }
-                            extra
-                        },
-                    );
-                });
+    campaign.execute(
+        workers,
+        label,
+        &|| ctx.live_children.load(Ordering::SeqCst),
+        &|| {
+            let mut extra = String::new();
+            let n = ctx.prior_poison + ctx.poison.lock().expect("poison lock").len();
+            if n > 0 {
+                let _ = write!(extra, ", poisoned {n}");
             }
-        }
-        for id in 0..workers {
-            let ctx = &ctx;
-            scope.spawn(move || ctx.handler(id));
-        }
-    });
+            let audited = ctx.ledger.audited();
+            if audited > 0 {
+                let _ =
+                    write!(extra, ", audited {audited} ({} divergent)", ctx.ledger.divergences());
+            }
+            let q = ctx.ledger.quarantined_count();
+            if q > 0 {
+                let _ = write!(extra, ", quarantined {q}");
+            }
+            extra
+        },
+        &|id| ctx.handler(id),
+    );
 
     if ctx.degrade.load(Ordering::SeqCst) {
         return match &sup.transport {
@@ -1318,88 +1186,28 @@ pub fn run_supervised(
         };
     }
 
-    let mut new_poison = ctx.poison.into_inner().expect("poison lock");
-    new_poison.sort_by_key(|e| e.trial);
+    let new_poison = ctx.poison.into_inner().expect("poison lock");
     let newly_poisoned = new_poison.len();
-    let mut all_poison = prior_poison;
-    all_poison.extend(new_poison);
-    all_poison.sort_by_key(|e| e.trial);
-
-    // Persist what we have — records and poisons — even on a fatal error,
-    // so the evidence survives for the resume that follows the fix.
-    let records: Vec<SingleBitRecord> = {
-        let slots = shared.slots.lock().expect("slots lock");
-        slots.iter().flatten().cloned().collect()
+    let mut poisoned = prior_poison;
+    poisoned.extend(new_poison);
+    poisoned.sort_by_key(|e| e.trial);
+    let supervision = Supervision {
+        poisoned,
+        newly_poisoned,
+        poison_path,
+        fatal: ctx.fatal.into_inner().expect("fatal lock"),
+        audited: ctx.ledger.audited(),
+        audit_divergences: ctx.ledger.divergences(),
+        merge_conflicts: ctx.ledger.conflicts(),
+        quarantined_endpoints: ctx.ledger.quarantined(),
     };
-    let snapshot_failures = shared.snapshot_failures.load(Ordering::SeqCst) as u64;
-    if let Some(path) = &runner.checkpoint {
-        final_save(path, workload.name, fingerprint, cfg.mode_bits, &records, snapshot_failures)?;
-    }
-    if let Some(path) = &poison_path {
-        if !all_poison.is_empty() {
-            save_poison(path, workload.name, fingerprint, &all_poison)
-                .map_err(InjectError::from)?;
-        }
-    }
-
-    if let Some(e) = ctx.fatal.into_inner().expect("fatal lock") {
-        return Err(e.into());
-    }
-
-    let mut bundles = Vec::new();
-    if let Some(dir) = &runner.repro_dir {
-        let writer = crate::bundle::BundleWriter {
-            dir,
-            workload: workload.name,
-            cfg,
-            fingerprint,
-            golden_digest: mbavf_core::rng::fnv1a(&golden.output),
-            cap: runner.repro_cap,
-        };
-        bundles = writer.write(&records, &|r| r.outcome.is_error())?;
-        // Poisoned trials get repro bundles too: the whole point of the
-        // quarantine is that someone replays them later, in isolation.
-        let poison_records: Vec<SingleBitRecord> = all_poison
-            .iter()
-            .map(|e| SingleBitRecord {
-                trial: e.trial,
-                site: e.site,
-                outcome: Outcome::Crash { reason: format!("poison: {}", e.reason) },
-                read_before_overwrite: false,
-            })
-            .collect();
-        bundles.extend(writer.write(&poison_records, &|_| true)?);
-    }
-
-    let newly_run = shared.completed.load(Ordering::SeqCst);
-    let complete = newly_run + newly_poisoned == total_missing;
-    let trial_latency = LatencyStats::from_micros(std::mem::take(
-        &mut *shared.latencies_us.lock().expect("latency lock"),
-    ));
-    Ok(CampaignReport {
-        summary: CampaignSummary {
-            workload: workload.name,
-            records,
-            snapshot_failures,
-            audited: ctx.ledger.audited(),
-            audit_divergences: ctx.ledger.divergences(),
-            merge_conflicts: ctx.ledger.conflicts(),
-            quarantined_endpoints: ctx.ledger.quarantined(),
-        },
-        resumed,
-        newly_run,
-        complete,
-        interrupted: (!complete)
-            .then(|| runner.cancel.cancelled().unwrap_or(crate::cancel::CancelReason::TrialBudget)),
-        bundles,
-        poisoned: all_poison,
-        trial_latency,
-    })
+    campaign.finish(supervision)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Outcome;
     use crate::runner::run_campaign;
     use mbavf_workloads::by_name;
 

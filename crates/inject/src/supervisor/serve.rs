@@ -33,12 +33,17 @@
 //! point has already been delivered, so the supervisor's merge holds
 //! everything the daemon did. The connection then parts cleanly and the
 //! daemon keeps serving other (or future) campaigns.
+//!
+//! **Drills:** the daemon acts on the `die`, `sever`, `stall` and `lie`
+//! entries of `MBAVF_DRILL` ([`crate::drill`]); a malformed plan stops it
+//! before it announces itself.
 
 use super::transport::{read_frame, write_frame};
 use super::{parse_trials, render_record_frame, ShardExecutor, PROTOCOL_VERSION};
 use crate::campaign::{CampaignConfig, Outcome};
-use crate::chaos::{ChaosEngine, ChaosSpec, Fault, OpClass};
+use crate::chaos::{ChaosEngine, Fault, OpClass};
 use crate::checkpoint;
+use crate::drill::TrialAction;
 use crate::json::{self, Value};
 use mbavf_workloads::{by_name, Scale};
 use std::io::{BufReader, Write as _};
@@ -56,11 +61,7 @@ pub const SERVE_VERSION: u64 = 1;
 /// passes it.
 pub(crate) const EXIT_WITH_SUPERVISOR: &str = "--exit-with-supervisor";
 
-fn drill(var: &str) -> Option<u64> {
-    std::env::var(var).ok()?.parse().ok()
-}
-
-/// Deliver SIGKILL to this process — the kill drills simulate an external
+/// Deliver SIGKILL to this process — the `die` drill simulates an external
 /// killer (OOM, operator), which no in-process handler can observe.
 fn sigkill_self() -> ! {
     let pid = std::process::id().to_string();
@@ -103,6 +104,8 @@ pub fn serve_main(args: &[String]) -> i32 {
 }
 
 fn serve_run(args: &[String]) -> Result<(), String> {
+    // A malformed drill plan stops the daemon before it announces itself.
+    crate::drill::plan()?;
     let addr = flag(args, "--listen")?;
     let listener = TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
@@ -222,19 +225,14 @@ fn handle_conn(stream: TcpStream) -> Result<(), String> {
         format!("{{\"mbavf_worker\": {PROTOCOL_VERSION}, \"fingerprint\": {fingerprint}}}");
     let hb_every = Duration::from_millis((lease_ms / 3).max(10));
 
-    // Byzantine drill: MBAVF_LIE_DRILL="<seed>:<rate>" makes this daemon a
+    // Byzantine drill (`lie@<seed>:<rate>`): this daemon becomes a
     // mercurial core — it computes every trial correctly, then flips the
     // verdict on a deterministic chaos schedule before reporting it. The
     // engine is connection-local and NEVER installed globally: a global
     // install would fault the daemon's own frame writes, and this drill is
-    // about lies, not losses. Checked only here, in the daemon: the
+    // about lies, not losses. Read only here, in the daemon: the
     // supervisor never drills itself.
-    let liar = match std::env::var("MBAVF_LIE_DRILL") {
-        Ok(spec) => Some(
-            ChaosSpec::parse(&spec).map(ChaosEngine::new).map_err(|d| format!("lie drill: {d}"))?,
-        ),
-        Err(_) => None,
-    };
+    let liar = crate::drill::armed().lie.map(ChaosEngine::new);
 
     // Incoming frames flow through a reader thread so the lease executor
     // can poll for a mid-lease `drain` frame between trials without
@@ -323,8 +321,11 @@ fn run_lease(
         })
     };
 
+    let drills = crate::drill::armed();
     let result = (|| -> Result<(), String> {
-        let mut sent: Vec<String> = Vec::new();
+        // Only the sever drill replays the lease, so only it keeps a copy.
+        let mut sent: Option<Vec<String>> =
+            drills.trials.iter().any(|d| d.0 == TrialAction::Sever).then(Vec::new);
         for (i, &trial) in trials.iter().enumerate() {
             // Trial boundary: honor a drain request before starting the
             // next trial. Every record through trial `i-1` is already on
@@ -350,20 +351,13 @@ fn run_lease(
                     return Err("connection closed mid-lease".into());
                 }
             }
-            // Fault drills, used by torture tests and the CI smoke jobs.
-            // Checked only here, in the daemon: the supervisor never drills
-            // itself. Abort fires on every attempt (poisoning end to end);
-            // the kill drills model a one-off external killer.
-            if drill("MBAVF_ABORT_DRILL") == Some(trial) {
-                std::process::abort();
-            }
-            if attempt == 0 && drill("MBAVF_KILL_DRILL") == Some(trial) {
+            // Fault drills ([`crate::drill`]), used by torture tests and
+            // the CI smoke jobs. Read only here, in the daemon: the
+            // supervisor never drills itself.
+            if drills.fires(TrialAction::Die, trial, attempt) {
                 sigkill_self();
             }
-            if drill("MBAVF_NET_KILL_DRILL") == Some(trial) {
-                sigkill_self();
-            }
-            if drill("MBAVF_NET_STALL_DRILL") == Some(trial) {
+            if drills.fires(TrialAction::Stall, trial, attempt) {
                 // Freeze the executor with the heartbeat still beating: the
                 // supervisor's progress-gated lease must expire and revoke
                 // even though frames keep arriving.
@@ -379,14 +373,16 @@ fn run_lease(
             }
             let line = render_record_frame(&record, us);
             send(writer, &line)?;
-            sent.push(line);
+            if let Some(sent) = &mut sent {
+                sent.push(line);
+            }
             progress.store(i as u64 + 1, Ordering::SeqCst);
-            if attempt == 0 && drill("MBAVF_NET_DRILL") == Some(trial) {
+            if drills.fires(TrialAction::Sever, trial, attempt) {
                 // Hostile-network drill: replay every record already sent
                 // in this lease (duplicates the merge must drop without
                 // recounting), then sever the connection mid-frame — a torn
                 // length-prefixed write promising bytes that never come.
-                for line in &sent {
+                for line in sent.iter().flatten() {
                     send(writer, line)?;
                 }
                 let stream = writer.lock().expect("writer lock");
@@ -394,7 +390,7 @@ fn run_lease(
                 let _ = (&*stream).write_all(b"{\"trial\": ");
                 let _ = (&*stream).flush();
                 let _ = stream.shutdown(Shutdown::Both);
-                return Err("net drill severed the connection".into());
+                return Err("sever drill tore the connection".into());
             }
         }
         send(writer, &format!("{{\"done\": {}}}", trials.len()))

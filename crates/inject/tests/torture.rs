@@ -555,7 +555,7 @@ fn process_isolation_matches_thread_mode_bit_exact() {
     }
 }
 
-/// The abort drill end-to-end: a daemon that calls `std::process::abort()`
+/// The abort drill end-to-end: a daemon that dies (`die@T`, every attempt)
 /// on a marker trial is retried, bisected, and the marker poisoned — the
 /// campaign completes with N−1 trials, the sidecar and a repro bundle name
 /// exactly the marker, and a later resume leaves the quarantine intact.
@@ -572,7 +572,7 @@ fn abort_drill_poisons_and_resumes_clean() {
     };
     let marker = 5u64;
     let mut sup = test_supervisor(2, 4);
-    sup.worker_env = vec![("MBAVF_ABORT_DRILL".into(), marker.to_string())];
+    sup.worker_env = vec![("MBAVF_DRILL".into(), format!("die@{marker}"))];
 
     let report = run_supervised(&w, &cfg, &runner, &sup).unwrap();
     assert!(report.complete);
@@ -618,7 +618,7 @@ fn sigkill_mid_shard_recovers_bit_exact() {
     let cfg = CampaignConfig { seed: 7, injections: 12, ..CampaignConfig::default() };
     let thread = run_campaign(&w, &cfg, &RunnerConfig::serial()).unwrap();
     let mut sup = test_supervisor(2, 4);
-    sup.worker_env = vec![("MBAVF_KILL_DRILL".into(), "6".into())];
+    sup.worker_env = vec![("MBAVF_DRILL".into(), "die@6/once".into())];
     let report = run_supervised(&w, &cfg, &RunnerConfig::serial(), &sup).unwrap();
     assert!(report.complete);
     assert!(report.poisoned.is_empty(), "kill drill must recover, not poison");
@@ -627,7 +627,7 @@ fn sigkill_mid_shard_recovers_bit_exact() {
 
 /// A torn frame from a local daemon: on its first attempt the daemon
 /// replays its lease's records as duplicates, then severs the connection
-/// inside a length-prefixed frame (`MBAVF_NET_DRILL`). The supervisor must
+/// inside a length-prefixed frame (`MBAVF_DRILL=sever@T/once`). The supervisor must
 /// drop the duplicates and the partial frame, respawn the daemon on the
 /// remaining trials, and converge bit-exact with no poison.
 fn process_torn_frame_recovers_bit_exact() {
@@ -635,7 +635,7 @@ fn process_torn_frame_recovers_bit_exact() {
     let cfg = CampaignConfig { seed: 7, injections: 12, ..CampaignConfig::default() };
     let thread = run_campaign(&w, &cfg, &RunnerConfig::serial()).unwrap();
     let mut sup = test_supervisor(2, 4);
-    sup.worker_env = vec![("MBAVF_NET_DRILL".into(), "2".into())];
+    sup.worker_env = vec![("MBAVF_DRILL".into(), "sever@2/once".into())];
     let report = run_supervised(&w, &cfg, &RunnerConfig::serial(), &sup).unwrap();
     assert!(report.complete);
     assert!(report.poisoned.is_empty(), "a torn frame must recover, not poison");
@@ -818,7 +818,7 @@ fn tcp_loopback_matches_thread_mode_bit_exact() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// SIGKILL an entire worker daemon mid-shard (the net kill drill fires on
+/// SIGKILL an entire worker daemon mid-shard (the `die@T` drill fires on
 /// every attempt, so the killed endpoint can never serve the marker). The
 /// supervisor must re-offer the dead endpoint's shard — failure history
 /// intact — to the surviving daemon and converge bit-exact with no poison.
@@ -827,7 +827,7 @@ fn tcp_endpoint_sigkill_fails_over_bit_exact() {
     let cfg = CampaignConfig { seed: 7, injections: 24, ..CampaignConfig::default() };
     let thread = run_campaign(&w, &cfg, &RunnerConfig::serial()).unwrap();
 
-    let doomed = Daemon::spawn(&[("MBAVF_NET_KILL_DRILL", "2")]);
+    let doomed = Daemon::spawn(&[("MBAVF_DRILL", "die@2")]);
     let survivor = Daemon::spawn(&[]);
     let sup = tcp_supervisor(vec![doomed.addr.clone(), survivor.addr.clone()], 8);
     let report = run_supervised(&w, &cfg, &RunnerConfig::serial(), &sup).unwrap();
@@ -846,7 +846,7 @@ fn tcp_net_drill_replays_without_double_count() {
     let cfg = CampaignConfig { seed: 7, injections: 24, ..CampaignConfig::default() };
     let thread = run_campaign(&w, &cfg, &RunnerConfig::serial()).unwrap();
 
-    let daemon = Daemon::spawn(&[("MBAVF_NET_DRILL", "5")]);
+    let daemon = Daemon::spawn(&[("MBAVF_DRILL", "sever@5/once")]);
     let sup = tcp_supervisor(vec![daemon.addr.clone()], 8);
     let report = run_supervised(&w, &cfg, &RunnerConfig::serial(), &sup).unwrap();
     assert!(report.complete);
@@ -863,7 +863,7 @@ fn tcp_lease_expiry_poisons_stalled_trial() {
     let w = by_name("fast_walsh").expect("registered");
     let cfg = CampaignConfig { seed: 7, injections: 12, ..CampaignConfig::default() };
     let marker = 5u64;
-    let daemon = Daemon::spawn(&[("MBAVF_NET_STALL_DRILL", &marker.to_string())]);
+    let daemon = Daemon::spawn(&[("MBAVF_DRILL", &format!("stall@{marker}"))]);
     let mut sup = tcp_supervisor(vec![daemon.addr.clone()], 4);
     sup.lease_timeout = Duration::from_millis(400);
     let report = run_supervised(&w, &cfg, &RunnerConfig::serial(), &sup).unwrap();
@@ -901,7 +901,7 @@ fn tcp_unreachable_degrades_to_process_mode() {
 }
 
 /// The Byzantine drill: one honest daemon, one daemon that computes every
-/// trial correctly and then lies about the verdict (`MBAVF_LIE_DRILL` at
+/// trial correctly and then lies about the verdict (`MBAVF_DRILL=lie@9:1` at
 /// rate 1.0 flips every outcome it reports). With `--audit 1.0` every
 /// incoming record is re-executed locally before commit, so the liar's
 /// first record diverges, the trust ledger quarantines the endpoint
@@ -923,7 +923,7 @@ fn tcp_byzantine_liar_is_quarantined_and_bit_exact() {
     let thread = run_campaign(&w, &cfg, &runner(&thread_ckpt)).unwrap();
 
     let honest = Daemon::spawn(&[]);
-    let liar = Daemon::spawn(&[("MBAVF_LIE_DRILL", "9:1")]);
+    let liar = Daemon::spawn(&[("MBAVF_DRILL", "lie@9:1")]);
     let mut sup = tcp_supervisor(vec![honest.addr.clone(), liar.addr.clone()], 8);
     sup.audit = Some(AuditPolicy::new(1.0, 0));
     let report = run_supervised(&w, &cfg, &runner(&tcp_ckpt), &sup).unwrap();
