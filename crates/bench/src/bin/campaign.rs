@@ -24,6 +24,13 @@
 //!
 //! Summaries are bit-identical for any `--threads` value, and a killed run
 //! restarted with the same `--checkpoint` file picks up where it left off.
+//! While the campaign runs, its write-ahead journal (`FILE.wal`) is the
+//! only durable record: each thread commits its finished trials in groups
+//! of at most `--checkpoint-every` (and at most 32, or `W` at
+//! `--batch-width W`) with one fsynced write, so a crash loses at most each
+//! thread's open group. The checkpoint document `FILE` itself is written
+//! at open when the journal held trials, when a failed append is repaired,
+//! and when the run ends, never while trials commit.
 //! `--no-wrap-oob` makes wild memory accesses fault instead of wrapping, so
 //! corrupted address registers surface as `crash` outcomes. `--mode-bits M`
 //! flips `M` contiguous bits per trial (the paper's Mx1 spatial modes).
@@ -87,9 +94,11 @@
 //! and every transport frame draws from a deterministic, seeded fault
 //! schedule injecting ENOSPC, EIO, torn writes, failed renames, failed
 //! fsyncs, and stalls at the given per-operation rate. Transient faults are
-//! retried with backoff; persistent failure degrades to checkpointing-
-//! disabled mode (counted as `snapshot failures`) instead of killing the
-//! campaign, and committed trial records are never lost. The trial records
+//! retried with backoff; a journal append that still fails is repaired by
+//! compacting every committed trial into the checkpoint document and
+//! starting a fresh journal, and repeated failure degrades to
+//! checkpointing-disabled mode (counted as `snapshot failures`) instead of
+//! killing the campaign; committed trial records are never lost. The trial records
 //! themselves are untouched — a chaos run's final checkpoint is
 //! byte-identical to a fault-free run's.
 //!
@@ -165,7 +174,9 @@ fn usage() -> String {
     format!(
         "usage: campaign --workload NAME [--injections N] [--seed S] [--mode-bits M]\n\
          \u{20}                [--threads N] [--batch-width W (lockstep trials per batch)]\n\
-         \u{20}                [--checkpoint FILE] [--checkpoint-every N]\n\
+         \u{20}                [--checkpoint FILE (plus its journal FILE.wal)]\n\
+         \u{20}                [--checkpoint-every N (journal each thread's trials\n\
+         \u{20}                 at least every N; a crash loses at most N per thread)]\n\
          \u{20}                [--max-wall DUR (30s|15m|2h; bare numbers are seconds)]\n\
          \u{20}                [--max-trials-this-run N (alias: --stop-after)]\n\
          \u{20}                [--scale test|paper] [--no-wrap-oob]\n\

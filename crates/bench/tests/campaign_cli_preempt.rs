@@ -14,13 +14,14 @@
 //! * **mid-batch** — thread mode with `--batch-width`, signal inside a
 //!   lockstep group (the group finishes, the next is never claimed);
 //! * **mid-compaction** — signal immediately after a `--checkpoint-every`
-//!   snapshot, i.e. right at the WAL reset boundary;
+//!   group commit, i.e. right at a journal group boundary;
 //! * **mid-audit** — tcp isolation with `--audit 1.0`, signal between a
 //!   fresh commit and its audit; the fleet drains (daemons stay alive and
 //!   keep listening) instead of being killed;
 //! * **mid-drain** — a second SIGTERM while the first is still draining
 //!   escalates to an immediate abort (exit `128+15 = 143`), after which
-//!   the WAL alone must still recover the run.
+//!   the WAL alone must still recover the run — under tcp isolation, and
+//!   in thread mode, where the journal is the only durable record.
 //!
 //! Also pinned here: `--max-wall 0` exits partial with the wall-clock
 //! reason, and `campaign | head` / `validate | head` / `replay | head`
@@ -174,7 +175,7 @@ fn sigterm_mid_compaction_resumes_bit_identical() {
     let dir = temp_dir("mid-compaction");
     let base = baseline(&dir);
     // checkpoint-every 4 with the drill at trial 8: the SIGTERM arrives
-    // immediately after a snapshot, i.e. at the WAL compaction boundary.
+    // immediately after a group commit, i.e. at a journal group boundary.
     let out = campaign(
         &dir,
         &["--checkpoint", "compact.json", "--threads", "1", "--checkpoint-every", "4"],
@@ -259,11 +260,36 @@ fn double_sigterm_mid_drain_aborts_and_the_wal_still_recovers() {
 }
 
 #[test]
+fn double_sigterm_mid_thread_campaign_leaves_only_the_journal() {
+    let dir = temp_dir("thread-abort");
+    let base = baseline(&dir);
+    // One thread, groups of 4: trials 1–4 are committed when term2@6 lands
+    // inside the open group 5–8. The abort writes no checkpoint document,
+    // and the commits never wrote one, so the journal is the only record.
+    let out = campaign(
+        &dir,
+        &["--checkpoint", "thread.json", "--threads", "1", "--checkpoint-every", "4"],
+        &[("MBAVF_DRILL", "term2@6")],
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(143),
+        "second signal must abort with 128+SIGTERM; stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!dir.join("thread.json").exists(), "commits must not write the checkpoint document");
+    let journal = std::fs::metadata(dir.join("thread.json.wal")).expect("journal must exist");
+    assert!(journal.len() > 0, "the journal must hold the committed trials");
+    resume_and_compare(&dir, "thread.json", &base);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn adaptive_campaign_killed_mid_stage_resumes_bit_identical() {
     let dir = temp_dir("adaptive-mid-stage");
     // Stages 4, 8, …, 256; the 0.06 target is first met at 256. The drill
     // counts fresh trials per stage, so term2@40 aborts inside stage 128
-    // with trials ≥ 64 committed to the journal but not yet snapshotted —
+    // with trials ≥ 64 committed to the journal but not in the document —
     // the resume must pick its stage from the journal too, or its first
     // stage rejects them as outside the budget.
     let run = |ckpt: &str, env: &[(&str, &str)]| {

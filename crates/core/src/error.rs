@@ -141,17 +141,18 @@ pub enum CheckpointError {
         detail: String,
     },
     /// The campaign's *final* checkpoint save failed even after bounded
-    /// retries. Mid-campaign snapshot failures degrade the run to a
-    /// checkpointing-disabled mode and are only counted, but the final save
-    /// failing means completed trials were never made durable — that must
-    /// be a hard, nonzero-exit error, not a warning.
+    /// retries. Mid-campaign durable-write failures are repaired, or
+    /// degrade the run to a checkpointing-disabled mode, and are only
+    /// counted; but the final save failing means completed trials were
+    /// never made durable — that must be a hard, nonzero-exit error, not a
+    /// warning.
     FinalSaveFailed {
         /// Checkpoint path involved.
         path: String,
         /// OS error text of the last attempt.
         detail: String,
-        /// Snapshot failures accumulated earlier in the run (the degraded
-        /// checkpointing-disabled counter), for the post-mortem.
+        /// Durable-write failures accumulated earlier in the run (the
+        /// degradation counter), for the post-mortem.
         snapshot_failures: u64,
     },
 }

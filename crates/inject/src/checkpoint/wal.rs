@@ -1,13 +1,15 @@
 //! The write-ahead trial journal: append-only, CRC32-framed durability for
-//! every committed trial between checkpoint snapshots.
+//! every trial a campaign commits.
 //!
-//! The periodic snapshot ([`super::save`]) is an O(N) rewrite, so it runs
-//! on a cadence — which used to mean a crash could discard up to a whole
-//! cadence of committed trials. The journal closes that gap: each committed
-//! trial is one frame in `<checkpoint>.wal`. Trials commit in groups — a
-//! group's frames go to disk as one write and one fsync
-//! ([`WalWriter::append_all`]) — so a crash loses at most the groups still
-//! in flight, never a committed frame.
+//! While a campaign runs, the journal is its only durable record. Each
+//! committed trial is one frame in `<checkpoint>.wal`; trials commit in
+//! groups, and a group's frames go to disk as one write and one fsync
+//! ([`WalWriter::append_all`]), so a crash loses at most the groups still in
+//! flight, never a committed frame. The O(N) checkpoint document
+//! ([`super::save`]) is written only when a campaign opens over journaled
+//! records, when a failed append is repaired, and when the campaign
+//! finishes — each time followed by a fresh journal ([`WalWriter::create`])
+//! or, at the finish, by deleting the journal.
 //!
 //! ## On-disk format (journal version 1)
 //!
@@ -21,7 +23,7 @@
 //! checkpoint format version, workload, config fingerprint, and fault-mode
 //! width — so a journal can never be replayed against the wrong campaign.
 //! Every later frame's payload is one trial record, in the exact JSON shape
-//! the snapshot uses ([`super::write_record`]).
+//! the checkpoint document uses ([`super::write_record`]).
 //!
 //! ## Recovery
 //!
@@ -37,10 +39,11 @@
 //!   ([`crate::durable::quarantine_corrupt`]) as evidence, and the frames
 //!   that scanned clean before the damage still count.
 //!
-//! Recovered records are merged into the snapshot state through the same
-//! idempotent trial-index merge the networked supervisor uses, so frames
-//! duplicating already-snapshotted trials (a crash between compaction and
-//! journal reset) are dropped without double-counting.
+//! Recovered records are merged over the checkpoint document through the
+//! same idempotent trial-index merge the networked supervisor uses, so
+//! frames duplicating records already in the document (a crash between
+//! writing the document and starting a fresh journal) are dropped without
+//! double-counting.
 
 use super::{parse_record, write_record, VERSION};
 use crate::campaign::SingleBitRecord;
@@ -55,7 +58,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-/// Journal format version, independent of the checkpoint snapshot version.
+/// Journal format version, independent of the checkpoint document version.
 pub const WAL_VERSION: u64 = 1;
 
 /// Upper bound on a sane frame payload; a length prefix beyond this is
@@ -108,8 +111,8 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Create (or wipe and re-create) the journal for `checkpoint`, writing
-    /// the campaign header frame.
+    /// Create the journal for `checkpoint` holding just the campaign header
+    /// frame, discarding any journal already there.
     ///
     /// # Errors
     ///
@@ -129,9 +132,10 @@ impl WalWriter {
             .truncate(false)
             .open(&path)
             .map_err(|e| io_err(&path, &e))?;
-        let mut writer =
-            WalWriter { path, file, committed: 0, frames: Vec::new(), payload: String::new() };
-        writer.reset(workload, config_hash, mode_bits)?;
+        let mut frames = Vec::new();
+        push_frame(&mut frames, header_payload(workload, config_hash, mode_bits).as_bytes());
+        let mut writer = WalWriter { path, file, committed: 0, frames, payload: String::new() };
+        writer.write_frames()?;
         Ok(writer)
     }
 
@@ -178,22 +182,6 @@ impl WalWriter {
             }
             push_frame(&mut self.frames, self.payload.as_bytes());
         }
-        self.write_frames()
-    }
-
-    /// Reset the journal to just the campaign header — called after each
-    /// successful snapshot compaction, which has made every journaled
-    /// record durable elsewhere. A crash *between* compaction and reset is
-    /// safe: the stale frames replay as idempotent-merge duplicates.
-    pub fn reset(
-        &mut self,
-        workload: &str,
-        config_hash: u64,
-        mode_bits: u8,
-    ) -> Result<(), CheckpointError> {
-        self.committed = 0;
-        self.frames.clear();
-        push_frame(&mut self.frames, header_payload(workload, config_hash, mode_bits).as_bytes());
         self.write_frames()
     }
 
@@ -618,17 +606,20 @@ mod tests {
     }
 
     #[test]
-    fn reset_drops_journaled_frames_but_keeps_the_header() {
-        let dir = tmpdir("reset");
+    fn create_over_an_existing_journal_keeps_only_the_header() {
+        let dir = tmpdir("recreate");
         let ckpt = dir.join("c.json");
         let mut w = WalWriter::create(&ckpt, "dct", 0xFEED, 1).unwrap();
         w.append(&rec(0)).unwrap();
         w.append(&rec(1)).unwrap();
-        w.reset("dct", 0xFEED, 1).unwrap();
+        drop(w);
+        let mut w = WalWriter::create(&ckpt, "dct", 0xFEED, 1).unwrap();
+        assert!(recover(&ckpt, "dct", 0xFEED).unwrap().records.is_empty());
         w.append(&rec(2)).unwrap();
         drop(w);
         let got = recover(&ckpt, "dct", 0xFEED).unwrap();
         assert_eq!(got.records, vec![rec(2)]);
+        assert_eq!(got.torn_tail, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

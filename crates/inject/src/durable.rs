@@ -1,5 +1,5 @@
 //! Chaos-aware durable filesystem primitives: every durable-state write in
-//! the harness (checkpoint snapshots, the trial journal, repro bundles, the
+//! the harness (checkpoint documents, the trial journal, repro bundles, the
 //! poison sidecar) goes through this layer.
 //!
 //! Two things live here:

@@ -14,25 +14,32 @@
 //! ## Checkpointing
 //!
 //! With [`RunnerConfig::checkpoint`] set, the runner loads any existing
-//! checkpoint (validating its config fingerprint), replays the write-ahead
-//! trial journal over it ([`checkpoint::wal`]), and runs only the missing
-//! trials. Each worker commits its finished trials in groups: a group is
-//! journaled to `<checkpoint>.wal` as one CRC-framed frame per trial, with
-//! one write and one fsync for the group, before any of it counts. A group
-//! closes at the end of a lockstep group (batch width > 1), at the end of
-//! the claimed chunk of `SITE_CHUNK` (32) trials, where the completion count
-//! would reach the next [`RunnerConfig::checkpoint_every`] multiple, or
-//! when the cancel token trips. Whenever a commit carries the count over
-//! such a multiple, the snapshot is compacted atomically and the journal
-//! reset. A campaign killed at any point loses at most each worker's open
-//! group — ≤ 32 trials at width 1, ≤ W at width W — never a committed one.
+//! checkpoint document (validating its config fingerprint), replays the
+//! write-ahead trial journal over it ([`checkpoint::wal`]), and runs only
+//! the missing trials. While the campaign runs, the journal is its only
+//! durable record: each worker commits its finished trials in groups, and a
+//! group is journaled to `<checkpoint>.wal` as one CRC-framed frame per
+//! trial, with one write and one fsync for the group, before any of it
+//! counts. A group closes after [`RunnerConfig::checkpoint_every`] trials,
+//! at the end of a lockstep group (batch width > 1), at the end of the
+//! claimed chunk of `SITE_CHUNK` (32) trials, or when the cancel token
+//! trips. A campaign killed at any point loses at most each worker's open
+//! group — ≤ min(`checkpoint_every`, 32) trials at width 1, ≤ W at width
+//! W — never a committed one.
+//!
+//! The checkpoint document is an O(N) rewrite of every record, so it is
+//! written only off the commit path: at open when recovery found
+//! journal-only records, when a failed append is repaired, and at
+//! [`OpenCampaign::finish`] (completion, preemption drain, fatal error),
+//! which also deletes the journal.
 //!
 //! Durable-write failures degrade instead of killing the run: a failed
-//! journal append falls back to snapshot-only checkpointing, repeated
-//! snapshot failures disable checkpointing entirely (counted and reported
-//! as `snapshot_failures`), and only a failing *final* save is a hard,
-//! typed error — silently losing a finished campaign is the one thing this
-//! layer must never do.
+//! append is *repaired* — every committed record compacted into the
+//! document, then a fresh journal started — and after
+//! [`MAX_SNAPSHOT_FAILURES`] failed writes checkpointing is disabled
+//! (counted and reported as `snapshot_failures`). Only a failing *final*
+//! save is a hard, typed error — silently losing a finished campaign is the
+//! one thing this layer must never do.
 
 use crate::campaign::{
     golden_shape, CampaignConfig, CampaignSummary, FaultSite, GoldenShape, Outcome, OutcomeKind,
@@ -57,9 +64,11 @@ pub use crate::durable::{quarantine_corrupt, quarantine_path};
 pub struct RunnerConfig {
     /// Worker threads; `0` means one per available CPU.
     pub threads: usize,
-    /// Checkpoint file to resume from and snapshot into.
+    /// Checkpoint document to resume from and save into; its write-ahead
+    /// journal lives beside it at `<checkpoint>.wal`.
     pub checkpoint: Option<PathBuf>,
-    /// Snapshot after this many newly completed trials (when checkpointing).
+    /// When checkpointing, a thread worker commits its open group after at
+    /// most this many trials, so a crash loses at most this many per worker.
     pub checkpoint_every: usize,
     /// Shared cancellation token, polled at every trial boundary. Arms all
     /// three graceful early-exit paths: signal handlers trip it, `--max-wall`
@@ -189,8 +198,8 @@ pub struct CampaignReport {
 }
 
 /// What [`Shared::commit_remote`] did with an offered record — the merge
-/// verdict plus, for fresh commits, the new completion count that drives
-/// the checkpoint cadence.
+/// verdict plus, for fresh commits, the new completion count the preempt
+/// drill counts.
 pub(crate) enum RemoteCommit {
     /// First sighting: stored and counted. Carries the new completion count.
     Fresh(usize),
@@ -205,6 +214,22 @@ pub(crate) enum RemoteCommit {
     Foreign,
 }
 
+/// Where a checkpointed campaign keeps its durable state, and the campaign
+/// header its checkpoint document and journal both carry.
+struct Durable {
+    path: PathBuf,
+    workload: &'static str,
+    fingerprint: u64,
+    mode_bits: u8,
+}
+
+impl Durable {
+    /// Atomically write `records` as the checkpoint document.
+    fn save(&self, records: &[SingleBitRecord]) -> Result<(), CheckpointError> {
+        checkpoint::save(&self.path, self.workload, self.fingerprint, self.mode_bits, records)
+    }
+}
+
 /// Shared worker state for one campaign execution. Also reused by the
 /// process-isolation supervisor ([`crate::supervisor`]), whose record
 /// stream arrives from worker daemons instead of in-process threads.
@@ -213,7 +238,7 @@ pub(crate) struct Shared {
     pub(crate) slots: Mutex<Vec<Option<SingleBitRecord>>>,
     /// Next index into the pending-trials list.
     next: AtomicUsize,
-    /// Completions since the run started (drives checkpoint cadence).
+    /// Completions since the run started.
     pub(crate) completed: AtomicUsize,
     /// Completions per outcome class (heartbeat reporting).
     pub(crate) kind_counts: [AtomicUsize; 4],
@@ -223,34 +248,33 @@ pub(crate) struct Shared {
     /// Per-trial wall-clock, microseconds, for trials run by this call.
     /// Pre-reserved to the pending count so the hot path never allocates.
     pub(crate) latencies_us: Mutex<Vec<u64>>,
-    /// Write-ahead trial journal. `None` when no checkpoint is configured
-    /// or after an append failure degraded the run to snapshot-only mode.
+    /// Write-ahead trial journal: while the campaign runs, the only durable
+    /// copy of the trials committed since it opened. `None` without
+    /// checkpointing, once checkpointing is disabled, or while a failed
+    /// repair waits for the next commit to retry it.
     pub(crate) journal: Mutex<Option<wal::WalWriter>>,
-    /// Durable-write failures observed so far: failed journal appends and
-    /// resets, failed snapshot compactions. Surfaced in the summary and the
-    /// heartbeat so degraded durability is never silent.
+    /// Where the checkpoint document and journal live; `None` without
+    /// checkpointing.
+    durable: Option<Durable>,
+    /// Durable-write failures observed so far: failed journal appends,
+    /// document compactions and journal creations. Surfaced in the summary
+    /// and the heartbeat so degraded durability is never silent.
     pub(crate) snapshot_failures: AtomicUsize,
     /// Set once [`MAX_SNAPSHOT_FAILURES`] durable-write failures accumulate:
-    /// the campaign keeps running, but stops attempting periodic snapshots
-    /// (only the final save is still tried — and is a hard error if it
-    /// fails).
+    /// the campaign keeps running, but stops journaling and repairing (only
+    /// the final save is still tried — and is a hard error if it fails).
     pub(crate) checkpointing_disabled: AtomicBool,
-    /// Serializes snapshot writes: concurrent workers crossing the
-    /// checkpoint cadence at once would otherwise race on the shared
-    /// temp-file-then-rename, and the loser's rename finds the temp file
-    /// already consumed.
-    snapshotting: Mutex<()>,
 }
 
-/// Durable-write failures tolerated before periodic checkpointing is
-/// disabled for the rest of the run. Each failure has already survived
-/// bounded retry inside [`crate::durable`], so three strikes means the disk
-/// is persistently refusing writes (full, read-only, gone) — keep the
-/// science running, report honestly, stop hammering the filesystem.
+/// Durable-write failures tolerated before checkpointing is disabled for
+/// the rest of the run. Each failure has already survived bounded retry
+/// inside [`crate::durable`], so three strikes means the disk is
+/// persistently refusing writes (full, read-only, gone) — keep the science
+/// running, report honestly, stop hammering the filesystem.
 pub(crate) const MAX_SNAPSHOT_FAILURES: usize = 3;
 
 impl Shared {
-    pub(crate) fn new(slots: Vec<Option<SingleBitRecord>>, pending: usize) -> Self {
+    fn new(slots: Vec<Option<SingleBitRecord>>, pending: usize, durable: Option<Durable>) -> Self {
         Shared {
             slots: Mutex::new(slots),
             next: AtomicUsize::new(0),
@@ -259,85 +283,88 @@ impl Shared {
             active_workers: AtomicUsize::new(0),
             latencies_us: Mutex::new(Vec::with_capacity(pending)),
             journal: Mutex::new(None),
+            durable,
             snapshot_failures: AtomicUsize::new(0),
             checkpointing_disabled: AtomicBool::new(false),
-            snapshotting: Mutex::new(()),
         }
     }
 
-    /// Fold the `journaled` journal-only records into the snapshot, then
-    /// open a fresh journal. Degradation, not death: if either write fails,
-    /// the old journal stays on disk (still the only durable copy of its
-    /// records), the failure is counted, and the run goes on with periodic
-    /// snapshots only.
-    fn reopen_journal(
-        &self,
-        path: &std::path::Path,
-        workload: &str,
-        fingerprint: u64,
-        mode_bits: u8,
-        journaled: usize,
-    ) {
-        if journaled > 0 {
+    /// Count a failed durable write and warn that `what` failed and the run
+    /// goes on to `next` — unless this was failure
+    /// [`MAX_SNAPSHOT_FAILURES`], which disables checkpointing instead.
+    fn write_failed(&self, journal: &mut Option<wal::WalWriter>, what: String, next: &str) {
+        let failures = self.snapshot_failures.fetch_add(1, Ordering::SeqCst) + 1;
+        if failures < MAX_SNAPSHOT_FAILURES {
+            eprintln!("warning: {what}; {next}");
+            return;
+        }
+        self.checkpointing_disabled.store(true, Ordering::SeqCst);
+        *journal = None;
+        eprintln!(
+            "warning: {what}; {failures} durable-write failures, checkpointing disabled — \
+             trials committed from here on are saved only when the run ends"
+        );
+    }
+
+    /// Start a fresh journal through the held journal guard, first
+    /// compacting every committed slot into the checkpoint document when
+    /// `compact` is set. This is the repair for a failed append (called
+    /// after the failing group's slots are stored, so no committed record
+    /// is ever in neither artifact) and, at open, the fold of journal-only
+    /// records into the document. A failure is counted and leaves `journal`
+    /// empty — the old journal file, still the durable copy of its records,
+    /// stays on disk — and the next commit retries.
+    fn reopen_journal(&self, journal: &mut Option<wal::WalWriter>, compact: bool) {
+        let Some(durable) = &self.durable else { return };
+        if self.checkpointing_disabled.load(Ordering::SeqCst) {
+            return;
+        }
+        *journal = None;
+        let retry = "retrying at the next commit";
+        if compact {
             let records: Vec<SingleBitRecord> =
                 self.slots.lock().expect("slots lock").iter().flatten().cloned().collect();
-            if let Err(e) = checkpoint::save(path, workload, fingerprint, mode_bits, &records) {
-                self.snapshot_failures.fetch_add(1, Ordering::SeqCst);
-                eprintln!(
-                    "warning: could not compact {journaled} journaled trial(s) into {} ({e}); \
-                     keeping the journal on disk and running with periodic snapshots only",
-                    path.display()
-                );
-                return;
+            if let Err(e) = durable.save(&records) {
+                let what =
+                    format!("could not compact committed trials into {}", durable.path.display());
+                return self.write_failed(journal, format!("{what} ({e})"), retry);
             }
-            eprintln!(
-                "note: recovered {journaled} trial(s) from the write-ahead journal at {}",
-                wal::wal_path(path).display()
-            );
         }
-        match wal::WalWriter::create(path, workload, fingerprint, mode_bits) {
-            Ok(writer) => *self.journal.lock().expect("journal lock") = Some(writer),
+        let (workload, fingerprint, mode_bits) =
+            (durable.workload, durable.fingerprint, durable.mode_bits);
+        match wal::WalWriter::create(&durable.path, workload, fingerprint, mode_bits) {
+            Ok(writer) => *journal = Some(writer),
             Err(e) => {
-                self.snapshot_failures.fetch_add(1, Ordering::SeqCst);
-                eprintln!(
-                    "warning: could not open the trial journal at {} ({e}); running with \
-                     periodic snapshots only",
-                    wal::wal_path(path).display()
-                );
+                let path = wal::wal_path(&durable.path);
+                let what = format!("could not open the trial journal at {} ({e})", path.display());
+                self.write_failed(journal, what, retry);
             }
         }
     }
 
     /// Journal committed trials through an already-held journal guard — one
-    /// write and one fsync for the whole group. A failed append (already
-    /// retried with backoff inside the writer) degrades the run to
-    /// snapshot-only mode rather than killing it; the failure is counted
-    /// and reported.
+    /// write and one fsync for the whole group. Returns whether the journal
+    /// is sound; `false` (an append failure, already retried with backoff
+    /// inside the writer and now counted, or a repair still pending) asks
+    /// the caller to [`Shared::reopen_journal`] once the trials are stored.
     fn journal_locked<'a>(
         &self,
         journal: &mut Option<wal::WalWriter>,
         records: impl IntoIterator<Item = &'a SingleBitRecord>,
-    ) {
-        if let Some(writer) = journal.as_mut() {
-            if let Err(e) = writer.append_all(records) {
-                self.snapshot_failures.fetch_add(1, Ordering::SeqCst);
-                eprintln!(
-                    "warning: trial journal append failed ({e}); journaling disabled, \
-                     falling back to periodic snapshots only"
-                );
-                *journal = None;
-            }
-        }
+    ) -> bool {
+        let Some(writer) = journal.as_mut() else {
+            return self.durable.is_none() || self.checkpointing_disabled.load(Ordering::SeqCst);
+        };
+        let Err(e) = writer.append_all(records) else { return true };
+        let next = "compacting committed trials into the checkpoint and starting a fresh journal";
+        self.write_failed(journal, format!("trial journal append failed ({e})"), next);
+        false
     }
 
     /// Count freshly stored trials into the heartbeat counters, the latency
     /// log (one lock for the group), and the completion count. Returns the
-    /// completion counts before and after: the range whose crossings drive
-    /// the checkpoint cadence.
-    fn count_fresh(
-        &self,
-        fresh: impl ExactSizeIterator<Item = (OutcomeKind, u64)>,
-    ) -> (usize, usize) {
+    /// new completion count.
+    fn count_fresh(&self, fresh: impl ExactSizeIterator<Item = (OutcomeKind, u64)>) -> usize {
         let n = fresh.len();
         {
             let mut lat = self.latencies_us.lock().expect("latency lock");
@@ -346,31 +373,27 @@ impl Shared {
                 lat.push(elapsed_us);
             }
         }
-        let after = self.completed.fetch_add(n, Ordering::SeqCst) + n;
-        (after - n, after)
+        self.completed.fetch_add(n, Ordering::SeqCst) + n
     }
 
     /// Durably commit a group of locally-run trials, draining `group`: the
     /// journal frames first (one write, one fsync), then the in-memory
-    /// slots, *all under the journal lock*. Holding the lock across the
-    /// pair is what makes [`Shared::snapshot`] safe — it also holds the
-    /// journal lock while it collects slots and resets the journal, so it
-    /// can never observe a record's frame without its slot. Splitting the
-    /// two (append, release, insert) reopens the race where a concurrent
-    /// snapshot collects slots missing the records, saves, and then resets
-    /// the journal over the only durable copy of them.
-    ///
-    /// Returns the completion counts before and after the group.
-    pub(crate) fn commit_group(&self, group: &mut Vec<(SingleBitRecord, u64)>) -> (usize, usize) {
+    /// slots, then — if the append failed — the repair, *all under the
+    /// journal lock*, so the repair's compaction sees the group's slots.
+    pub(crate) fn commit_group(&self, group: &mut Vec<(SingleBitRecord, u64)>) {
         let mut journal = self.journal.lock().expect("journal lock");
-        self.journal_locked(&mut journal, group.iter().map(|(record, _)| record));
-        let range = self.count_fresh(group.iter().map(|(r, us)| (r.outcome.kind(), *us)));
-        let mut slots = self.slots.lock().expect("slots lock");
-        for (record, _) in group.drain(..) {
-            let verdict = merge_slot(&mut slots, record, true);
-            debug_assert_eq!(verdict, MergeVerdict::Fresh, "a local trial commits once");
+        let sound = self.journal_locked(&mut journal, group.iter().map(|(record, _)| record));
+        self.count_fresh(group.iter().map(|(r, us)| (r.outcome.kind(), *us)));
+        {
+            let mut slots = self.slots.lock().expect("slots lock");
+            for (record, _) in group.drain(..) {
+                let verdict = merge_slot(&mut slots, record, true);
+                debug_assert_eq!(verdict, MergeVerdict::Fresh, "a local trial commits once");
+            }
         }
-        range
+        if !sound {
+            self.reopen_journal(&mut journal, true);
+        }
     }
 
     /// Commit one record arriving from a remote (or replayed) stream
@@ -389,9 +412,8 @@ impl Shared {
         let kind = record.outcome.kind();
         let journal_copy = record.clone();
         // Journal lock before the merge (lock order: journal → slots), held
-        // until the accepted record's frame is appended — so a concurrent
-        // snapshot, which collects slots and resets the journal under the
-        // same lock, sees the slot and the frame move together.
+        // until the accepted record's frame is appended — or the journal
+        // repaired, whose compaction then already sees the merged slot.
         let mut journal = self.journal.lock().expect("journal lock");
         let verdict = {
             let mut slots = self.slots.lock().expect("slots lock");
@@ -402,79 +424,14 @@ impl Shared {
                 // Journal only what the merge accepted: writing Foreign or
                 // out-of-budget records ahead of the merge would poison the
                 // journal for every future recovery.
-                self.journal_locked(&mut journal, [&journal_copy]);
-                let (_, done) = self.count_fresh(std::iter::once((kind, elapsed_us)));
-                RemoteCommit::Fresh(done)
+                if !self.journal_locked(&mut journal, [&journal_copy]) {
+                    self.reopen_journal(&mut journal, true);
+                }
+                RemoteCommit::Fresh(self.count_fresh(std::iter::once((kind, elapsed_us))))
             }
             MergeVerdict::Duplicate => RemoteCommit::Duplicate,
             MergeVerdict::Conflict { detail } => RemoteCommit::Conflict { detail },
             MergeVerdict::Foreign { .. } => RemoteCommit::Foreign,
-        }
-    }
-
-    /// Compact the current slots into the checkpoint snapshot and, on
-    /// success, reset the write-ahead journal (whose frames the snapshot
-    /// now subsumes). Failures degrade instead of aborting: each one is
-    /// counted, and after [`MAX_SNAPSHOT_FAILURES`] periodic checkpointing
-    /// is disabled for the rest of the run.
-    ///
-    /// Lock order: `snapshotting` → `journal` → `slots` (never any
-    /// reverse). The journal lock is held for the whole collect→save→reset
-    /// window: commits also pair their journal append with the slot insert
-    /// under it, so every frame the reset discards is guaranteed to be in
-    /// the record set this snapshot just made durable. Collecting the slots
-    /// outside that window would let a commit land between collection and
-    /// reset — its frame truncated, its record absent from the snapshot —
-    /// and would also let two racing snapshotters overwrite a newer
-    /// checkpoint with a stale record set before resetting the journal.
-    pub(crate) fn snapshot(
-        &self,
-        workload: &str,
-        fingerprint: u64,
-        mode_bits: u8,
-        path: &std::path::Path,
-    ) {
-        if self.checkpointing_disabled.load(Ordering::SeqCst) {
-            return;
-        }
-        let _write_guard = self.snapshotting.lock().expect("snapshot lock");
-        let mut journal = self.journal.lock().expect("journal lock");
-        let records: Vec<SingleBitRecord> = {
-            let slots = self.slots.lock().expect("slots lock");
-            slots.iter().flatten().cloned().collect()
-        };
-        match checkpoint::save(path, workload, fingerprint, mode_bits, &records) {
-            Ok(()) => {
-                if let Some(writer) = journal.as_mut() {
-                    if let Err(e) = writer.reset(workload, fingerprint, mode_bits) {
-                        self.snapshot_failures.fetch_add(1, Ordering::SeqCst);
-                        eprintln!(
-                            "warning: trial journal reset failed ({e}); journaling \
-                             disabled, falling back to periodic snapshots only"
-                        );
-                        *journal = None;
-                    }
-                }
-            }
-            Err(e) => {
-                let failures = self.snapshot_failures.fetch_add(1, Ordering::SeqCst) + 1;
-                if failures >= MAX_SNAPSHOT_FAILURES {
-                    self.checkpointing_disabled.store(true, Ordering::SeqCst);
-                    *journal = None;
-                    eprintln!(
-                        "warning: checkpoint snapshot to {} failed ({e}); {failures} \
-                         durable-write failures, checkpointing disabled — progress since \
-                         the last good snapshot will not survive a crash",
-                        path.display()
-                    );
-                } else {
-                    eprintln!(
-                        "warning: checkpoint snapshot to {} failed ({e}); will retry at \
-                         the next cadence",
-                        path.display()
-                    );
-                }
-            }
         }
     }
 
@@ -579,7 +536,7 @@ pub(crate) fn load_or_quarantine(
         Err(CheckpointError::Malformed { detail }) => {
             // Quarantine failing (permissions, a vanished parent dir) is a
             // warning, not an abort: the campaign restarts from zero and its
-            // next snapshot overwrites the corrupt file anyway.
+            // next document write overwrites the corrupt file anyway.
             let instead = "restarting campaign over it";
             crate::durable::quarantine_with_warning(path, "checkpoint", &detail, instead);
             Ok(None)
@@ -638,8 +595,9 @@ fn recover_slots(
                 resumed += 1;
                 journaled += 1;
             }
-            // A crash between snapshot compaction and journal reset leaves
-            // the compacted frames in the journal; they replay as no-ops.
+            // A crash between writing the document and starting a fresh
+            // journal leaves the compacted frames behind; they replay as
+            // no-ops.
             MergeVerdict::Duplicate => {}
             MergeVerdict::Conflict { detail } => {
                 return Err(CheckpointError::Malformed {
@@ -679,13 +637,6 @@ pub fn run_campaign(
         detail,
     })?;
     run_campaign_with(workload, cfg, runner, &golden)
-}
-
-/// Whether a multiple of `every` lies in `(before, after]` — how a commit
-/// that moves the completion count by a whole group still hits every
-/// checkpoint cadence point. An empty range crosses nothing.
-pub(crate) fn crosses_multiple(before: usize, after: usize, every: usize) -> bool {
-    every > 0 && after / every > before / every
 }
 
 /// Trials claimed per atomic increment. Workers pre-sample every fault site
@@ -738,6 +689,37 @@ fn per_trial_latency_us(span_us: u64, n: usize, k: usize) -> u64 {
     debug_assert!(k < n, "trial index {k} outside batch of {n}");
     let n = n as u64;
     span_us / n + u64::from((k as u64) < span_us % n)
+}
+
+/// A thread worker's open commit group: finished trials not yet journaled.
+/// A crash loses at most this group.
+struct CommitGroup<'s> {
+    shared: &'s Shared,
+    trials: Vec<(SingleBitRecord, u64)>,
+    /// Trials after which the group commits on its own
+    /// ([`RunnerConfig::checkpoint_every`] when checkpointing).
+    limit: usize,
+}
+
+impl CommitGroup<'_> {
+    /// Add a finished trial, committing the group once it holds `limit`
+    /// trials. The preempt drill counts the open group, so its signal lands
+    /// while the group is still uncommitted unless this trial filled it.
+    fn add(&mut self, record: SingleBitRecord, elapsed_us: u64) {
+        self.trials.push((record, elapsed_us));
+        let open = self.shared.completed.load(Ordering::SeqCst) + self.trials.len();
+        if self.trials.len() >= self.limit {
+            self.commit();
+        }
+        crate::signals::preempt_drill(open - 1, open);
+    }
+
+    /// Journal and store the group, if it holds anything.
+    fn commit(&mut self) {
+        if !self.trials.is_empty() {
+            self.shared.commit_group(&mut self.trials);
+        }
+    }
 }
 
 /// [`run_campaign`] against an already-computed golden shape, so callers
@@ -858,10 +840,21 @@ impl<'a> OpenCampaign<'a> {
         if let Some(cap) = runner.cancel.trial_budget() {
             pending.truncate(cap);
         }
-        let shared = Shared::new(slots, pending.len());
-        if let Some(path) = &runner.checkpoint {
-            shared.reopen_journal(path, workload.name, fingerprint, cfg.mode_bits, journaled);
+        let durable = runner.checkpoint.clone().map(|path| Durable {
+            path,
+            workload: workload.name,
+            fingerprint,
+            mode_bits: cfg.mode_bits,
+        });
+        if let Some(durable) = durable.as_ref().filter(|_| journaled > 0) {
+            let at = wal::wal_path(&durable.path);
+            eprintln!(
+                "note: recovered {journaled} trial(s) from the write-ahead journal at {}",
+                at.display()
+            );
         }
+        let shared = Shared::new(slots, pending.len(), durable);
+        shared.reopen_journal(&mut shared.journal.lock().expect("journal lock"), journaled > 0);
         Ok(OpenCampaign {
             workload,
             cfg,
@@ -935,10 +928,10 @@ impl<'a> OpenCampaign<'a> {
         // that cannot be degraded away: its failure is the typed
         // FinalSaveFailed, and the campaign exits nonzero rather than
         // pretending completed trials are safe.
-        if let Some(path) = &self.runner.checkpoint {
-            match checkpoint::save(path, workload, fingerprint, self.cfg.mode_bits, &records) {
+        if let Some(durable) = &shared.durable {
+            match durable.save(&records) {
                 Ok(()) => {
-                    let _ = std::fs::remove_file(wal::wal_path(path));
+                    let _ = std::fs::remove_file(wal::wal_path(&durable.path));
                 }
                 Err(CheckpointError::Io { path, detail }) => {
                     return Err(CheckpointError::FinalSaveFailed {
@@ -1020,18 +1013,6 @@ impl<'a> OpenCampaign<'a> {
         })
     }
 
-    /// What follows every commit, local group or remote record: a snapshot
-    /// when the completion count crossed a [`RunnerConfig::checkpoint_every`]
-    /// multiple in `(before, after]`.
-    pub(crate) fn after_commit(&self, (before, after): (usize, usize)) {
-        if let Some(path) = &self.runner.checkpoint {
-            if crosses_multiple(before, after, self.runner.checkpoint_every) {
-                let (workload, mode_bits) = (self.workload.name, self.cfg.mode_bits);
-                self.shared.snapshot(workload, self.fingerprint, mode_bits, path);
-            }
-        }
-    }
-
     /// One thread-mode worker: claim chunks of pending trials, run them on
     /// a per-thread executor, and commit them in groups.
     fn run_thread_worker(&self) {
@@ -1041,30 +1022,8 @@ impl<'a> OpenCampaign<'a> {
         // worker per campaign, zero steady-state allocation per trial.
         let mut exec: Option<TrialExec> = None;
         let mut sites: Vec<(u64, FaultSite)> = Vec::with_capacity(SITE_CHUNK);
-        // The worker's open commit group: finished trials not yet
-        // journaled. A crash loses at most this group.
-        let mut group: Vec<(SingleBitRecord, u64)> = Vec::with_capacity(SITE_CHUNK);
-        let flush = |group: &mut Vec<(SingleBitRecord, u64)>| {
-            if !group.is_empty() {
-                let range = shared.commit_group(group);
-                self.after_commit(range);
-            }
-        };
-        // Close the group early where committing it would carry the
-        // completion count onto the next snapshot point, so a
-        // single-threaded run snapshots at exact multiples. The preempt
-        // drill counts the open group, so its signal lands while a lockstep
-        // group is still uncommitted.
-        let add = |group: &mut Vec<(SingleBitRecord, u64)>, record, elapsed_us| {
-            group.push((record, elapsed_us));
-            let done = shared.completed.load(Ordering::SeqCst);
-            let open = done + group.len();
-            if runner.checkpoint.is_some() && crosses_multiple(done, open, runner.checkpoint_every)
-            {
-                flush(group);
-            }
-            crate::signals::preempt_drill(open - 1, open);
-        };
+        let limit = if runner.checkpoint.is_some() { runner.checkpoint_every } else { usize::MAX };
+        let mut group = CommitGroup { shared, trials: Vec::with_capacity(SITE_CHUNK), limit };
         loop {
             // Graceful preemption: stop claiming work once the token trips.
             // Unclaimed and unstarted trials simply stay pending; every
@@ -1088,7 +1047,7 @@ impl<'a> OpenCampaign<'a> {
                 TrialExec::Sequential(arena) => {
                     for &(trial, site) in &sites {
                         if runner.cancel.cancelled().is_some() {
-                            flush(&mut group);
+                            group.commit();
                             return;
                         }
                         let t0 = Instant::now();
@@ -1099,8 +1058,7 @@ impl<'a> OpenCampaign<'a> {
                             cfg.mode_bits.max(1),
                         );
                         let elapsed_us = t0.elapsed().as_micros() as u64;
-                        add(
-                            &mut group,
+                        group.add(
                             SingleBitRecord { trial, site, outcome, read_before_overwrite: read },
                             elapsed_us,
                         );
@@ -1128,8 +1086,7 @@ impl<'a> OpenCampaign<'a> {
                             lockstep.iter().zip(results).enumerate()
                         {
                             let (outcome, read) = crate::campaign::classify_trial(result);
-                            add(
-                                &mut group,
+                            group.add(
                                 SingleBitRecord {
                                     trial,
                                     site,
@@ -1139,12 +1096,12 @@ impl<'a> OpenCampaign<'a> {
                                 per_trial_latency_us(span_us, lockstep.len(), k),
                             );
                         }
-                        flush(&mut group);
+                        group.commit();
                     }
                 }
             }
             // The end of the claimed chunk closes the group.
-            flush(&mut group);
+            group.commit();
         }
     }
 }
@@ -1320,111 +1277,128 @@ mod tests {
         assert_eq!(serial.resumed, 0);
     }
 
-    /// Regression test for the commit/snapshot race: a worker whose journal
-    /// frames landed but whose slot inserts had not yet been observed by a
-    /// concurrent snapshot would get its frames truncated by the journal
-    /// reset while absent from the snapshot — durable nowhere. With group
-    /// commits and the snapshot's collect→save→reset window serialized on
-    /// the journal lock, the on-disk union (checkpoint + journal) must
-    /// contain every committed record at every instant; we check the end
-    /// state through the real recovery path. Groups of mixed sizes make
-    /// commits straddle and skip over snapshot points.
-    #[test]
-    fn concurrent_commits_and_snapshots_never_lose_a_committed_record() {
-        use crate::campaign::Outcome;
+    fn record(trial: usize) -> SingleBitRecord {
+        SingleBitRecord {
+            trial: trial as u64,
+            site: FaultSite {
+                wg: trial as u32,
+                after_retired: trial as u64 * 3,
+                reg: 1,
+                lane: 2,
+                bit: 3,
+            },
+            outcome: crate::campaign::Outcome::Sdc,
+            read_before_overwrite: false,
+        }
+    }
 
+    /// A `Shared` for `trials` trials checkpointing to `path`, with its
+    /// journal open as [`OpenCampaign::open`] leaves it.
+    fn journaled_shared(path: &std::path::Path, trials: usize) -> Shared {
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(wal::wal_path(path)).ok();
+        let durable = Durable {
+            path: path.to_path_buf(),
+            workload: "dct",
+            fingerprint: 0xFEED,
+            mode_bits: 1,
+        };
+        let shared = Shared::new(vec![None; trials], trials, Some(durable));
+        shared.reopen_journal(&mut shared.journal.lock().unwrap(), false);
+        assert!(shared.journal.lock().unwrap().is_some());
+        shared
+    }
+
+    /// Concurrent group commits of mixed sizes journal every record: with
+    /// no checkpoint document written during the run, recovery from the
+    /// journal alone must hand every committed record back.
+    #[test]
+    fn concurrent_group_commits_journal_every_committed_record() {
         const TRIALS: usize = 480;
         const WORKERS: usize = 4;
         const GROUP_SIZES: [usize; 3] = [1, 7, 32];
-        let dir = tmpdir("snapshot-race");
+        let dir = tmpdir("group-commits");
         let path = dir.join("race.ckpt.json");
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(wal::wal_path(&path)).ok();
-
-        let shared = Shared::new(vec![None; TRIALS], TRIALS);
-        *shared.journal.lock().unwrap() =
-            Some(wal::WalWriter::create(&path, "dct", 0xFEED, 1).unwrap());
-        // A tight cadence maximizes snapshot/commit interleavings.
-        let runner = RunnerConfig {
-            checkpoint: Some(path.clone()),
-            checkpoint_every: 8,
-            ..RunnerConfig::default()
-        };
-
-        // What a campaign does after each commit (`OpenCampaign::after_commit`).
-        let snapshot_if_crossed = |(before, after)| {
-            if crosses_multiple(before, after, runner.checkpoint_every) {
-                shared.snapshot("dct", 0xFEED, 1, &path);
-            }
-        };
+        let shared = journaled_shared(&path, TRIALS);
 
         std::thread::scope(|scope| {
             for worker in 0..WORKERS {
-                let (shared, snapshot_if_crossed) = (&shared, &snapshot_if_crossed);
+                let shared = &shared;
                 scope.spawn(move || {
                     let mut group = Vec::new();
                     let mut sizes = GROUP_SIZES.iter().cycle().skip(worker);
                     let mut size = *sizes.next().unwrap();
                     for trial in (worker..TRIALS).step_by(WORKERS) {
-                        let record = SingleBitRecord {
-                            trial: trial as u64,
-                            site: FaultSite {
-                                wg: trial as u32,
-                                after_retired: trial as u64 * 3,
-                                reg: 1,
-                                lane: 2,
-                                bit: 3,
-                            },
-                            outcome: Outcome::Sdc,
-                            read_before_overwrite: false,
-                        };
-                        group.push((record, 1));
+                        group.push((record(trial), 1));
                         if group.len() == size {
-                            let range = shared.commit_group(&mut group);
+                            shared.commit_group(&mut group);
                             assert!(group.is_empty(), "commit_group drains the group");
-                            assert_eq!(range.1 - range.0, size);
-                            snapshot_if_crossed(range);
                             size = *sizes.next().unwrap();
                         }
                     }
-                    snapshot_if_crossed(shared.commit_group(&mut group));
+                    shared.commit_group(&mut group);
                 });
             }
         });
         assert_eq!(shared.snapshot_failures.load(Ordering::SeqCst), 0);
         assert_eq!(shared.completed.load(Ordering::SeqCst), TRIALS);
+        assert!(!path.exists(), "commits must never write the checkpoint document");
 
         // "Crash" here: resume from disk alone and demand every record back.
-        let (slots, ..) = recover_slots(&runner, "dct", 0xFEED, TRIALS).unwrap();
+        let runner = RunnerConfig { checkpoint: Some(path.clone()), ..RunnerConfig::default() };
+        let (slots, resumed, journaled) = recover_slots(&runner, "dct", 0xFEED, TRIALS).unwrap();
         assert_eq!(slots.iter().flatten().count(), TRIALS);
+        assert_eq!((resumed, journaled), (TRIALS, TRIALS));
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A worker's group commits on its own once it holds `checkpoint_every`
+    /// trials, so no journaled group — and no crash's loss — exceeds it.
     #[test]
-    fn cadence_fires_on_crossings_not_exact_counts() {
-        // A group straddling a multiple crosses it; groups on either side
-        // do not.
-        assert!(crosses_multiple(60, 68, 64));
-        assert!(!crosses_multiple(56, 63, 64));
-        assert!(!crosses_multiple(64, 70, 64));
-        // Landing exactly on a multiple counts; starting on one does not.
-        assert!(crosses_multiple(60, 64, 64));
-        assert!(!crosses_multiple(64, 64, 64));
-        // One group crossing two multiples crosses (it snapshots once).
-        assert!(crosses_multiple(3, 9, 4));
-        // Empty groups cross nothing, wherever they sit.
-        for at in [0, 4, 5] {
-            assert!(!crosses_multiple(at, at, 4), "empty group at {at}");
+    fn no_journaled_group_exceeds_checkpoint_every() {
+        let dir = tmpdir("group-bound");
+        let path = dir.join("bound.ckpt.json");
+        for every in [1, 3, 4] {
+            let shared = journaled_shared(&path, 10);
+            let mut group = CommitGroup { shared: &shared, trials: Vec::new(), limit: every };
+            for trial in 0..10 {
+                group.add(record(trial), 1);
+                let journaled = wal::recover(&path, "dct", 0xFEED).unwrap().records.len();
+                assert_eq!(journaled, (trial + 1) / every * every, "every {every}, trial {trial}");
+            }
+            group.commit();
+            assert_eq!(wal::recover(&path, "dct", 0xFEED).unwrap().records.len(), 10);
         }
-        // Every commit crosses at checkpoint_every = 1, a one-record commit
-        // exactly as today.
-        for before in 0..5 {
-            assert!(crosses_multiple(before, before + 1, 1));
-            assert!(crosses_multiple(before, before + 3, 1));
-        }
-        // One-record commits (the supervisor) fire exactly at the multiples.
-        let fired: Vec<usize> = (1..=12).filter(|&d| crosses_multiple(d - 1, d, 4)).collect();
-        assert_eq!(fired, vec![4, 8, 12]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A failed append is repaired under the journal lock: every committed
+    /// record — the failing group included — is compacted into the
+    /// checkpoint document, and the next group lands in a fresh journal.
+    #[test]
+    fn failed_append_is_repaired_into_the_document_and_a_fresh_journal() {
+        let dir = tmpdir("repair");
+        let path = dir.join("repair.ckpt.json");
+        let shared = journaled_shared(&path, 6);
+        shared.commit_group(&mut vec![(record(0), 1), (record(1), 1)]);
+
+        // A crash reason past the journal's 1 MiB frame cap fails the append.
+        let mut big = record(2);
+        big.outcome = crate::campaign::Outcome::Crash { reason: "x".repeat((1 << 20) + 1) };
+        let failing = vec![(big, 1), (record(3), 1)];
+        shared.commit_group(&mut failing.clone());
+        assert_eq!(shared.snapshot_failures.load(Ordering::SeqCst), 1);
+        assert!(!shared.checkpointing_disabled.load(Ordering::SeqCst));
+        let document = checkpoint::load(&path).unwrap().records;
+        let expect: Vec<SingleBitRecord> =
+            [record(0), record(1)].into_iter().chain(failing.into_iter().map(|(r, _)| r)).collect();
+        assert_eq!(document, expect, "the document holds every committed record");
+        assert!(wal::recover(&path, "dct", 0xFEED).unwrap().records.is_empty());
+
+        shared.commit_group(&mut vec![(record(4), 1)]);
+        assert_eq!(wal::recover(&path, "dct", 0xFEED).unwrap().records, vec![record(4)]);
+        assert_eq!(shared.snapshot_failures.load(Ordering::SeqCst), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -776,7 +776,6 @@ impl SupCtx<'_> {
                             remaining.remove(pos);
                             progress = true;
                             lease.renew();
-                            self.campaign.after_commit((done - 1, done));
                             crate::signals::preempt_drill(done - 1, done);
                             match audit {
                                 AuditOutcome::Skipped => {}
