@@ -97,7 +97,7 @@
 //! retried with backoff; a journal append that still fails is repaired by
 //! compacting every committed trial into the checkpoint document and
 //! starting a fresh journal, and repeated failure degrades to
-//! checkpointing-disabled mode (counted as `snapshot failures`) instead of
+//! checkpointing-disabled mode (counted as `durable-write failures`) instead of
 //! killing the campaign; committed trial records are never lost. The trial records
 //! themselves are untouched — a chaos run's final checkpoint is
 //! byte-identical to a fault-free run's.
@@ -494,11 +494,11 @@ fn print_report(report: &CampaignReport, confidence: f64) {
             l.n, l.p50_us, l.p99_us, l.max_us
         );
     }
-    if s.snapshot_failures > 0 {
+    if s.durable_write_failures > 0 {
         println!(
             "  {} durable-write failure(s) survived (checkpoint durability was degraded; \
              records are unaffected)",
-            s.snapshot_failures
+            s.durable_write_failures
         );
     }
     if s.audited > 0 || s.merge_conflicts > 0 {
@@ -877,7 +877,7 @@ mod tests {
         assert!(err.contains("at least 1"), "{err}");
 
         // Batched lockstep execution lives in the in-process runner; the
-        // supervisor's shard executors run the sequential arena path.
+        // supervisor's worker daemons run their executors at width 1.
         let Err(err) = parse_args(&argv(&[
             "--workload",
             "dct",

@@ -1,5 +1,5 @@
 //! Table I: percent ratio of multi-bit faults to total faults by technology
-//! node (reproduced from Ibe et al. [17]).
+//! node (reproduced from Ibe et al. \[17\]).
 
 use mbavf_bench::report::Table;
 use mbavf_core::ser::ibe_table1;

@@ -14,7 +14,7 @@
 //!
 //! * the region's ACEness is the union of its member bits' ACEness
 //!   (equation 5),
-//! * the domain's [`Action`](crate::protection::Action) for the region's
+//! * the domain's [`Action`] for the region's
 //!   flipped-bit count decides corrected / detected / undetected,
 //! * a region is DUE ACE iff it is ACE *and* detected (equation 6); group
 //!   DUE ACEness is the union over regions (equation 7),

@@ -153,7 +153,7 @@ pub enum CheckpointError {
         detail: String,
         /// Durable-write failures accumulated earlier in the run (the
         /// degradation counter), for the post-mortem.
-        snapshot_failures: u64,
+        durable_write_failures: u64,
     },
 }
 
@@ -176,9 +176,9 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Io { path, detail } => {
                 write!(f, "checkpoint I/O on {path}: {detail}")
             }
-            CheckpointError::FinalSaveFailed { path, detail, snapshot_failures } => write!(
+            CheckpointError::FinalSaveFailed { path, detail, durable_write_failures } => write!(
                 f,
-                "final checkpoint save to {path} failed ({detail}) after {snapshot_failures} earlier snapshot failure(s): completed trials are not durable"
+                "final checkpoint save to {path} failed ({detail}) after {durable_write_failures} earlier durable-write failure(s): completed trials are not durable"
             ),
         }
     }
@@ -715,7 +715,7 @@ mod tests {
             CheckpointError::FinalSaveFailed {
                 path: "/p".into(),
                 detail: "No space left on device".into(),
-                snapshot_failures: 3,
+                durable_write_failures: 3,
             },
         ] {
             assert!(!e.to_string().is_empty());
@@ -723,7 +723,7 @@ mod tests {
         let fin = CheckpointError::FinalSaveFailed {
             path: "/p".into(),
             detail: "No space left on device".into(),
-            snapshot_failures: 3,
+            durable_write_failures: 3,
         };
         let text = fin.to_string();
         assert!(text.contains("/p") && text.contains("3") && text.contains("not durable"));

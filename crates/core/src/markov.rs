@@ -1,4 +1,4 @@
-//! A MACAU-style Markov-chain MTTF baseline (Suh et al. [35], the paper's
+//! A MACAU-style Markov-chain MTTF baseline (Suh et al. \[35\], the paper's
 //! closest related work).
 //!
 //! MACAU computes the *intrinsic* mean time to failure of a protection

@@ -7,7 +7,7 @@
 //! independent strikes accumulating in one protection domain), even assuming
 //! data lives in the cache forever.
 //!
-//! The temporal model follows Saleh et al. [28]: with `W` protection domains
+//! The temporal model follows Saleh et al. \[28\]: with `W` protection domains
 //! (words), a per-word strike rate `μ`, and a data lifetime (or scrub
 //! interval) `L`, a temporal double-bit failure needs two strikes in the same
 //! word within `L`.

@@ -1,5 +1,5 @@
 //! Soft-error-rate composition (equation 3) and published fault-rate data
-//! (paper Tables I and III, from Ibe et al. [17]).
+//! (paper Tables I and III, from Ibe et al. \[17\]).
 //!
 //! Given a raw fault rate per fault mode (from accelerated testing, in FIT —
 //! failures per billion device-hours) and the MB-AVF of a structure for that
@@ -60,7 +60,7 @@ impl IbeNode {
     }
 }
 
-/// Table I, reproduced from Ibe et al. [17]: multi-bit faults grow from
+/// Table I, reproduced from Ibe et al. \[17\]: multi-bit faults grow from
 /// about 0.5% of all SRAM faults at 180nm to 3.9% at 22nm, and both the rate
 /// and the width increase as feature size shrinks.
 pub fn ibe_table1() -> Vec<IbeNode> {

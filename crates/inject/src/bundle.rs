@@ -431,10 +431,7 @@ pub fn write_campaign_bundles(
     cap: usize,
     keep: &dyn Fn(&SingleBitRecord) -> bool,
 ) -> Result<Vec<PathBuf>, InjectError> {
-    let golden = golden_shape(workload, cfg).map_err(|detail| InjectError::GoldenRunFailed {
-        workload: workload.name.to_string(),
-        detail,
-    })?;
+    let golden = golden_shape(workload, cfg)?;
     let writer = BundleWriter {
         dir,
         workload: workload.name,

@@ -12,6 +12,7 @@ use mbavf_core::rng::{fnv1a, SplitMix64};
 use mbavf_core::stats::{wilson, RateEstimate};
 use mbavf_sim::interp::{run_golden, InterpError, Termination};
 use mbavf_workloads::{Scale, Workload};
+use std::time::Instant;
 
 /// Where and when a fault strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -317,7 +318,7 @@ pub struct CampaignSummary {
     /// compactions, journal appends/resets). Nonzero means checkpoint
     /// durability was degraded for part of the run; the records themselves
     /// are unaffected.
-    pub snapshot_failures: u64,
+    pub durable_write_failures: u64,
     /// Records re-executed locally by the trust audit (`--audit RATE`).
     /// The audited set is a pure function of `(seed, trial)`, so this count
     /// is worker-count- and endpoint-invariant. Zero when auditing is off
@@ -387,39 +388,142 @@ impl CampaignSummary {
     }
 }
 
-/// Run one injection (of `m` contiguous bits at `site`) on a reusable
-/// [`TrialArena`](mbavf_sim::TrialArena) and classify the outcome against
-/// `golden` (hang, then output comparison; crashes become data).
+/// The one trial-execution core: samples a trial's fault site, runs the
+/// faulty kernel, and classifies it against the golden run. Every injection
+/// the crate performs goes through it — thread workers, `__serve` daemon
+/// leases, the supervisor's audit re-execution, bundle replay, and the
+/// Table II interference groups — so they all agree byte for byte.
 ///
-/// # Panics
-///
-/// Panics if `site` targets a register, lane, or workgroup that does not
-/// exist in the workload (campaign samplers draw sites in range; passing an
-/// out-of-range site is a caller bug, not a fault outcome).
-pub(crate) fn run_one_arena(
-    arena: &mut mbavf_sim::TrialArena,
-    golden: &GoldenShape,
-    site: FaultSite,
-    m: u8,
-) -> (Outcome, bool) {
-    classify_trial(arena.run_trial(site.injection(m), golden.max_steps, &golden.output))
+/// It borrows the campaign's config, [`GoldenShape`] and [`SiteSampler`]
+/// and owns the engine: a [`TrialArena`](mbavf_sim::TrialArena) at width 1,
+/// a lockstep [`TrialBatch`](mbavf_sim::TrialBatch) at width W, both with
+/// bit-identical verdicts.
+pub(crate) struct TrialExecutor<'g> {
+    cfg: &'g CampaignConfig,
+    golden: &'g GoldenShape,
+    sampler: &'g SiteSampler,
+    engine: Engine,
+    /// The current unit's records and wall-clocks, reused across units.
+    unit: Vec<(SingleBitRecord, u64)>,
 }
 
-/// A trial arena over a freshly built instance of `workload` at the
-/// campaign's scale and out-of-bounds policy.
-pub(crate) fn trial_arena(workload: &Workload, cfg: &CampaignConfig) -> mbavf_sim::TrialArena {
-    let inst = workload.build(cfg.scale);
-    mbavf_sim::TrialArena::new(inst.program, inst.mem, inst.workgroups, cfg.wrap_oob)
+enum Engine {
+    Arena(Box<mbavf_sim::TrialArena>),
+    Batch { batch: Box<mbavf_sim::TrialBatch>, injections: Vec<mbavf_sim::Injection> },
 }
 
-/// Classify one arena- or batch-executed trial result with the campaign's
-/// decision order: hang first, then output comparison; crashes become data;
-/// out-of-range sites are a sampler bug and panic. Shared by the sequential
-/// and the lockstep-batched execution paths so both produce byte-identical
-/// outcomes for the same trial result.
-pub(crate) fn classify_trial(
-    result: Result<mbavf_sim::TrialResult, InterpError>,
-) -> (Outcome, bool) {
+impl<'g> TrialExecutor<'g> {
+    /// Build the engine over a fresh instance of `workload` at the
+    /// campaign's scale and out-of-bounds policy: the sequential arena at
+    /// `width` 1 (or 0), the lockstep batch above it.
+    pub(crate) fn new(
+        workload: &Workload,
+        cfg: &'g CampaignConfig,
+        golden: &'g GoldenShape,
+        sampler: &'g SiteSampler,
+        width: usize,
+    ) -> Self {
+        let inst = workload.build(cfg.scale);
+        let (program, mem, wgs, wrap) = (inst.program, inst.mem, inst.workgroups, cfg.wrap_oob);
+        let engine = if width > 1 {
+            let batch = mbavf_sim::TrialBatch::new(program, mem, wgs, wrap, width);
+            Engine::Batch { batch: Box::new(batch), injections: Vec::with_capacity(width) }
+        } else {
+            Engine::Arena(Box::new(mbavf_sim::TrialArena::new(program, mem, wgs, wrap)))
+        };
+        TrialExecutor { cfg, golden, sampler, engine, unit: Vec::with_capacity(width.max(1)) }
+    }
+
+    /// Trials one [`run_unit`](Self::run_unit) call takes: 1 at width 1,
+    /// the lockstep width W above it.
+    pub(crate) fn width(&self) -> usize {
+        match &self.engine {
+            Engine::Arena(_) => 1,
+            Engine::Batch { batch, .. } => batch.width(),
+        }
+    }
+
+    /// Sample, execute and classify one unit of `trials` (at most
+    /// [`width`](Self::width) of them at width W; any number at width 1,
+    /// run one after another), returning each record with its wall-clock in
+    /// microseconds, in the order given. A lockstep batch's span is
+    /// apportioned over its trials by [`per_trial_latency_us`].
+    pub(crate) fn run_unit(
+        &mut self,
+        trials: &[u64],
+    ) -> std::vec::Drain<'_, (SingleBitRecord, u64)> {
+        let (cfg, golden, sampler) = (self.cfg, self.golden, self.sampler);
+        // Each record's outcome is a placeholder until the engine below
+        // classifies it.
+        let sampled = |trial| {
+            let site = sampler.sample(cfg.seed, trial);
+            SingleBitRecord { trial, site, outcome: Outcome::Masked, read_before_overwrite: false }
+        };
+        self.unit.clear();
+        self.unit.extend(trials.iter().map(|&trial| (sampled(trial), 0)));
+        let m = cfg.mode_bits.max(1);
+        match &mut self.engine {
+            Engine::Arena(arena) => {
+                for (record, us) in &mut self.unit {
+                    let t0 = Instant::now();
+                    let result =
+                        arena.run_trial(record.site.injection(m), golden.max_steps, &golden.output);
+                    *us = t0.elapsed().as_micros() as u64;
+                    (record.outcome, record.read_before_overwrite) = classify_trial(result);
+                }
+            }
+            Engine::Batch { batch, injections } => {
+                injections.clear();
+                injections.extend(self.unit.iter().map(|(r, _)| r.site.injection(m)));
+                let t0 = Instant::now();
+                let results = batch.run_batch(injections, golden.max_steps, &golden.output);
+                let span_us = t0.elapsed().as_micros() as u64;
+                let n = self.unit.len();
+                for (k, ((record, us), result)) in self.unit.iter_mut().zip(results).enumerate() {
+                    (record.outcome, record.read_before_overwrite) = classify_trial(result);
+                    *us = per_trial_latency_us(span_us, n, k);
+                }
+            }
+        }
+        self.unit.drain(..)
+    }
+
+    /// Run one injection of `m` contiguous bits at an explicit `site` and
+    /// classify it: the outcome and whether the flipped register was read
+    /// before being overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `site` targets a register, lane, or workgroup that does
+    /// not exist in the workload (samplers draw sites in range; passing an
+    /// out-of-range site is a caller bug, not a fault outcome).
+    pub(crate) fn run_site(&mut self, site: FaultSite, m: u8) -> (Outcome, bool) {
+        let (inj, golden) = (site.injection(m), self.golden);
+        classify_trial(match &mut self.engine {
+            Engine::Arena(arena) => arena.run_trial(inj, golden.max_steps, &golden.output),
+            Engine::Batch { batch, .. } => {
+                let mut results = batch.run_batch(&[inj], golden.max_steps, &golden.output);
+                results.pop().expect("one injection, one result")
+            }
+        })
+    }
+}
+
+/// Attribute one batch's wall-clock span to its `n` trials: trial `k` gets
+/// `span / n` microseconds, with the first `span % n` trials carrying one
+/// extra so the attributed latencies sum exactly to the span. Without this,
+/// a width-W batch would book its whole span W times — inflating latency
+/// percentiles by ~W and corrupting the heartbeat's trials/sec-derived ETA.
+fn per_trial_latency_us(span_us: u64, n: usize, k: usize) -> u64 {
+    debug_assert!(k < n, "trial index {k} outside batch of {n}");
+    let n = n as u64;
+    span_us / n + u64::from((k as u64) < span_us % n)
+}
+
+/// Classify one trial result with the campaign's decision order: hang
+/// first, then output comparison; crashes become data; out-of-range sites
+/// are a sampler bug and panic.
+fn classify_trial(result: Result<mbavf_sim::TrialResult, InterpError>) -> (Outcome, bool) {
     match result {
         Ok(run) => {
             let outcome = if run.termination == Termination::Hang {
@@ -471,7 +575,7 @@ pub(crate) struct GoldenShape {
 
 /// Run the fault-free golden pass **twice** (from two independently built
 /// instances) and capture everything trial sampling needs. Crash-isolated:
-/// a panicking golden run becomes an `Err`.
+/// a panicking golden run becomes [`InjectError::GoldenRunFailed`].
 ///
 /// The double run is the campaign's integrity gate: every Masked/SDC
 /// verdict is a diff against the golden output, so a workload whose build
@@ -481,7 +585,9 @@ pub(crate) struct GoldenShape {
 pub(crate) fn golden_shape(
     workload: &Workload,
     cfg: &CampaignConfig,
-) -> Result<GoldenShape, String> {
+) -> Result<GoldenShape, InjectError> {
+    let failed =
+        |detail| InjectError::GoldenRunFailed { workload: workload.name.to_string(), detail };
     let run_once = || {
         mbavf_sim::isolate::catch_crash(|| {
             let mut inst = workload.build(cfg.scale);
@@ -498,15 +604,15 @@ pub(crate) fn golden_shape(
             }
         })
     };
-    let first = run_once()?;
-    let second = run_once()?;
+    let first = run_once().map_err(failed)?;
+    let second = run_once().map_err(failed)?;
     let digest_a = fnv1a(&first.output);
     let digest_b = fnv1a(&second.output);
     if digest_a != digest_b || first.per_wg_retired != second.per_wg_retired {
-        return Err(format!(
+        return Err(failed(format!(
             "nondeterministic golden run (output digests {digest_a:#018x} vs {digest_b:#018x}); \
              injection outcomes cannot be classified against an unstable reference"
-        ));
+        )));
     }
     Ok(first)
 }
@@ -614,6 +720,63 @@ mod tests {
         }
     }
 
+    /// The executor's calls agree: for every sampled trial, the per-unit
+    /// call at width 1 and at width 8 — and `run_site` on the lockstep
+    /// engine — yield the record `run_site` produces on that trial's site
+    /// at width 1. Histogram with wrapping off covers crash outcomes.
+    #[test]
+    fn executor_units_match_run_site_at_every_width() {
+        let mut crashes = 0;
+        for name in ["histogram", "dct", "fast_walsh", "transpose"] {
+            let w = by_name(name).expect("registered");
+            for (wrap_oob, m) in [true, false].into_iter().flat_map(|o| [1, 2, 4].map(|m| (o, m))) {
+                let cfg = CampaignConfig { wrap_oob, mode_bits: m, ..quick_cfg(16) };
+                let golden = golden_shape(&w, &cfg).unwrap();
+                let sampler = SiteSampler::new(&golden.per_wg_retired, golden.num_vregs).unwrap();
+                let trials: Vec<u64> = (0..cfg.injections as u64).collect();
+                let mut single = TrialExecutor::new(&w, &cfg, &golden, &sampler, 1);
+                let expect: Vec<SingleBitRecord> = trials
+                    .iter()
+                    .map(|&trial| {
+                        let site = sampler.sample(cfg.seed, trial);
+                        let (outcome, read_before_overwrite) = single.run_site(site, m);
+                        SingleBitRecord { trial, site, outcome, read_before_overwrite }
+                    })
+                    .collect();
+                crashes += expect.iter().filter(|r| r.outcome.kind() == OutcomeKind::Crash).count();
+                for width in [1, 8] {
+                    let at = format!("{name} wrap_oob={wrap_oob} m={m} width={width}");
+                    let mut exec = TrialExecutor::new(&w, &cfg, &golden, &sampler, width);
+                    assert_eq!(exec.width(), width);
+                    let mut got = Vec::new();
+                    for unit in trials.chunks(width) {
+                        got.extend(exec.run_unit(unit).map(|(record, _)| record));
+                    }
+                    assert_eq!(got, expect, "{at}");
+                    for r in &expect {
+                        let run = exec.run_site(r.site, m);
+                        assert_eq!(run, (r.outcome.clone(), r.read_before_overwrite), "{at}");
+                    }
+                }
+            }
+        }
+        assert!(crashes > 0, "no crash outcome exercised the executor");
+    }
+
+    #[test]
+    fn per_trial_latency_sums_to_the_batch_span() {
+        for (span, n) in [(0u64, 1usize), (7, 1), (7, 3), (8, 8), (100, 7), (3, 8)] {
+            let parts: Vec<u64> = (0..n).map(|k| per_trial_latency_us(span, n, k)).collect();
+            assert_eq!(parts.iter().sum::<u64>(), span, "span={span} n={n}");
+            // Fair split: no trial differs from another by more than 1µs,
+            // so percentiles over batched trials cannot spike by ~W.
+            let (min, max) = (parts.iter().min().unwrap(), parts.iter().max().unwrap());
+            assert!(max - min <= 1, "span={span} n={n}: {parts:?}");
+        }
+        // Width 1 is the exact sequential accounting.
+        assert_eq!(per_trial_latency_us(1234, 1, 0), 1234);
+    }
+
     #[test]
     fn outcome_kind_roundtrip() {
         for (o, name) in [
@@ -640,7 +803,7 @@ mod tests {
         let summary = CampaignSummary {
             workload: "none",
             records: vec![],
-            snapshot_failures: 0,
+            durable_write_failures: 0,
             audited: 0,
             audit_divergences: 0,
             merge_conflicts: 0,

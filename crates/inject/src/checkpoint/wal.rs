@@ -23,7 +23,7 @@
 //! checkpoint format version, workload, config fingerprint, and fault-mode
 //! width — so a journal can never be replayed against the wrong campaign.
 //! Every later frame's payload is one trial record, in the exact JSON shape
-//! the checkpoint document uses ([`super::write_record`]).
+//! the checkpoint document uses (`checkpoint::write_record`).
 //!
 //! ## Recovery
 //!
@@ -155,7 +155,7 @@ impl WalWriter {
     ///
     /// [`CheckpointError::Io`] once bounded retry is exhausted, or
     /// [`CheckpointError::Malformed`] for a record serializing past
-    /// [`MAX_FRAME`]; either way the journal is left at its previous
+    /// `MAX_FRAME`; either way the journal is left at its previous
     /// committed length (the failed group is rolled back or never written),
     /// so the writer stays usable if the caller wants to continue.
     pub fn append_all<'a>(

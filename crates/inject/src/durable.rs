@@ -13,7 +13,7 @@
 //!    the [`crate::chaos`] engine (a no-op unless `--chaos` installed one)
 //!    and maps injected faults onto real `io::Error`s. Failures — injected
 //!    or genuine — are retried with deterministic jittered exponential
-//!    backoff ([`jittered_backoff`], shared with the supervisor's worker
+//!    backoff (`jittered_backoff`, shared with the supervisor's worker
 //!    respawn path); every attempt rebuilds the temp file from scratch, so
 //!    a torn write can never leak a partial payload into the final file.
 //!
@@ -172,7 +172,7 @@ fn atomic_write_once(path: &Path, bytes: &[u8]) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// The last attempt's `io::Error` once [`MAX_ATTEMPTS`] are exhausted.
+/// The last attempt's `io::Error` once `MAX_ATTEMPTS` are exhausted.
 pub fn atomic_write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
     with_retry(|| atomic_write_once(path, bytes))
 }

@@ -9,8 +9,8 @@
 //! each constituent bit alone and all together, and count groups where the
 //! multi-bit outcome contradicts the union of the single-bit outcomes.
 
-use crate::campaign::{golden_shape, run_one_arena, trial_arena, CampaignConfig, FaultSite};
-use crate::runner::{run_campaign, RunnerConfig};
+use crate::campaign::{golden_shape, CampaignConfig, FaultSite, SiteSampler, TrialExecutor};
+use crate::runner::{run_campaign_with, RunnerConfig};
 use mbavf_core::error::InjectError;
 use mbavf_workloads::Workload;
 
@@ -71,16 +71,14 @@ pub fn try_interference_study(
     cfg: &CampaignConfig,
     max_groups_per_mode: usize,
 ) -> Result<InterferenceRow, InjectError> {
-    let report = run_campaign(workload, cfg, &RunnerConfig::serial())?;
+    let golden = golden_shape(workload, cfg)?;
+    let report = run_campaign_with(workload, cfg, &RunnerConfig::serial(), &golden)?;
     let sdc_sites = report.summary.sdc_sites();
 
-    let golden = golden_shape(workload, cfg).map_err(|detail| InjectError::GoldenRunFailed {
-        workload: workload.name.to_string(),
-        detail,
-    })?;
-    // One arena per study, reset between runs: every single-bit and
+    // One executor per study, reset between runs: every single-bit and
     // multi-bit injection below reuses it.
-    let mut arena = trial_arena(workload, cfg);
+    let sampler = SiteSampler::new(&golden.per_wg_retired, golden.num_vregs)?;
+    let mut exec = TrialExecutor::new(workload, cfg, &golden, &sampler, 1);
 
     let mut groups_tested = [0usize; 3];
     let mut interference = [0usize; 3];
@@ -93,10 +91,10 @@ pub fn try_interference_study(
             let mut any_single_error = false;
             for k in 0..m {
                 let single = FaultSite { bit: anchor.bit + k, ..anchor };
-                let (o, _) = run_one_arena(&mut arena, &golden, single, 1);
+                let (o, _) = exec.run_site(single, 1);
                 any_single_error |= o.is_error();
             }
-            let (multi, _) = run_one_arena(&mut arena, &golden, anchor, m);
+            let (multi, _) = exec.run_site(anchor, m);
             groups_tested[mi] += 1;
             if any_single_error != multi.is_error() {
                 interference[mi] += 1;

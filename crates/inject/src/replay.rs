@@ -25,7 +25,7 @@
 
 use crate::bundle::ReproBundle;
 use crate::campaign::{
-    golden_shape, run_one_arena, trial_arena, CampaignConfig, FaultSite, GoldenShape, Outcome,
+    golden_shape, CampaignConfig, FaultSite, GoldenShape, Outcome, SiteSampler, TrialExecutor,
 };
 use crate::checkpoint::config_fingerprint;
 use mbavf_core::error::{BundleError, InjectError};
@@ -65,8 +65,7 @@ fn prepare(b: &ReproBundle) -> Result<(Workload, CampaignConfig, GoldenShape), I
             BundleError::FingerprintMismatch { expected, found: b.config_fingerprint }.into()
         );
     }
-    let golden = golden_shape(&w, &cfg)
-        .map_err(|detail| InjectError::GoldenRunFailed { workload: w.name.to_string(), detail })?;
+    let golden = golden_shape(&w, &cfg)?;
     let digest = fnv1a(&golden.output);
     if digest != b.golden_digest {
         return Err(BundleError::GoldenMismatch { expected: b.golden_digest, found: digest }.into());
@@ -113,8 +112,9 @@ pub fn replay_site(
     mode_bits: u8,
 ) -> Result<ReplayReport, InjectError> {
     let (w, cfg, golden) = prepare(b)?;
-    let mut arena = trial_arena(&w, &cfg);
-    let (observed, read) = run_one_arena(&mut arena, &golden, site, mode_bits.clamp(1, 32));
+    let sampler = SiteSampler::new(&golden.per_wg_retired, golden.num_vregs)?;
+    let mut exec = TrialExecutor::new(&w, &cfg, &golden, &sampler, 1);
+    let (observed, read) = exec.run_site(site, mode_bits.clamp(1, 32));
     let reproduced = observed.kind() == b.outcome.kind();
     Ok(ReplayReport { observed, read_before_overwrite: read, reproduced })
 }

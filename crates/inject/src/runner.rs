@@ -9,7 +9,10 @@
 //! config. Workers claim trial indices from an atomic counter and write each
 //! record into its trial's slot; after the scope joins, slots are read out in
 //! index order. Summaries are therefore **bit-identical** across any thread
-//! count, and across interrupted-then-resumed executions.
+//! count, and across interrupted-then-resumed executions. Each worker runs
+//! its claimed trials one unit at a time — one trial, or a lockstep group
+//! at batch width W — on its own `campaign::TrialExecutor`, the executor
+//! worker daemons, the audit, replay and Table II share.
 //!
 //! ## Checkpointing
 //!
@@ -22,7 +25,7 @@
 //! trial, with one write and one fsync for the group, before any of it
 //! counts. A group closes after [`RunnerConfig::checkpoint_every`] trials,
 //! at the end of a lockstep group (batch width > 1), at the end of the
-//! claimed chunk of `SITE_CHUNK` (32) trials, or when the cancel token
+//! claimed chunk of `CLAIM_CHUNK` (32) trials, or when the cancel token
 //! trips. A campaign killed at any point loses at most each worker's open
 //! group — ≤ min(`checkpoint_every`, 32) trials at width 1, ≤ W at width
 //! W — never a committed one.
@@ -30,20 +33,20 @@
 //! The checkpoint document is an O(N) rewrite of every record, so it is
 //! written only off the commit path: at open when recovery found
 //! journal-only records, when a failed append is repaired, and at
-//! [`OpenCampaign::finish`] (completion, preemption drain, fatal error),
-//! which also deletes the journal.
+//! the end of the run (completion, preemption drain, fatal error), which
+//! also deletes the journal.
 //!
 //! Durable-write failures degrade instead of killing the run: a failed
 //! append is *repaired* — every committed record compacted into the
 //! document, then a fresh journal started — and after
-//! [`MAX_SNAPSHOT_FAILURES`] failed writes checkpointing is disabled
-//! (counted and reported as `snapshot_failures`). Only a failing *final*
-//! save is a hard, typed error — silently losing a finished campaign is the
-//! one thing this layer must never do.
+//! `MAX_DURABLE_WRITE_FAILURES` (3) failed writes checkpointing is
+//! disabled (counted and reported as `durable_write_failures`). Only a
+//! failing *final* save is a hard, typed error — silently losing a
+//! finished campaign is the one thing this layer must never do.
 
 use crate::campaign::{
-    golden_shape, CampaignConfig, CampaignSummary, FaultSite, GoldenShape, Outcome, OutcomeKind,
-    SingleBitRecord, SiteSampler,
+    golden_shape, CampaignConfig, CampaignSummary, GoldenShape, Outcome, OutcomeKind,
+    SingleBitRecord, SiteSampler, TrialExecutor,
 };
 use crate::checkpoint::{self, wal};
 use crate::supervisor::merge::{merge_slot, MergeVerdict};
@@ -259,10 +262,11 @@ pub(crate) struct Shared {
     /// Durable-write failures observed so far: failed journal appends,
     /// document compactions and journal creations. Surfaced in the summary
     /// and the heartbeat so degraded durability is never silent.
-    pub(crate) snapshot_failures: AtomicUsize,
-    /// Set once [`MAX_SNAPSHOT_FAILURES`] durable-write failures accumulate:
-    /// the campaign keeps running, but stops journaling and repairing (only
-    /// the final save is still tried — and is a hard error if it fails).
+    pub(crate) durable_write_failures: AtomicUsize,
+    /// Set once [`MAX_DURABLE_WRITE_FAILURES`] durable-write failures
+    /// accumulate: the campaign keeps running, but stops journaling and
+    /// repairing (only the final save is still tried — and is a hard error
+    /// if it fails).
     pub(crate) checkpointing_disabled: AtomicBool,
 }
 
@@ -271,7 +275,7 @@ pub(crate) struct Shared {
 /// inside [`crate::durable`], so three strikes means the disk is
 /// persistently refusing writes (full, read-only, gone) — keep the science
 /// running, report honestly, stop hammering the filesystem.
-pub(crate) const MAX_SNAPSHOT_FAILURES: usize = 3;
+pub(crate) const MAX_DURABLE_WRITE_FAILURES: usize = 3;
 
 impl Shared {
     fn new(slots: Vec<Option<SingleBitRecord>>, pending: usize, durable: Option<Durable>) -> Self {
@@ -284,17 +288,17 @@ impl Shared {
             latencies_us: Mutex::new(Vec::with_capacity(pending)),
             journal: Mutex::new(None),
             durable,
-            snapshot_failures: AtomicUsize::new(0),
+            durable_write_failures: AtomicUsize::new(0),
             checkpointing_disabled: AtomicBool::new(false),
         }
     }
 
     /// Count a failed durable write and warn that `what` failed and the run
     /// goes on to `next` — unless this was failure
-    /// [`MAX_SNAPSHOT_FAILURES`], which disables checkpointing instead.
+    /// [`MAX_DURABLE_WRITE_FAILURES`], which disables checkpointing instead.
     fn write_failed(&self, journal: &mut Option<wal::WalWriter>, what: String, next: &str) {
-        let failures = self.snapshot_failures.fetch_add(1, Ordering::SeqCst) + 1;
-        if failures < MAX_SNAPSHOT_FAILURES {
+        let failures = self.durable_write_failures.fetch_add(1, Ordering::SeqCst) + 1;
+        if failures < MAX_DURABLE_WRITE_FAILURES {
             eprintln!("warning: {what}; {next}");
             return;
         }
@@ -491,11 +495,11 @@ impl Shared {
                 .collect();
             // Degraded durability is reported on every beat, not buried in
             // a one-time warning that scrolled away hours ago.
-            let failures = self.snapshot_failures.load(Ordering::SeqCst);
+            let failures = self.durable_write_failures.load(Ordering::SeqCst);
             let durability = if self.checkpointing_disabled.load(Ordering::SeqCst) {
-                format!(", snapshot failures {failures} (checkpointing disabled)")
+                format!(", durable-write failures {failures} (checkpointing disabled)")
             } else if failures > 0 {
-                format!(", snapshot failures {failures}")
+                format!(", durable-write failures {failures}")
             } else {
                 String::new()
             };
@@ -545,7 +549,7 @@ pub(crate) fn load_or_quarantine(
     }
 }
 
-/// The trials a campaign has durably completed: the checkpoint snapshot
+/// The trials a campaign has durably completed: the checkpoint document
 /// (fingerprint-validated) with the write-ahead journal's surviving frames
 /// merged over it, in `budget` slots. Returns the slots, how many trials
 /// they hold, and how many only the journal held. Writes nothing beyond the
@@ -553,10 +557,10 @@ pub(crate) fn load_or_quarantine(
 ///
 /// # Errors
 ///
-/// A snapshot that cannot be read or belongs to another campaign;
+/// A document that cannot be read or belongs to another campaign;
 /// [`CheckpointError::TrialOutOfRange`] for a recorded trial outside the
 /// budget; [`CheckpointError::Malformed`] when a journal frame *conflicts*
-/// with the snapshot, which only mixed-up artifacts can produce.
+/// with the document, which only mixed-up artifacts can produce.
 fn recover_slots(
     runner: &RunnerConfig,
     workload: &str,
@@ -617,9 +621,9 @@ fn recover_slots(
 /// Run (or resume) a single-bit campaign under the given execution config.
 ///
 /// Trials are crash-isolated: a fault that panics the interpreter is
-/// recorded as [`Outcome::Crash`](crate::campaign::Outcome::Crash) and the
-/// campaign continues. The summary is bit-identical for any `threads`
-/// setting and for any interrupt/resume schedule of the same campaign.
+/// recorded as [`Outcome::Crash`] and the campaign continues. The summary
+/// is bit-identical for any `threads` setting and for any interrupt/resume
+/// schedule of the same campaign.
 ///
 /// # Errors
 ///
@@ -632,64 +636,13 @@ pub fn run_campaign(
     cfg: &CampaignConfig,
     runner: &RunnerConfig,
 ) -> Result<CampaignReport, InjectError> {
-    let golden = golden_shape(workload, cfg).map_err(|detail| InjectError::GoldenRunFailed {
-        workload: workload.name.to_string(),
-        detail,
-    })?;
-    run_campaign_with(workload, cfg, runner, &golden)
+    run_campaign_with(workload, cfg, runner, &golden_shape(workload, cfg)?)
 }
 
-/// Trials claimed per atomic increment. Workers pre-sample every fault site
-/// of a claimed chunk in one pass before executing any of its trials, so
-/// the per-trial hot loop touches no sampler state at all. Chunking changes
-/// only which worker runs which trial — records land in per-trial slots, so
-/// summaries stay bit-identical at any chunk size or thread count.
-const SITE_CHUNK: usize = 32;
-
-/// Per-thread trial executor: the sequential arena at width 1, the
-/// trial-lockstep batch above it. Both produce bit-identical verdicts; the
-/// split exists so width 1 keeps today's path byte for byte.
-enum TrialExec {
-    Sequential(Box<mbavf_sim::TrialArena>),
-    Batched { batch: Box<mbavf_sim::TrialBatch>, injections: Vec<mbavf_sim::Injection> },
-}
-
-impl TrialExec {
-    fn build(workload: &Workload, cfg: &CampaignConfig, width: usize) -> Self {
-        let inst = workload.build(cfg.scale);
-        if width > 1 {
-            TrialExec::Batched {
-                batch: Box::new(mbavf_sim::TrialBatch::new(
-                    inst.program,
-                    inst.mem,
-                    inst.workgroups,
-                    cfg.wrap_oob,
-                    width,
-                )),
-                injections: Vec::with_capacity(width),
-            }
-        } else {
-            TrialExec::Sequential(Box::new(mbavf_sim::TrialArena::new(
-                inst.program,
-                inst.mem,
-                inst.workgroups,
-                cfg.wrap_oob,
-            )))
-        }
-    }
-}
-
-/// Attribute one batch's wall-clock span to its `n` trials: trial `k` gets
-/// `span / n` microseconds, with the first `span % n` trials carrying one
-/// extra so the attributed latencies sum exactly to the span. Without this,
-/// a width-W batch would book its whole span W times — inflating
-/// [`LatencyStats`] percentiles by ~W and corrupting the heartbeat's
-/// trials/sec-derived ETA.
-fn per_trial_latency_us(span_us: u64, n: usize, k: usize) -> u64 {
-    debug_assert!(k < n, "trial index {k} outside batch of {n}");
-    let n = n as u64;
-    span_us / n + u64::from((k as u64) < span_us % n)
-}
+/// Trials a thread worker claims per atomic increment. Chunking changes
+/// only which worker runs which trial — records land in per-trial slots,
+/// so summaries stay bit-identical at any chunk size or thread count.
+const CLAIM_CHUNK: usize = 32;
 
 /// A thread worker's open commit group: finished trials not yet journaled.
 /// A crash loses at most this group.
@@ -737,14 +690,7 @@ pub(crate) fn run_campaign_with(
         });
     }
     let campaign = OpenCampaign::open(workload, cfg, runner, golden, &[])?;
-    let threads = worker_count(runner.threads, campaign.pending.len());
-    campaign.execute(
-        threads,
-        "thread",
-        &|| campaign.shared.active_workers.load(Ordering::SeqCst),
-        &String::new,
-        &|_| campaign.run_thread_worker(),
-    );
+    campaign.run_threads();
     campaign.finish(Supervision::default())
 }
 
@@ -758,7 +704,7 @@ pub(crate) struct OpenCampaign<'a> {
     pub(crate) workload: &'a Workload,
     pub(crate) cfg: &'a CampaignConfig,
     pub(crate) runner: &'a RunnerConfig,
-    golden: &'a GoldenShape,
+    pub(crate) golden: &'a GoldenShape,
     /// `None` only for a zero-budget campaign, which samples nothing.
     pub(crate) sampler: Option<SiteSampler>,
     pub(crate) fingerprint: u64,
@@ -773,7 +719,8 @@ pub(crate) struct OpenCampaign<'a> {
 
 /// What supervised execution adds to a finished campaign, as plain data.
 /// Thread mode passes the default: nothing poisoned, no sidecar, no fatal
-/// error, nothing audited.
+/// error, nothing audited. A supervised campaign that degraded to threads
+/// passes only the earlier runs' poison and the sidecar path.
 #[derive(Default)]
 pub(crate) struct Supervision {
     /// Every poisoned trial — earlier runs' and this run's — by trial.
@@ -920,7 +867,7 @@ impl<'a> OpenCampaign<'a> {
     /// bundle write failure.
     pub(crate) fn finish(self, supervision: Supervision) -> Result<CampaignReport, InjectError> {
         let (workload, fingerprint, shared) = (self.workload.name, self.fingerprint, self.shared);
-        let snapshot_failures = shared.snapshot_failures.load(Ordering::SeqCst) as u64;
+        let durable_write_failures = shared.durable_write_failures.load(Ordering::SeqCst) as u64;
         let records: Vec<SingleBitRecord> =
             shared.slots.into_inner().expect("slots lock").into_iter().flatten().collect();
         // The final checkpoint replaces the journal — a finished campaign
@@ -937,7 +884,7 @@ impl<'a> OpenCampaign<'a> {
                     return Err(CheckpointError::FinalSaveFailed {
                         path,
                         detail,
-                        snapshot_failures,
+                        durable_write_failures,
                     }
                     .into())
                 }
@@ -992,7 +939,7 @@ impl<'a> OpenCampaign<'a> {
             summary: CampaignSummary {
                 workload,
                 records,
-                snapshot_failures,
+                durable_write_failures,
                 audited: supervision.audited,
                 audit_divergences: supervision.audit_divergences,
                 merge_conflicts: supervision.merge_conflicts,
@@ -1013,17 +960,28 @@ impl<'a> OpenCampaign<'a> {
         })
     }
 
-    /// One thread-mode worker: claim chunks of pending trials, run them on
-    /// a per-thread executor, and commit them in groups.
+    /// Run the pending trials on in-process worker threads
+    /// ([`RunnerConfig::threads`] of them, at most one per pending trial).
+    pub(crate) fn run_threads(&self) {
+        let threads = worker_count(self.runner.threads, self.pending.len());
+        self.execute(
+            threads,
+            "thread",
+            &|| self.shared.active_workers.load(Ordering::SeqCst),
+            &String::new,
+            &|_| self.run_thread_worker(),
+        );
+    }
+
+    /// One thread-mode worker: claim chunks of pending trials, run them
+    /// unit by unit on a per-thread executor, and commit them in groups.
     fn run_thread_worker(&self) {
-        let (cfg, runner, shared) = (self.cfg, self.runner, &self.shared);
-        // Per-thread reusable executor (sequential arena or lockstep batch),
-        // built lazily on the first claimed chunk: one instance build per
-        // worker per campaign, zero steady-state allocation per trial.
-        let mut exec: Option<TrialExec> = None;
-        let mut sites: Vec<(u64, FaultSite)> = Vec::with_capacity(SITE_CHUNK);
+        let (runner, shared) = (self.runner, &self.shared);
+        // Built lazily on the first claimed chunk: one instance build per
+        // worker per campaign.
+        let mut exec: Option<TrialExecutor> = None;
         let limit = if runner.checkpoint.is_some() { runner.checkpoint_every } else { usize::MAX };
-        let mut group = CommitGroup { shared, trials: Vec::with_capacity(SITE_CHUNK), limit };
+        let mut group = CommitGroup { shared, trials: Vec::with_capacity(CLAIM_CHUNK), limit };
         loop {
             // Graceful preemption: stop claiming work once the token trips.
             // Unclaimed and unstarted trials simply stay pending; every
@@ -1031,73 +989,36 @@ impl<'a> OpenCampaign<'a> {
             if runner.cancel.cancelled().is_some() {
                 return;
             }
-            let start = shared.next.fetch_add(SITE_CHUNK, Ordering::SeqCst);
-            let end = self.pending.len().min(start.saturating_add(SITE_CHUNK));
+            let start = shared.next.fetch_add(CLAIM_CHUNK, Ordering::SeqCst);
+            let end = self.pending.len().min(start.saturating_add(CLAIM_CHUNK));
             if start >= end {
                 return;
             }
-            let sampler = self.sampler.as_ref().expect("pending trials imply a sampler");
-            sites.clear();
-            for &trial in &self.pending[start..end] {
-                sites.push((trial, sampler.sample(cfg.seed, trial)));
-            }
-            let exec = exec
-                .get_or_insert_with(|| TrialExec::build(self.workload, cfg, runner.batch_width));
-            match exec {
-                TrialExec::Sequential(arena) => {
-                    for &(trial, site) in &sites {
-                        if runner.cancel.cancelled().is_some() {
-                            group.commit();
-                            return;
-                        }
-                        let t0 = Instant::now();
-                        let (outcome, read) = crate::campaign::run_one_arena(
-                            arena,
-                            self.golden,
-                            site,
-                            cfg.mode_bits.max(1),
-                        );
-                        let elapsed_us = t0.elapsed().as_micros() as u64;
-                        group.add(
-                            SingleBitRecord { trial, site, outcome, read_before_overwrite: read },
-                            elapsed_us,
-                        );
-                    }
+            let exec = exec.get_or_insert_with(|| {
+                let sampler = self.sampler.as_ref().expect("pending trials imply a sampler");
+                TrialExecutor::new(
+                    self.workload,
+                    self.cfg,
+                    self.golden,
+                    sampler,
+                    runner.batch_width,
+                )
+            });
+            let width = exec.width();
+            for unit in self.pending[start..end].chunks(width) {
+                // The unit is the trial boundary: a lockstep group in
+                // flight finishes and commits whole before the token is
+                // honored.
+                if runner.cancel.cancelled().is_some() {
+                    group.commit();
+                    return;
                 }
-                TrialExec::Batched { batch, injections } => {
-                    // Sub-chunk the claimed sites by batch width. Each
-                    // lockstep group commits as (at least) one group.
-                    for lockstep in sites.chunks(batch.width()) {
-                        // Lockstep groups are the batched trial boundary: a
-                        // group in flight finishes and commits whole before
-                        // the token is honored.
-                        if runner.cancel.cancelled().is_some() {
-                            return;
-                        }
-                        injections.clear();
-                        injections.extend(
-                            lockstep.iter().map(|&(_, site)| site.injection(cfg.mode_bits.max(1))),
-                        );
-                        let t0 = Instant::now();
-                        let results =
-                            batch.run_batch(injections, self.golden.max_steps, &self.golden.output);
-                        let span_us = t0.elapsed().as_micros() as u64;
-                        for (k, (&(trial, site), result)) in
-                            lockstep.iter().zip(results).enumerate()
-                        {
-                            let (outcome, read) = crate::campaign::classify_trial(result);
-                            group.add(
-                                SingleBitRecord {
-                                    trial,
-                                    site,
-                                    outcome,
-                                    read_before_overwrite: read,
-                                },
-                                per_trial_latency_us(span_us, lockstep.len(), k),
-                            );
-                        }
-                        group.commit();
-                    }
+                for (record, elapsed_us) in exec.run_unit(unit) {
+                    group.add(record, elapsed_us);
+                }
+                // Each lockstep group commits as (at least) one group.
+                if width > 1 {
+                    group.commit();
                 }
             }
             // The end of the claimed chunk closes the group.
@@ -1208,13 +1129,10 @@ pub fn run_adaptive(
 
     // The golden shape depends on (workload, scale, hang_factor) but not on
     // the budget, so one double-run integrity check covers every stage.
-    let golden = golden_shape(workload, cfg).map_err(|detail| InjectError::GoldenRunFailed {
-        workload: workload.name.to_string(),
-        detail,
-    })?;
+    let golden = golden_shape(workload, cfg)?;
 
     // Resuming: skip straight to the first stage whose budget covers every
-    // already-recorded trial — in the snapshot *or* the journal, recovered
+    // already-recorded trial — in the document *or* the journal, recovered
     // exactly as the stage's own open step will — so a run killed mid-stage
     // never trips the budget bound. Skipped stages were already evaluated
     // as "not tight enough" by the run that recorded past them.
@@ -1249,7 +1167,7 @@ pub fn run_adaptive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::OutcomeKind;
+    use crate::campaign::{FaultSite, OutcomeKind};
     use mbavf_workloads::by_name;
 
     fn cfg(n: usize) -> CampaignConfig {
@@ -1340,7 +1258,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(shared.snapshot_failures.load(Ordering::SeqCst), 0);
+        assert_eq!(shared.durable_write_failures.load(Ordering::SeqCst), 0);
         assert_eq!(shared.completed.load(Ordering::SeqCst), TRIALS);
         assert!(!path.exists(), "commits must never write the checkpoint document");
 
@@ -1387,7 +1305,7 @@ mod tests {
         big.outcome = crate::campaign::Outcome::Crash { reason: "x".repeat((1 << 20) + 1) };
         let failing = vec![(big, 1), (record(3), 1)];
         shared.commit_group(&mut failing.clone());
-        assert_eq!(shared.snapshot_failures.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.durable_write_failures.load(Ordering::SeqCst), 1);
         assert!(!shared.checkpointing_disabled.load(Ordering::SeqCst));
         let document = checkpoint::load(&path).unwrap().records;
         let expect: Vec<SingleBitRecord> =
@@ -1397,7 +1315,7 @@ mod tests {
 
         shared.commit_group(&mut vec![(record(4), 1)]);
         assert_eq!(wal::recover(&path, "dct", 0xFEED).unwrap().records, vec![record(4)]);
-        assert_eq!(shared.snapshot_failures.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.durable_write_failures.load(Ordering::SeqCst), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1571,20 +1489,6 @@ mod tests {
         assert_eq!(rank_full, 7);
         // Empty sample: no stats, not a panic.
         assert!(LatencyStats::from_micros(Vec::new()).is_none());
-    }
-
-    #[test]
-    fn per_trial_latency_sums_to_the_batch_span() {
-        for (span, n) in [(0u64, 1usize), (7, 1), (7, 3), (8, 8), (100, 7), (3, 8)] {
-            let parts: Vec<u64> = (0..n).map(|k| per_trial_latency_us(span, n, k)).collect();
-            assert_eq!(parts.iter().sum::<u64>(), span, "span={span} n={n}");
-            // Fair split: no trial differs from another by more than 1µs,
-            // so percentiles over batched trials cannot spike by ~W.
-            let (min, max) = (parts.iter().min().unwrap(), parts.iter().max().unwrap());
-            assert!(max - min <= 1, "span={span} n={n}: {parts:?}");
-        }
-        // Width 1 is the exact sequential accounting.
-        assert_eq!(per_trial_latency_us(1234, 1, 0), 1234);
     }
 
     #[test]

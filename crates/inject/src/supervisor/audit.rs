@@ -19,11 +19,11 @@
 //! committed, the remote one discarded, and the lie is charged to the
 //! endpoint.
 //!
-//! [`TrustLedger`] keeps the per-endpoint score. Audit divergences and
+//! `TrustLedger` keeps the per-endpoint score. Audit divergences and
 //! merge [`Conflict`](super::merge::MergeVerdict::Conflict)s both count as
 //! trust failures; past `--max-audit-failures` of them the endpoint is
 //! **quarantined** for the rest of the campaign — its current lease is
-//! revoked, its shard handed back through the [`LeaseQueue`](super::lease)
+//! revoked, its shard handed back through the `LeaseQueue`
 //! give-back for surviving endpoints, and it is never leased to again. The
 //! summary reports `audited`, `audit_divergences`, `merge_conflicts`, and
 //! `quarantined_endpoints` honestly; the checkpoint itself carries only the

@@ -15,7 +15,7 @@
 //! shard_size`), so the shard layout — and therefore every record — is
 //! invariant under the worker count. Each supervisor-side handler thread
 //! holds one persistent TCP connection to a worker daemon
-//! ([`serve_main`]) and leases shards to it over a [`transport::Transport`]:
+//! ([`serve_main`]) and leases shards to it over a `transport::Transport`:
 //!
 //! * **Local** ([`TransportKind::Local`], the default): the daemon is a
 //!   child of this process — the current executable re-executed with the
@@ -38,7 +38,7 @@
 //!
 //! ## Failure policy
 //!
-//! While a worker holds a shard, a [`lease::Lease`] tracks the revocation
+//! While a worker holds a shard, a `lease::Lease` tracks the revocation
 //! deadline: a **sliding lease** (`lease_timeout`) renewed by progress —
 //! records, or heartbeat frames whose completion count advanced, so a
 //! livelocked executor with a beating heart still loses its lease. A missed
@@ -66,20 +66,18 @@
 //! spawned, the first frame is not a valid handshake, or no TCP endpoint
 //! ever connects — the supervisor warns and falls back one isolation level
 //! (remote daemons → local daemons → threads) instead of failing the
-//! campaign: same checkpoint, bit-identical records. Once work has been
+//! campaign: same checkpoint, bit-identical records. Thread workers take
+//! over the already-open campaign, so trials poisoned by earlier runs stay
+//! skipped and reported. Once work has been
 //! committed the fallback is off the table, and losing every endpoint
 //! raises [`TransportError::AllEndpointsLost`].
 
-use crate::campaign::{
-    golden_shape, run_one_arena, trial_arena, CampaignConfig, FaultSite, GoldenShape,
-    SingleBitRecord, SiteSampler,
-};
+use crate::campaign::{golden_shape, CampaignConfig, FaultSite, SingleBitRecord, TrialExecutor};
 use crate::checkpoint;
 use crate::durable::{atomic_write_durable, jittered_backoff, quarantine_with_warning};
 use crate::json::{self, Value};
 use crate::runner::{
-    run_campaign_with, worker_count, CampaignReport, OpenCampaign, RemoteCommit, RunnerConfig,
-    Supervision,
+    worker_count, CampaignReport, OpenCampaign, RemoteCommit, RunnerConfig, Supervision,
 };
 use mbavf_core::error::{InjectError, SupervisorError, TransportError};
 use mbavf_workloads::Workload;
@@ -88,7 +86,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub mod audit;
 pub(crate) mod lease;
@@ -449,40 +447,8 @@ fn parse_record_frame(v: &Value) -> Result<(SingleBitRecord, u64), String> {
 }
 
 // ---------------------------------------------------------------------------
-// Worker side
+// Worker side: `serve.rs`, running leases on the crate's one trial executor
 // ---------------------------------------------------------------------------
-
-/// The worker-side trial engine: golden run, sampler, and arena built once,
-/// then reused for every trial of every shard. The `__serve` daemon builds
-/// one per connection and amortizes it across leases; the supervisor builds
-/// one to audit records.
-pub(crate) struct ShardExecutor {
-    cfg: CampaignConfig,
-    golden: GoldenShape,
-    sampler: SiteSampler,
-    arena: mbavf_sim::TrialArena,
-}
-
-impl ShardExecutor {
-    /// Run the golden reference and prepare the trial arena.
-    pub(crate) fn new(workload: &Workload, cfg: CampaignConfig) -> Result<ShardExecutor, String> {
-        let golden = golden_shape(workload, &cfg).map_err(|d| format!("golden run failed: {d}"))?;
-        let sampler = SiteSampler::new(&golden.per_wg_retired, golden.num_vregs)
-            .map_err(|e| e.to_string())?;
-        let arena = trial_arena(workload, &cfg);
-        Ok(ShardExecutor { cfg, golden, sampler, arena })
-    }
-
-    /// Execute one trial, returning its record and wall-clock microseconds.
-    pub(crate) fn run_trial(&mut self, trial: u64) -> (SingleBitRecord, u64) {
-        let site = self.sampler.sample(self.cfg.seed, trial);
-        let t0 = Instant::now();
-        let (outcome, read) =
-            run_one_arena(&mut self.arena, &self.golden, site, self.cfg.mode_bits.max(1));
-        let us = t0.elapsed().as_micros() as u64;
-        (SingleBitRecord { trial, site, outcome, read_before_overwrite: read }, us)
-    }
-}
 
 /// Retired entry point of the per-shard `__worker` subprocess, kept so
 /// binaries that still route `__worker` link; process isolation now runs
@@ -543,9 +509,10 @@ struct SupCtx<'a> {
     campaign: &'a OpenCampaign<'a>,
     sup: &'a SupervisorConfig,
     prior_poison: usize,
-    /// Local re-executor for audited records; built once when auditing is
-    /// on and trials are pending. Serializes audits across handlers.
-    auditor: Option<Mutex<ShardExecutor>>,
+    /// Local re-executor for audited records, over the campaign's own
+    /// golden shape and sampler; built once when auditing is on and trials
+    /// are pending. Serializes audits across handlers.
+    auditor: Option<Mutex<TrialExecutor<'a>>>,
     /// Per-endpoint trust state plus the campaign-wide audit counters.
     ledger: TrustLedger,
     queue: LeaseQueue,
@@ -758,8 +725,12 @@ impl SupCtx<'_> {
                     if leased.is_some() {
                         if let (Some(policy), Some(auditor)) = (self.sup.audit, &self.auditor) {
                             if policy.selects(self.campaign.cfg.seed, trial) {
-                                let (local, local_us) =
-                                    auditor.lock().expect("auditor lock").run_trial(trial);
+                                let (local, local_us) = auditor
+                                    .lock()
+                                    .expect("auditor lock")
+                                    .run_unit(&[trial])
+                                    .next()
+                                    .expect("one trial, one record");
                                 if local == record {
                                     audit = AuditOutcome::Passed;
                                 } else {
@@ -1073,10 +1044,7 @@ pub fn run_supervised(
         }
     }
 
-    let golden = golden_shape(workload, cfg).map_err(|detail| InjectError::GoldenRunFailed {
-        workload: workload.name.to_string(),
-        detail,
-    })?;
+    let golden = golden_shape(workload, cfg)?;
     let fingerprint = checkpoint::config_fingerprint(workload.name, cfg);
     let poison_path = sup
         .poison_path
@@ -1116,15 +1084,14 @@ pub fn run_supervised(
         TransportKind::Tcp { .. } => "tcp",
     };
 
-    // The audit re-executor walks the same arena path the workers do:
-    // golden run, sampler, and arena built once, reused for every audited
-    // trial. Built only when something can actually be audited.
-    let auditor = if sup.audit.is_some() && !campaign.pending.is_empty() {
-        Some(Mutex::new(ShardExecutor::new(workload, *cfg).map_err(|detail| {
-            InjectError::GoldenRunFailed { workload: workload.name.to_string(), detail }
-        })?))
-    } else {
-        None
+    // The audit re-executor runs the same executor the daemons do, at
+    // width 1, built once and reused for every audited trial. Built only
+    // when something can actually be audited.
+    let auditor = match (&campaign.sampler, sup.audit) {
+        (Some(sampler), Some(_)) if !campaign.pending.is_empty() => {
+            Some(Mutex::new(TrialExecutor::new(workload, cfg, campaign.golden, sampler, 1)))
+        }
+        _ => None,
     };
 
     let ctx = SupCtx {
@@ -1168,21 +1135,24 @@ pub fn run_supervised(
     );
 
     if ctx.degrade.load(Ordering::SeqCst) {
-        return match &sup.transport {
-            TransportKind::Tcp { .. } => {
-                eprintln!(
-                    "warning: no tcp worker produced a record; degrading to local process isolation for this campaign"
-                );
-                let local = SupervisorConfig { transport: TransportKind::Local, ..sup.clone() };
-                run_supervised(workload, cfg, runner, &local)
-            }
-            TransportKind::Local => {
-                eprintln!(
-                    "warning: process isolation unavailable; degrading to thread isolation for this campaign"
-                );
-                run_campaign_with(workload, cfg, runner, &golden)
-            }
-        };
+        if let TransportKind::Tcp { .. } = &sup.transport {
+            eprintln!(
+                "warning: no tcp worker produced a record; degrading to local process isolation for this campaign"
+            );
+            let local = SupervisorConfig { transport: TransportKind::Local, ..sup.clone() };
+            return run_supervised(workload, cfg, runner, &local);
+        }
+        eprintln!(
+            "warning: process isolation unavailable; degrading to thread isolation for this campaign"
+        );
+        // Same open campaign, same skip list: trials an earlier run
+        // poisoned stay unmeasured and stay in the report.
+        campaign.run_threads();
+        return campaign.finish(Supervision {
+            poisoned: prior_poison,
+            poison_path,
+            ..Supervision::default()
+        });
     }
 
     let new_poison = ctx.poison.into_inner().expect("poison lock");
@@ -1387,6 +1357,43 @@ mod tests {
         assert_eq!(report.summary, thread.summary);
         assert!(report.complete);
         assert!(report.poisoned.is_empty());
+    }
+
+    #[test]
+    fn degrading_to_threads_keeps_earlier_poison() {
+        // No local daemon starts under libtest, so the campaign degrades to
+        // thread workers — which must still skip, and still report, the
+        // trial an earlier run poisoned, in the summary and the checkpoint.
+        let w = by_name("transpose").expect("registered");
+        let cfg = cfg(8);
+        let dir = tmpdir("degrade-poison");
+        let ckpt = dir.join("c.json");
+        let fingerprint = checkpoint::config_fingerprint(w.name, &cfg);
+        let entry = PoisonEntry {
+            trial: 3,
+            site: FaultSite { wg: 0, after_retired: 1, reg: 2, lane: 3, bit: 4 },
+            reason: "local worker daemon exited (signal: 9) with 5 trials left".into(),
+            attempts: 3,
+        };
+        let sidecar = default_poison_path(&ckpt);
+        save_poison(&sidecar, w.name, fingerprint, std::slice::from_ref(&entry)).unwrap();
+        let sup = SupervisorConfig {
+            workers: 1,
+            backoff_base: Duration::from_millis(1),
+            ..SupervisorConfig::default()
+        };
+        let runner = RunnerConfig { checkpoint: Some(ckpt.clone()), ..RunnerConfig::serial() };
+        let report = run_supervised(&w, &cfg, &runner, &sup).unwrap();
+        let trials =
+            |records: &[SingleBitRecord]| -> Vec<u64> { records.iter().map(|r| r.trial).collect() };
+        let expect = vec![0, 1, 2, 4, 5, 6, 7];
+        assert_eq!(trials(&report.summary.records), expect);
+        assert_eq!(trials(&checkpoint::load(&ckpt).unwrap().records), expect);
+        assert_eq!(report.poisoned, vec![entry.clone()]);
+        assert_eq!(load_poison(&sidecar).unwrap().entries, vec![entry]);
+        assert!(report.complete);
+        assert_eq!(report.newly_run, 7);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

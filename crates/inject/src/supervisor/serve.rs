@@ -1,4 +1,4 @@
-//! The `__serve` worker daemon: a socket front-end for the shard executor.
+//! The `__serve` worker daemon: a socket front-end for the trial executor.
 //!
 //! `campaign --listen host:port` runs one of these per worker machine. The
 //! daemon binds the socket, announces the bound address on stdout as a
@@ -8,13 +8,14 @@
 //!
 //! Per connection: the supervisor sends a *hello* frame carrying the
 //! protocol version, the lease budget, and the full campaign config; the
-//! daemon builds a [`ShardExecutor`] from it (golden run, sampler, arena —
-//! paid once per connection, reused across leases). Each subsequent *lease*
-//! frame names a trial range; the daemon answers with the fingerprint
-//! handshake, one record frame per trial in order, and a `done` sentinel,
-//! while a side thread emits `{"hb": N}` heartbeat frames (N = trials
-//! completed in this lease) so the supervisor's progress-gated lease can
-//! distinguish a slow-but-alive worker from a dead or livelocked one.
+//! daemon runs the golden reference and builds the site sampler and a
+//! width-1 trial executor from it — paid once per connection, reused
+//! across leases. Each subsequent *lease* frame names a trial range; the
+//! daemon answers with the fingerprint handshake, one record frame per
+//! trial in order, and a `done` sentinel, while a side thread emits
+//! `{"hb": N}` heartbeat frames (N = trials completed in this lease) so the
+//! supervisor's progress-gated lease can distinguish a slow-but-alive
+//! worker from a dead or livelocked one.
 //!
 //! The daemon holds no shard state between leases — after any disconnect
 //! the supervisor simply reconnects and leases whatever its merge is still
@@ -39,8 +40,8 @@
 //! before it announces itself.
 
 use super::transport::{read_frame, write_frame};
-use super::{parse_trials, render_record_frame, ShardExecutor, PROTOCOL_VERSION};
-use crate::campaign::{CampaignConfig, Outcome};
+use super::{parse_trials, render_record_frame, PROTOCOL_VERSION};
+use crate::campaign::{golden_shape, CampaignConfig, Outcome, SiteSampler, TrialExecutor};
 use crate::chaos::{ChaosEngine, Fault, OpClass};
 use crate::checkpoint;
 use crate::drill::TrialAction;
@@ -216,10 +217,14 @@ fn handle_conn(stream: TcpStream) -> Result<(), String> {
     let Some(workload) = by_name(&workload_name) else {
         return Err(fatal(&writer, format!("unknown workload {workload_name:?}")));
     };
-    let mut exec = match ShardExecutor::new(&workload, cfg) {
-        Ok(exec) => exec,
-        Err(detail) => return Err(fatal(&writer, detail)),
+    let golden = golden_shape(&workload, &cfg).and_then(|golden| {
+        Ok((SiteSampler::new(&golden.per_wg_retired, golden.num_vregs)?, golden))
+    });
+    let (sampler, golden) = match golden {
+        Ok(parts) => parts,
+        Err(e) => return Err(fatal(&writer, e.to_string())),
     };
+    let mut exec = TrialExecutor::new(&workload, &cfg, &golden, &sampler, 1);
     let fingerprint = checkpoint::config_fingerprint(workload.name, &cfg);
     let handshake =
         format!("{{\"mbavf_worker\": {PROTOCOL_VERSION}, \"fingerprint\": {fingerprint}}}");
@@ -297,7 +302,7 @@ fn flip_outcome(outcome: Outcome) -> Outcome {
 fn run_lease(
     writer: &Arc<Mutex<TcpStream>>,
     frames: &mpsc::Receiver<Result<String, String>>,
-    exec: &mut ShardExecutor,
+    exec: &mut TrialExecutor<'_>,
     trials: &[u64],
     attempt: u32,
     hb_every: Duration,
@@ -363,7 +368,7 @@ fn run_lease(
                 // even though frames keep arriving.
                 std::thread::sleep(Duration::from_secs(3600));
             }
-            let (mut record, us) = exec.run_trial(trial);
+            let (mut record, us) = exec.run_unit(&[trial]).next().expect("one trial, one record");
             if let Some(engine) = liar {
                 if engine.draw(OpClass::Verdict) == Fault::VerdictFlip {
                     // The Byzantine lie: a correct computation, reported

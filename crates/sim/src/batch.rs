@@ -8,7 +8,7 @@
 //! one *leader* wavefront + memory image executes the golden stream, and
 //! each of up to W trials rides the leader until its fault site, where its
 //! private wavefront and memory image are forked off the leader
-//! ([`Wavefront::copy_state_from`], [`Memory::fork_from`]) and stepped in
+//! ([`Wavefront::copy_state_from`], `Memory::fork_from`) and stepped in
 //! lockstep with the real `step` on its own state.
 //!
 //! Verdicts stay bit-identical to the sequential [`TrialArena`] path by
@@ -16,7 +16,7 @@
 //!
 //! * Riding trials are byte-identical to the leader, so the leader's steps
 //!   *are* their steps.
-//! * Forked trials execute the unmodified [`step`](crate::exec::step) on
+//! * Forked trials execute the unmodified [`step`] on
 //!   their own state with the same per-workgroup watch-port lifecycle as
 //!   the arena.
 //! * The moment a forked trial's control flow leaves the leader's (PC
