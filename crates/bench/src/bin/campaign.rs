@@ -76,7 +76,10 @@
 //! A heartbeat line (trials done/total, trials/sec, per-kind counts, live
 //! workers, ETA) is printed to stderr every `--heartbeat` seconds
 //! (default 5; 0 disables), and the final summary reports p50/p99 trial
-//! latency.
+//! latency. Both also count the trials the golden run let the executor cut
+//! short — settled from the register-use profile without running, or
+//! stopped where their memory rejoined the golden run at a workgroup
+//! boundary — which is why a p50 latency can be near zero.
 //!
 //! Passing `--target-ci-halfwidth` switches to **adaptive sizing**: trial
 //! batches are scheduled (starting at `--batch`, doubling) until the SDC
@@ -492,6 +495,14 @@ fn print_report(report: &CampaignReport, confidence: f64) {
         println!(
             "  trial latency (n={}): p50 {}us, p99 {}us, max {}us",
             l.n, l.p50_us, l.p99_us, l.max_us
+        );
+    }
+    let cut = report.shortcuts;
+    if cut.settled > 0 || cut.stopped_early > 0 {
+        println!(
+            "  golden-run shortcuts: {} trial(s) settled from the profile without running, \
+             {} stopped early at a golden workgroup boundary",
+            cut.settled, cut.stopped_early
         );
     }
     if s.durable_write_failures > 0 {

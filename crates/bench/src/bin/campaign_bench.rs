@@ -1,11 +1,16 @@
 //! Campaign hot-path microbenchmark: reusable arena vs. lockstep trial
-//! batching.
+//! batching, and both against the golden-run shortcuts a campaign takes.
 //!
-//! Measures the same pre-sampled fault sites through two trial paths — the
-//! sequential arena path (one [`TrialArena`] reset between trials via
-//! dirty-page tracking) and the batched path (a [`TrialBatch`] decoding
-//! each golden instruction once for a whole lockstep group) — and emits a
-//! machine-readable `BENCH_campaign.json`:
+//! Measures the same pre-sampled fault sites through three trial paths —
+//! the sequential arena path (one [`TrialArena`] reset between trials via
+//! dirty-page tracking), the batched path (a [`TrialBatch`] decoding each
+//! golden instruction once for a whole lockstep group), and the shortcut
+//! arena path a width-1 campaign runs (unread sites settled from the
+//! golden register-use profile, read sites run from their fault's
+//! workgroup to the first golden boundary they rejoin). Serial
+//! `run_campaign` calls at width 1 and at the batch width then time both
+//! engines with their campaign shortcuts, golden double run included. The
+//! results go to a machine-readable `BENCH_campaign.json`:
 //!
 //! ```json
 //! {
@@ -14,14 +19,19 @@
 //!   "arena": {"trials_per_sec": ..., "allocs_per_trial": ...},
 //!   "batch": {"width": 8, "trials_per_sec": ..., "allocs_per_trial": ...,
 //!             "lockstep_completed": ..., "retired_to_sequential": ...},
-//!   "batch_speedup": ...
+//!   "batch_speedup": ...,
+//!   "shortcut": {"trials_per_sec": ..., "allocs_per_trial": ...,
+//!                "settled": ..., "stopped_early": ...,
+//!                "campaign_trials_per_sec": ..., "campaign_batch_trials_per_sec": ...,
+//!                "campaign_batch_speedup": ...}
 //! }
 //! ```
 //!
 //! Every trial's verdict is cross-checked between the paths; any
-//! disagreement is a hard failure (the batch must be an optimization, not
-//! a reinterpretation). `--min-batch-speedup X` gates the batch-vs-arena
-//! speedup for CI.
+//! disagreement is a hard failure (the batch and the shortcuts must be
+//! optimizations, not reinterpretations). `--min-batch-speedup X` gates the
+//! raw batch-vs-arena speedup for CI; `campaign_batch_speedup` says whether
+//! lockstep batching still pays once campaigns take the shortcuts.
 //!
 //! ```text
 //! campaign_bench [--workload NAME] [--trials N] [--out FILE]
@@ -29,7 +39,9 @@
 //! ```
 
 use mbavf_inject::campaign::{CampaignConfig, OutcomeKind, SiteSampler};
+use mbavf_inject::{run_campaign, RunnerConfig};
 use mbavf_sim::interp::{run_golden, InterpError, Termination};
+use mbavf_sim::profile::profile_golden;
 use mbavf_sim::{TrialArena, TrialBatch, TrialResult};
 use mbavf_workloads::by_name;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -218,13 +230,57 @@ fn main() -> ExitCode {
         allocs_per_trial: (ALLOCS.load(Ordering::Relaxed) - alloc0) as f64 / trials as f64,
     };
 
-    // Drop the warm-up entry, then insist on bit-identical verdicts.
-    for (t, (a, b)) in arena_verdicts[1..].iter().zip(&batch_verdicts).enumerate() {
-        if a != b {
-            eprintln!("trial {t}: arena {a:?} but batch {b:?} — the paths diverged");
+    // Shortcut arena path: settle unread sites from the profile, run read
+    // ones between golden workgroup boundaries — as a width-1 campaign
+    // does.
+    let mut profiled = w.build(cfg.scale);
+    let profile = profile_golden(&profiled.program, &mut profiled.mem, profiled.workgroups);
+    let fresh = w.build(cfg.scale);
+    let mut arena = TrialArena::new(fresh.program, fresh.mem, fresh.workgroups, cfg.wrap_oob);
+    let mut shortcut_verdicts: Vec<(OutcomeKind, bool)> = Vec::with_capacity(trials + 1);
+    let (mut settled, mut stopped_early) = (0u64, 0u64);
+    let shortcut_stats = measure(trials, |t| {
+        let s = sites[t];
+        shortcut_verdicts.push(if profile.site_is_read(s.wg, s.after_retired, s.reg, s.lane) {
+            let run = arena.run_trial_from_boundary(
+                s.injection(1),
+                max_steps,
+                &golden.output,
+                profile.boundary_images(),
+            );
+            classify(run.map(|(result, stopped)| {
+                stopped_early += u64::from(stopped);
+                result
+            }))
+        } else {
+            settled += 1;
+            (OutcomeKind::Masked, false)
+        });
+    });
+
+    // Drop the warm-up entries, then insist on bit-identical verdicts.
+    let paths = arena_verdicts[1..].iter().zip(&batch_verdicts).zip(&shortcut_verdicts[1..]);
+    for (t, ((a, b), c)) in paths.enumerate() {
+        if a != b || a != c {
+            eprintln!("trial {t}: arena {a:?}, batch {b:?}, shortcut {c:?} — the paths diverged");
             return ExitCode::FAILURE;
         }
     }
+
+    // The same trials as serial campaigns, each engine with its shortcuts.
+    let campaign_tps = |batch_width| {
+        let runner = RunnerConfig { batch_width, ..RunnerConfig::serial() };
+        let t0 = Instant::now();
+        let report = run_campaign(&w, &cfg, &runner);
+        report.map(|_| trials as f64 / t0.elapsed().as_secs_f64().max(1e-9))
+    };
+    let (campaign_1, campaign_w) = match (campaign_tps(1), campaign_tps(batch_width)) {
+        (Ok(one), Ok(wide)) => (one, wide),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("{workload}: campaign failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let batch_speedup = batch_stats.trials_per_sec / arena_stats.trials_per_sec.max(1e-9);
     let doc = format!(
@@ -233,13 +289,21 @@ fn main() -> ExitCode {
          \"batch\": {{\"width\": {batch_width}, \"trials_per_sec\": {:.1}, \
          \"allocs_per_trial\": {:.2}, \"lockstep_completed\": {}, \
          \"retired_to_sequential\": {}}},\n  \
-         \"batch_speedup\": {batch_speedup:.2}\n}}\n",
+         \"batch_speedup\": {batch_speedup:.2},\n  \
+         \"shortcut\": {{\"trials_per_sec\": {:.1}, \"allocs_per_trial\": {:.2}, \
+         \"settled\": {settled}, \"stopped_early\": {stopped_early}, \
+         \"campaign_trials_per_sec\": {campaign_1:.1}, \
+         \"campaign_batch_trials_per_sec\": {campaign_w:.1}, \
+         \"campaign_batch_speedup\": {:.2}}}\n}}\n",
         arena_stats.trials_per_sec,
         arena_stats.allocs_per_trial,
         batch_stats.trials_per_sec,
         batch_stats.allocs_per_trial,
         batch.lockstep_completed(),
         batch.retired_to_sequential(),
+        shortcut_stats.trials_per_sec,
+        shortcut_stats.allocs_per_trial,
+        campaign_w / campaign_1.max(1e-9),
     );
     print!("{doc}");
     if let Err(e) = std::fs::write(&out, &doc) {

@@ -12,7 +12,10 @@
 //!    recorded `read_before_overwrite` flag must equal the profile's
 //!    answer **exactly** (crashing trials imply the value *was* read).
 //!    Any per-site mismatch is a model/injector divergence — never
-//!    sampling noise — and is always a confirmed failure. The
+//!    sampling noise — and is always a confirmed failure. Campaigns settle
+//!    the sites the profile calls unread from that same profile without
+//!    running them, so the gate re-executes every such site in full and
+//!    requires a golden run: completed, golden output, no read. The
 //!    two-proportion agreement test quantifies the same signal at the
 //!    rate level.
 //!
@@ -33,9 +36,12 @@ use mbavf_core::error::PipelineError;
 use mbavf_core::stats::{two_proportion_test, wilson, AgreementTest, RateEstimate};
 use mbavf_core::timeline::{ByteTimeline, Cycle};
 use mbavf_inject::{
-    run_campaign, CampaignConfig, Outcome, RunnerConfig, SingleBitRecord, DEFAULT_BUNDLE_CAP,
+    run_campaign, CampaignConfig, FaultSite, Outcome, RunnerConfig, SingleBitRecord,
+    DEFAULT_BUNDLE_CAP,
 };
+use mbavf_sim::interp::Termination;
 use mbavf_sim::profile::{profile_golden, RegUseProfile};
+use mbavf_sim::TrialArena;
 use mbavf_workloads::{Scale, Workload};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -161,8 +167,9 @@ pub struct CheckedRate {
     /// How many of the sampled sites the profile predicts as read.
     pub predicted_hits: u64,
     /// Sites where the campaign record contradicts the profile's per-site
-    /// prediction. **Must be zero**: any mismatch is a confirmed model or
-    /// injector bug, not noise.
+    /// prediction, or the profile calls the site unread but its full
+    /// re-execution is not the golden run. **Must be zero**: any mismatch
+    /// is a confirmed model or injector bug, not noise.
     pub site_mismatches: u64,
     /// Two-proportion agreement test between the predicted and measured
     /// hit counts over the same trials.
@@ -424,15 +431,59 @@ fn union_len(lists: &[Vec<(Cycle, Cycle)>]) -> Cycle {
     len
 }
 
-/// Whether one campaign record contradicts the per-site oracle — the
-/// checked-rate gate's confirmed-failure condition, record by record.
-fn site_mismatch(prof: &RegUseProfile, r: &SingleBitRecord) -> bool {
-    let s = r.site;
-    let oracle = prof.site_is_read(s.wg, s.after_retired, s.reg, s.lane);
-    if matches!(r.outcome, Outcome::Crash { .. }) {
-        !oracle
-    } else {
-        r.read_before_overwrite != oracle
+/// The checked-rate gate's per-site oracle: the golden run's register-use
+/// profile, plus a full-run arena that re-executes each site the profile
+/// calls unread. Campaigns settle those sites from the same profile
+/// without running them, so comparing their read flags with it alone would
+/// pass by construction.
+struct SiteOracle {
+    prof: RegUseProfile,
+    arena: TrialArena,
+    /// Golden output bytes.
+    golden: Vec<u8>,
+    /// The campaigns' hang guard.
+    max_steps: u64,
+}
+
+impl SiteOracle {
+    /// Profile `w`'s golden run at `scale` and build a full-run arena with
+    /// the campaigns' default hang guard and out-of-bounds policy.
+    fn new(w: &Workload, scale: Scale) -> Self {
+        let mut inst = w.build(scale);
+        let prof = profile_golden(&inst.program, &mut inst.mem, inst.workgroups);
+        let defaults = CampaignConfig::default();
+        let max_steps =
+            prof.per_wg.iter().map(|wg| wg.retired).max().unwrap_or(1) * defaults.hang_factor;
+        let fresh = w.build(scale);
+        let arena = TrialArena::new(fresh.program, fresh.mem, fresh.workgroups, defaults.wrap_oob);
+        SiteOracle { prof, arena, golden: inst.mem.output_snapshot(), max_steps }
+    }
+
+    fn is_read(&self, s: FaultSite) -> bool {
+        self.prof.site_is_read(s.wg, s.after_retired, s.reg, s.lane)
+    }
+
+    /// Whether one 1x1 campaign record contradicts the oracle — the
+    /// checked-rate gate's confirmed-failure condition, record by record.
+    /// An unread site must also run, in full, exactly as the golden run.
+    fn mismatch(&mut self, r: &SingleBitRecord) -> bool {
+        let read = self.is_read(r.site);
+        if !read {
+            let run = self.arena.run_trial(r.site.injection(1), self.max_steps, &self.golden);
+            let golden_run = run.is_ok_and(|t| {
+                t.termination == Termination::Completed
+                    && t.output_matches
+                    && !t.injected_value_read
+            });
+            if !golden_run {
+                return true;
+            }
+        }
+        if matches!(r.outcome, Outcome::Crash { .. }) {
+            !read
+        } else {
+            r.read_before_overwrite != read
+        }
     }
 }
 
@@ -473,27 +524,30 @@ fn emit_bundles(
     }
 }
 
+/// The checked-rate differential of one 1x1 campaign, and the trials
+/// whose records contradict the oracle (ascending).
 fn checked_rate(
-    prof: &RegUseProfile,
+    oracle: &mut SiteOracle,
     summary: &mbavf_inject::CampaignSummary,
     confidence: f64,
-) -> CheckedRate {
+) -> (CheckedRate, Vec<u64>) {
     let n = summary.records.len() as u64;
     let mut predicted = 0u64;
     let mut measured_k = 0u64;
-    let mut mismatches = 0u64;
+    let mut mismatched = Vec::new();
     for r in &summary.records {
-        let s = r.site;
-        let oracle = prof.site_is_read(s.wg, s.after_retired, s.reg, s.lane);
-        predicted += u64::from(oracle);
+        predicted += u64::from(oracle.is_read(r.site));
         // The injector loses the watchpoint flag on a crash, but a crash
         // is propagation, which requires a read: count it as read, and
         // the profile must agree.
         let measured_read = matches!(r.outcome, Outcome::Crash { .. }) || r.read_before_overwrite;
         measured_k += u64::from(measured_read);
-        mismatches += u64::from(site_mismatch(prof, r));
+        if oracle.mismatch(r) {
+            mismatched.push(r.trial);
+        }
     }
-    let model = prof.read_before_overwrite_probability();
+    let mismatches = mismatched.len() as u64;
+    let model = oracle.prof.read_before_overwrite_probability();
     let measured = wilson(measured_k, n, confidence);
     let test = two_proportion_test(predicted, n, measured_k, n, confidence);
     let verdict = if mismatches > 0 || !test.agree {
@@ -505,14 +559,15 @@ fn checked_rate(
         // probability is sampling fluctuation (expected ~5% of the time).
         Verdict::Inconclusive
     };
-    CheckedRate {
+    let rate = CheckedRate {
         model,
         measured,
         predicted_hits: predicted,
         site_mismatches: mismatches,
         test,
         verdict,
-    }
+    };
+    (rate, mismatched)
 }
 
 /// Run the full gate for one workload.
@@ -528,10 +583,7 @@ pub fn validate_workload(
 ) -> Result<WorkloadVerdict, PipelineError> {
     let data = try_run_workload(w, cfg.scale)?;
 
-    let mut inst = w.build(cfg.scale);
-    let program = inst.program.clone();
-    let wgs = inst.workgroups;
-    let prof = profile_golden(&program, &mut inst.mem, wgs);
+    let mut oracle = SiteOracle::new(w, cfg.scale);
 
     let mut checked = None;
     let mut modes = Vec::with_capacity(cfg.modes.len());
@@ -548,7 +600,7 @@ pub fn validate_workload(
             .map_err(|source| PipelineError::Inject { workload: w.name.to_string(), source })?;
         let stats = report.summary.stats(cfg.confidence);
         if m <= 1 {
-            let c = checked_rate(&prof, &report.summary, cfg.confidence);
+            let (c, mismatched) = checked_rate(&mut oracle, &report.summary, cfg.confidence);
             if let Some(dir) = cfg.repro_dir.as_deref() {
                 if c.site_mismatches > 0 {
                     bundles.extend(emit_bundles(
@@ -556,13 +608,13 @@ pub fn validate_workload(
                         w,
                         &campaign,
                         &report.summary.records,
-                        &|r| site_mismatch(&prof, r),
+                        &|r| mismatched.binary_search(&r.trial).is_ok(),
                     ));
                 }
             }
             checked = Some(c);
         }
-        let model_sdc = mode_model_sdc(&data, u32::from(prof.num_vregs), m);
+        let model_sdc = mode_model_sdc(&data, u32::from(oracle.prof.num_vregs), m);
         let verdict =
             band_verdict(model_sdc, &stats.error, cfg.tolerance, cfg.min_trials_to_confirm);
         if let Some(dir) = cfg.repro_dir.as_deref() {
@@ -595,7 +647,7 @@ pub fn validate_workload(
             };
             let report = run_campaign(w, &campaign, &RunnerConfig::default())
                 .map_err(|source| PipelineError::Inject { workload: w.name.to_string(), source })?;
-            let c = checked_rate(&prof, &report.summary, cfg.confidence);
+            let (c, mismatched) = checked_rate(&mut oracle, &report.summary, cfg.confidence);
             if let Some(dir) = cfg.repro_dir.as_deref() {
                 if c.site_mismatches > 0 {
                     bundles.extend(emit_bundles(
@@ -603,7 +655,7 @@ pub fn validate_workload(
                         w,
                         &campaign,
                         &report.summary.records,
-                        &|r| site_mismatch(&prof, r),
+                        &|r| mismatched.binary_search(&r.trial).is_ok(),
                     ));
                 }
             }

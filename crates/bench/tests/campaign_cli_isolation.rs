@@ -144,3 +144,38 @@ fn fail_on_crash_counts_poisoned_trials() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// Audits re-execute in full, so they check the golden-run shortcuts the
+/// worker daemons take instead of repeating them. With `--audit 1.0` every
+/// trial is audited, and thread mode shows the same trials include ones
+/// settled from the profile without running.
+#[test]
+fn audits_of_shortcut_trials_find_no_divergence() {
+    let dir = temp_dir("audit-shortcuts");
+    let thread = campaign(&dir, &[], None);
+    assert_eq!(thread.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&thread.stdout);
+    let settled = stdout
+        .lines()
+        .find_map(|l| l.trim_start().strip_prefix("golden-run shortcuts: "))
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse::<u64>().ok())
+        .unwrap_or_else(|| panic!("thread mode must report its shortcuts: {stdout}"));
+    assert!(settled > 0, "no trial was settled from the profile: {stdout}");
+
+    let mut flags = vec!["--audit", "1.0"];
+    flags.extend_from_slice(PROCESS_FLAGS);
+    let audited = campaign(&dir, &flags, None);
+    let stdout = String::from_utf8_lossy(&audited.stdout);
+    assert_eq!(
+        audited.status.code(),
+        Some(0),
+        "stdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&audited.stderr)
+    );
+    assert!(
+        stdout.contains("12 record(s) audited against local re-execution (0 divergent"),
+        "every trial audited, none divergent: {stdout}"
+    );
+    assert_eq!(rates(&thread), rates(&audited));
+}

@@ -11,6 +11,7 @@ use mbavf_core::error::InjectError;
 use mbavf_core::rng::{fnv1a, SplitMix64};
 use mbavf_core::stats::{wilson, RateEstimate};
 use mbavf_sim::interp::{run_golden, InterpError, Termination};
+use mbavf_sim::profile::{profile_golden, RegUseProfile};
 use mbavf_workloads::{Scale, Workload};
 use std::time::Instant;
 
@@ -398,6 +399,11 @@ impl CampaignSummary {
 /// and owns the engine: a [`TrialArena`](mbavf_sim::TrialArena) at width 1,
 /// a lockstep [`TrialBatch`](mbavf_sim::TrialBatch) at width W, both with
 /// bit-identical verdicts.
+///
+/// [`run_unit`](Self::run_unit) settles each trial with the least execution
+/// the golden run proves it needs (see [`GoldenShape::shortcuts_exact`]);
+/// [`run_site`](Self::run_site) always runs the whole kernel, so replay,
+/// Table II and audits check those shortcuts rather than repeat them.
 pub(crate) struct TrialExecutor<'g> {
     cfg: &'g CampaignConfig,
     golden: &'g GoldenShape,
@@ -405,6 +411,20 @@ pub(crate) struct TrialExecutor<'g> {
     engine: Engine,
     /// The current unit's records and wall-clocks, reused across units.
     unit: Vec<(SingleBitRecord, u64)>,
+    /// Trials `run_unit` cut short since the last
+    /// [`take_shortcuts`](Self::take_shortcuts).
+    shortcuts: Shortcuts,
+}
+
+/// How many trials the executor settled without running the whole kernel.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Shortcuts {
+    /// Trials whose fault the golden profile proves is never read: settled
+    /// as masked, unread, without executing anything.
+    pub settled: u64,
+    /// Read trials that stopped at a workgroup boundary where their memory
+    /// image rejoined the golden run's.
+    pub stopped_early: u64,
 }
 
 enum Engine {
@@ -431,7 +451,13 @@ impl<'g> TrialExecutor<'g> {
         } else {
             Engine::Arena(Box::new(mbavf_sim::TrialArena::new(program, mem, wgs, wrap)))
         };
-        TrialExecutor { cfg, golden, sampler, engine, unit: Vec::with_capacity(width.max(1)) }
+        let unit = Vec::with_capacity(width.max(1));
+        TrialExecutor { cfg, golden, sampler, engine, unit, shortcuts: Shortcuts::default() }
+    }
+
+    /// The shortcut counts since the last call, resetting them.
+    pub(crate) fn take_shortcuts(&mut self) -> Shortcuts {
+        std::mem::take(&mut self.shortcuts)
     }
 
     /// Trials one [`run_unit`](Self::run_unit) call takes: 1 at width 1,
@@ -447,41 +473,76 @@ impl<'g> TrialExecutor<'g> {
     /// [`width`](Self::width) of them at width W; any number at width 1,
     /// run one after another), returning each record with its wall-clock in
     /// microseconds, in the order given. A lockstep batch's span is
-    /// apportioned over its trials by [`per_trial_latency_us`].
+    /// apportioned over the trials it ran by [`per_trial_latency_us`].
+    ///
+    /// When the golden run makes them exact, two shortcuts apply: a trial
+    /// whose fault is never read is settled from the profile without
+    /// running (at width W it never joins the batch), and at width 1 a read
+    /// trial runs only from its fault's workgroup to the first boundary
+    /// where its memory rejoins the golden run. The records are those of
+    /// full runs.
     pub(crate) fn run_unit(
         &mut self,
         trials: &[u64],
     ) -> std::vec::Drain<'_, (SingleBitRecord, u64)> {
         let (cfg, golden, sampler) = (self.cfg, self.golden, self.sampler);
-        // Each record's outcome is a placeholder until the engine below
-        // classifies it.
+        // Each record starts as what an unread fault yields; the engine
+        // below classifies the trials the profile cannot settle.
         let sampled = |trial| {
             let site = sampler.sample(cfg.seed, trial);
             SingleBitRecord { trial, site, outcome: Outcome::Masked, read_before_overwrite: false }
         };
+        let exact = golden.shortcuts_exact();
+        let settled = |site: &FaultSite| {
+            exact && !golden.profile.site_is_read(site.wg, site.after_retired, site.reg, site.lane)
+        };
         self.unit.clear();
         self.unit.extend(trials.iter().map(|&trial| (sampled(trial), 0)));
         let m = cfg.mode_bits.max(1);
+        let counts = &mut self.shortcuts;
         match &mut self.engine {
             Engine::Arena(arena) => {
+                let (steps, output) = (golden.max_steps, &golden.output);
+                let images = golden.profile.boundary_images();
                 for (record, us) in &mut self.unit {
                     let t0 = Instant::now();
-                    let result =
-                        arena.run_trial(record.site.injection(m), golden.max_steps, &golden.output);
+                    let inj = record.site.injection(m);
+                    if settled(&record.site) {
+                        counts.settled += 1;
+                    } else {
+                        let result = if exact {
+                            let run = arena.run_trial_from_boundary(inj, steps, output, images);
+                            run.map(|(result, stopped)| {
+                                counts.stopped_early += u64::from(stopped);
+                                result
+                            })
+                        } else {
+                            arena.run_trial(inj, steps, output)
+                        };
+                        (record.outcome, record.read_before_overwrite) = classify_trial(result);
+                    }
                     *us = t0.elapsed().as_micros() as u64;
-                    (record.outcome, record.read_before_overwrite) = classify_trial(result);
                 }
             }
             Engine::Batch { batch, injections } => {
                 injections.clear();
-                injections.extend(self.unit.iter().map(|(r, _)| r.site.injection(m)));
-                let t0 = Instant::now();
-                let results = batch.run_batch(injections, golden.max_steps, &golden.output);
-                let span_us = t0.elapsed().as_micros() as u64;
-                let n = self.unit.len();
-                for (k, ((record, us), result)) in self.unit.iter_mut().zip(results).enumerate() {
-                    (record.outcome, record.read_before_overwrite) = classify_trial(result);
-                    *us = per_trial_latency_us(span_us, n, k);
+                for (record, _) in &self.unit {
+                    if settled(&record.site) {
+                        counts.settled += 1;
+                    } else {
+                        injections.push(record.site.injection(m));
+                    }
+                }
+                if !injections.is_empty() {
+                    let t0 = Instant::now();
+                    let results = batch.run_batch(injections, golden.max_steps, &golden.output);
+                    let span_us = t0.elapsed().as_micros() as u64;
+                    let n = injections.len();
+                    let ran = self.unit.iter_mut().filter(|(r, _)| !settled(&r.site));
+                    for (k, ((record, us), result)) in ran.zip(results).enumerate() {
+                        (record.outcome, record.read_before_overwrite) = classify_trial(result);
+                        *us = per_trial_latency_us(span_us, n, k);
+                    }
                 }
             }
         }
@@ -491,6 +552,8 @@ impl<'g> TrialExecutor<'g> {
     /// Run one injection of `m` contiguous bits at an explicit `site` and
     /// classify it: the outcome and whether the flipped register was read
     /// before being overwritten.
+    ///
+    /// Always runs the whole kernel from workgroup 0, never a shortcut.
     ///
     /// # Panics
     ///
@@ -506,6 +569,18 @@ impl<'g> TrialExecutor<'g> {
                 results.pop().expect("one injection, one result")
             }
         })
+    }
+
+    /// Campaign trial `trial` run in full through [`run_site`](Self::run_site)
+    /// — the record [`run_unit`](Self::run_unit) must produce for it — with
+    /// its wall-clock in microseconds. The supervisor's audit uses this,
+    /// so a wrong shortcut on a worker shows up as a divergence.
+    pub(crate) fn run_trial_in_full(&mut self, trial: u64) -> (SingleBitRecord, u64) {
+        let t0 = Instant::now();
+        let site = self.sampler.sample(self.cfg.seed, trial);
+        let (outcome, read_before_overwrite) = self.run_site(site, self.cfg.mode_bits.max(1));
+        let record = SingleBitRecord { trial, site, outcome, read_before_overwrite };
+        (record, t0.elapsed().as_micros() as u64)
     }
 }
 
@@ -571,6 +646,20 @@ pub(crate) struct GoldenShape {
     pub max_steps: u64,
     /// Register-file size.
     pub num_vregs: u8,
+    /// Register-use profile and workgroup-boundary images of the golden
+    /// run: the executor's oracle for trial shortcuts.
+    pub profile: RegUseProfile,
+}
+
+impl GoldenShape {
+    /// Whether the golden run proves the executor's shortcuts exact: no
+    /// golden workgroup reaches the hang guard. Then a trial that runs the
+    /// golden code for its unread fault, or for the workgroups its fault
+    /// cannot reach, completes them exactly as the golden run did. (Only a
+    /// `hang_factor` below 2 can break this.)
+    pub(crate) fn shortcuts_exact(&self) -> bool {
+        self.per_wg_retired.iter().all(|&retired| retired < self.max_steps)
+    }
 }
 
 /// Run the fault-free golden pass **twice** (from two independently built
@@ -581,40 +670,43 @@ pub(crate) struct GoldenShape {
 /// verdict is a diff against the golden output, so a workload whose build
 /// or execution is nondeterministic would silently poison the whole
 /// campaign. If the two runs disagree — in output bytes or in retirement
-/// shape — the campaign refuses to start.
+/// shape — the campaign refuses to start. The second run is the profiling
+/// one ([`profile_golden`], functionally identical to [`run_golden`]), so
+/// the register-use profile costs no third run.
 pub(crate) fn golden_shape(
     workload: &Workload,
     cfg: &CampaignConfig,
 ) -> Result<GoldenShape, InjectError> {
     let failed =
         |detail| InjectError::GoldenRunFailed { workload: workload.name.to_string(), detail };
-    let run_once = || {
-        mbavf_sim::isolate::catch_crash(|| {
-            let mut inst = workload.build(cfg.scale);
-            let program = inst.program.clone();
-            let wgs = inst.workgroups;
-            let golden = run_golden(&program, &mut inst.mem, wgs);
-            let max_steps =
-                golden.per_wg_retired.iter().copied().max().unwrap_or(1) * cfg.hang_factor;
-            GoldenShape {
-                output: golden.output,
-                per_wg_retired: golden.per_wg_retired,
-                max_steps,
-                num_vregs: program.num_vregs(),
-            }
-        })
-    };
-    let first = run_once().map_err(failed)?;
-    let second = run_once().map_err(failed)?;
+    let first = mbavf_sim::isolate::catch_crash(|| {
+        let mut inst = workload.build(cfg.scale);
+        run_golden(&inst.program, &mut inst.mem, inst.workgroups)
+    })
+    .map_err(failed)?;
+    let (output, profile) = mbavf_sim::isolate::catch_crash(|| {
+        let mut inst = workload.build(cfg.scale);
+        let profile = profile_golden(&inst.program, &mut inst.mem, inst.workgroups);
+        (inst.mem.output_snapshot(), profile)
+    })
+    .map_err(failed)?;
+    let per_wg_retired: Vec<u64> = profile.per_wg.iter().map(|wg| wg.retired).collect();
     let digest_a = fnv1a(&first.output);
-    let digest_b = fnv1a(&second.output);
-    if digest_a != digest_b || first.per_wg_retired != second.per_wg_retired {
+    let digest_b = fnv1a(&output);
+    if digest_a != digest_b || first.per_wg_retired != per_wg_retired {
         return Err(failed(format!(
             "nondeterministic golden run (output digests {digest_a:#018x} vs {digest_b:#018x}); \
              injection outcomes cannot be classified against an unstable reference"
         )));
     }
-    Ok(first)
+    let max_steps = per_wg_retired.iter().copied().max().unwrap_or(1) * cfg.hang_factor;
+    Ok(GoldenShape {
+        output: first.output,
+        per_wg_retired,
+        max_steps,
+        num_vregs: profile.num_vregs,
+        profile,
+    })
 }
 
 #[cfg(test)]
@@ -721,17 +813,24 @@ mod tests {
     }
 
     /// The executor's calls agree: for every sampled trial, the per-unit
-    /// call at width 1 and at width 8 — and `run_site` on the lockstep
-    /// engine — yield the record `run_site` produces on that trial's site
-    /// at width 1. Histogram with wrapping off covers crash outcomes.
+    /// call at width 1 and at width 8 — with their golden-run shortcuts —
+    /// and `run_site` on the lockstep engine yield the record `run_site`
+    /// produces on that trial's site at width 1, running the whole kernel.
+    /// Histogram with wrapping off covers crash outcomes; transpose and
+    /// fast_walsh have many workgroup boundaries to stop at; pathfinder's
+    /// divergent EXEC masks make the profile's lane bits matter.
     #[test]
     fn executor_units_match_run_site_at_every_width() {
         let mut crashes = 0;
-        for name in ["histogram", "dct", "fast_walsh", "transpose"] {
+        let mut cut = Shortcuts::default();
+        for name in ["histogram", "dct", "fast_walsh", "transpose", "pathfinder"] {
             let w = by_name(name).expect("registered");
             for (wrap_oob, m) in [true, false].into_iter().flat_map(|o| [1, 2, 4].map(|m| (o, m))) {
-                let cfg = CampaignConfig { wrap_oob, mode_bits: m, ..quick_cfg(16) };
+                // Few of pathfinder's sites sit before a divergent access.
+                let n = if name == "pathfinder" { 160 } else { 24 };
+                let cfg = CampaignConfig { wrap_oob, mode_bits: m, ..quick_cfg(n) };
                 let golden = golden_shape(&w, &cfg).unwrap();
+                assert!(golden.shortcuts_exact());
                 let sampler = SiteSampler::new(&golden.per_wg_retired, golden.num_vregs).unwrap();
                 let trials: Vec<u64> = (0..cfg.injections as u64).collect();
                 let mut single = TrialExecutor::new(&w, &cfg, &golden, &sampler, 1);
@@ -743,6 +842,7 @@ mod tests {
                         SingleBitRecord { trial, site, outcome, read_before_overwrite }
                     })
                     .collect();
+                assert_eq!(single.take_shortcuts(), Shortcuts::default(), "run_site ran in full");
                 crashes += expect.iter().filter(|r| r.outcome.kind() == OutcomeKind::Crash).count();
                 for width in [1, 8] {
                     let at = format!("{name} wrap_oob={wrap_oob} m={m} width={width}");
@@ -753,6 +853,12 @@ mod tests {
                         got.extend(exec.run_unit(unit).map(|(record, _)| record));
                     }
                     assert_eq!(got, expect, "{at}");
+                    let counts = exec.take_shortcuts();
+                    cut.settled += counts.settled;
+                    cut.stopped_early += counts.stopped_early;
+                    if width > 1 {
+                        assert_eq!(counts.stopped_early, 0, "{at}: the batch runs in full");
+                    }
                     for r in &expect {
                         let run = exec.run_site(r.site, m);
                         assert_eq!(run, (r.outcome.clone(), r.read_before_overwrite), "{at}");
@@ -761,6 +867,28 @@ mod tests {
             }
         }
         assert!(crashes > 0, "no crash outcome exercised the executor");
+        assert!(cut.settled > 0, "no trial was settled from the profile");
+        assert!(cut.stopped_early > 0, "no trial stopped at a golden boundary");
+    }
+
+    /// A hang guard the golden run itself reaches (`hang_factor` 1) makes
+    /// the shortcuts inexact, so the executor runs every trial in full.
+    #[test]
+    fn shortcuts_stay_off_when_the_golden_run_hits_the_hang_guard() {
+        let w = by_name("fast_walsh").expect("registered");
+        let cfg = CampaignConfig { hang_factor: 1, ..quick_cfg(16) };
+        let golden = golden_shape(&w, &cfg).unwrap();
+        assert!(!golden.shortcuts_exact());
+        let sampler = SiteSampler::new(&golden.per_wg_retired, golden.num_vregs).unwrap();
+        let mut exec = TrialExecutor::new(&w, &cfg, &golden, &sampler, 1);
+        for trial in 0..cfg.injections as u64 {
+            let (record, _) = exec.run_unit(&[trial]).next().expect("one record");
+            assert_eq!(
+                exec.run_site(record.site, 1),
+                (record.outcome, record.read_before_overwrite)
+            );
+        }
+        assert_eq!(exec.take_shortcuts(), Shortcuts::default());
     }
 
     #[test]

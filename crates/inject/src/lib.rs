@@ -57,7 +57,7 @@ pub mod supervisor;
 pub use bundle::{Minimized, ReproBundle, BUNDLE_VERSION, DEFAULT_BUNDLE_CAP};
 pub use campaign::{
     single_bit_campaign, CampaignConfig, CampaignStats, CampaignSummary, FaultSite, Fractions,
-    Outcome, OutcomeKind, SingleBitRecord, SiteSampler, SAMPLER_ID,
+    Outcome, OutcomeKind, Shortcuts, SingleBitRecord, SiteSampler, SAMPLER_ID,
 };
 pub use cancel::{CancelReason, CancelToken};
 pub use chaos::{ChaosEngine, ChaosSpec};

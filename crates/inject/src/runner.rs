@@ -45,7 +45,7 @@
 //! finished campaign is the one thing this layer must never do.
 
 use crate::campaign::{
-    golden_shape, CampaignConfig, CampaignSummary, GoldenShape, Outcome, OutcomeKind,
+    golden_shape, CampaignConfig, CampaignSummary, GoldenShape, Outcome, OutcomeKind, Shortcuts,
     SingleBitRecord, SiteSampler, TrialExecutor,
 };
 use crate::checkpoint::{self, wal};
@@ -54,7 +54,7 @@ use crate::supervisor::PoisonEntry;
 use mbavf_core::error::{CheckpointError, InjectError, SupervisorError};
 use mbavf_workloads::Workload;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -198,6 +198,10 @@ pub struct CampaignReport {
     /// Wall-clock percentiles of the trials this call executed, when any
     /// were measured.
     pub trial_latency: Option<LatencyStats>,
+    /// Trials this process's executors settled from the golden profile or
+    /// stopped early at a golden workgroup boundary — why a p50 latency can
+    /// be near zero. Trials run by worker daemons are not counted.
+    pub shortcuts: Shortcuts,
 }
 
 /// What [`Shared::commit_remote`] did with an offered record — the merge
@@ -251,6 +255,11 @@ pub(crate) struct Shared {
     /// Per-trial wall-clock, microseconds, for trials run by this call.
     /// Pre-reserved to the pending count so the hot path never allocates.
     pub(crate) latencies_us: Mutex<Vec<u64>>,
+    /// Trials settled from the golden profile without running (heartbeat
+    /// and report).
+    settled: AtomicU64,
+    /// Trials stopped early at a golden workgroup boundary.
+    stopped_early: AtomicU64,
     /// Write-ahead trial journal: while the campaign runs, the only durable
     /// copy of the trials committed since it opened. `None` without
     /// checkpointing, once checkpointing is disabled, or while a failed
@@ -286,6 +295,8 @@ impl Shared {
             kind_counts: Default::default(),
             active_workers: AtomicUsize::new(0),
             latencies_us: Mutex::new(Vec::with_capacity(pending)),
+            settled: AtomicU64::new(0),
+            stopped_early: AtomicU64::new(0),
             journal: Mutex::new(None),
             durable,
             durable_write_failures: AtomicUsize::new(0),
@@ -378,6 +389,19 @@ impl Shared {
             }
         }
         self.completed.fetch_add(n, Ordering::SeqCst) + n
+    }
+
+    /// Add an executor's shortcut counts to the campaign's.
+    fn count_shortcuts(&self, counts: Shortcuts) {
+        self.settled.fetch_add(counts.settled, Ordering::Relaxed);
+        self.stopped_early.fetch_add(counts.stopped_early, Ordering::Relaxed);
+    }
+
+    fn shortcuts(&self) -> Shortcuts {
+        Shortcuts {
+            settled: self.settled.load(Ordering::Relaxed),
+            stopped_early: self.stopped_early.load(Ordering::Relaxed),
+        }
     }
 
     /// Durably commit a group of locally-run trials, draining `group`: the
@@ -493,6 +517,12 @@ impl Shared {
                     )
                 })
                 .collect();
+            let shortcuts = self.shortcuts();
+            let shortcuts = if shortcuts == Shortcuts::default() {
+                String::new()
+            } else {
+                format!(", settled {} stopped early {}", shortcuts.settled, shortcuts.stopped_early)
+            };
             // Degraded durability is reported on every beat, not buried in
             // a one-time warning that scrolled away hours ago.
             let failures = self.durable_write_failures.load(Ordering::SeqCst);
@@ -504,7 +534,7 @@ impl Shared {
                 String::new()
             };
             eprintln!(
-                "heartbeat[{label}]: {done}/{total} trials, {rate} trials/s, eta {eta}, workers {}, {}{}{durability}",
+                "heartbeat[{label}]: {done}/{total} trials, {rate} trials/s, eta {eta}, workers {}, {}{shortcuts}{}{durability}",
                 live(),
                 kinds.join(" "),
                 extra()
@@ -868,6 +898,7 @@ impl<'a> OpenCampaign<'a> {
     pub(crate) fn finish(self, supervision: Supervision) -> Result<CampaignReport, InjectError> {
         let (workload, fingerprint, shared) = (self.workload.name, self.fingerprint, self.shared);
         let durable_write_failures = shared.durable_write_failures.load(Ordering::SeqCst) as u64;
+        let shortcuts = shared.shortcuts();
         let records: Vec<SingleBitRecord> =
             shared.slots.into_inner().expect("slots lock").into_iter().flatten().collect();
         // The final checkpoint replaces the journal — a finished campaign
@@ -957,6 +988,7 @@ impl<'a> OpenCampaign<'a> {
             bundles,
             poisoned: supervision.poisoned,
             trial_latency,
+            shortcuts,
         })
     }
 
@@ -1016,6 +1048,7 @@ impl<'a> OpenCampaign<'a> {
                 for (record, elapsed_us) in exec.run_unit(unit) {
                     group.add(record, elapsed_us);
                 }
+                shared.count_shortcuts(exec.take_shortcuts());
                 // Each lockstep group commits as (at least) one group.
                 if width > 1 {
                     group.commit();

@@ -712,8 +712,10 @@ impl SupCtx<'_> {
                     };
                     let trial = record.trial;
                     let leased = remaining.iter().position(|&t| t == trial);
-                    // Trust-but-verify: re-execute sampled records through
-                    // the local arena path *before* they reach the WAL. The
+                    // Trust-but-verify: re-execute sampled records in full
+                    // on the local arena *before* they reach the WAL — never
+                    // through the shortcuts the worker took, so a wrong
+                    // shortcut surfaces as a divergence. The
                     // sample is a pure function of (seed, trial), so it is
                     // invariant under the worker count and endpoint layout;
                     // only leased (first-delivery) records are audited, so
@@ -725,12 +727,8 @@ impl SupCtx<'_> {
                     if leased.is_some() {
                         if let (Some(policy), Some(auditor)) = (self.sup.audit, &self.auditor) {
                             if policy.selects(self.campaign.cfg.seed, trial) {
-                                let (local, local_us) = auditor
-                                    .lock()
-                                    .expect("auditor lock")
-                                    .run_unit(&[trial])
-                                    .next()
-                                    .expect("one trial, one record");
+                                let (local, local_us) =
+                                    auditor.lock().expect("auditor lock").run_trial_in_full(trial);
                                 if local == record {
                                     audit = AuditOutcome::Passed;
                                 } else {

@@ -14,11 +14,15 @@
 //! freshly built instance: same per-workgroup watch-port lifecycle, same
 //! injection timing, same hang guard, same crash capture. The campaign
 //! runner's verdicts must not depend on which path executed a trial.
+//!
+//! With the golden run's workgroup-boundary images, the same trial loop
+//! also runs a trial only across the workgroups its fault can change
+//! ([`TrialArena::run_trial_from_boundary`]).
 
 use crate::exec::{step, Lanes, Ports, StepCtx, Wavefront};
 use crate::interp::{Injection, InterpError, Termination};
 use crate::isa::{MemWidth, WAVE_LANES};
-use crate::mem::Memory;
+use crate::mem::{BoundaryImages, Memory};
 use crate::program::Program;
 
 /// What one arena-executed trial produced.
@@ -121,18 +125,79 @@ impl TrialArena {
         max_steps_per_wf: u64,
         golden: &[u8],
     ) -> Result<TrialResult, InterpError> {
+        self.run(inj, max_steps_per_wf, golden, None).map(|(result, _)| result)
+    }
+
+    /// [`run_trial`](Self::run_trial) cut to the workgroups the fault can
+    /// change, using the golden run's boundary `images`
+    /// ([`RegUseProfile::boundary_images`](crate::profile::RegUseProfile::boundary_images)).
+    /// Also returns whether the trial stopped early.
+    ///
+    /// Only memory crosses a workgroup boundary: each workgroup relaunches
+    /// the wavefront, clears the watch state, and the fault fires only in
+    /// `inj.wg`. So the workgroups before `inj.wg` run the golden run, and
+    /// the trial starts from the golden image at boundary `inj.wg`. After
+    /// each later workgroup, a trial whose image equals the golden image
+    /// at the next boundary would run the rest of the golden run: it stops
+    /// there as masked, with the read flag observed so far. A trial that
+    /// never rejoins runs to the end and is classified as in `run_trial`.
+    ///
+    /// The result equals `run_trial`'s provided the golden run — the run
+    /// that produced `golden` and `images` from this arena's template —
+    /// keeps every workgroup under `max_steps_per_wf` retired
+    /// instructions; otherwise the skipped workgroups would have tripped
+    /// the hang guard.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_trial`](Self::run_trial).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images` does not hold one boundary per workgroup of an
+    /// image of this arena's size.
+    pub fn run_trial_from_boundary(
+        &mut self,
+        inj: Injection,
+        max_steps_per_wf: u64,
+        golden: &[u8],
+        images: &BoundaryImages,
+    ) -> Result<(TrialResult, bool), InterpError> {
+        assert_eq!(images.len(), self.workgroups as usize, "one boundary image per workgroup");
+        self.run(inj, max_steps_per_wf, golden, Some(images))
+    }
+
+    /// The one trial loop: from workgroup 0 with no `images`, otherwise
+    /// from boundary `inj.wg` with the reconvergence stop.
+    fn run(
+        &mut self,
+        inj: Injection,
+        max_steps_per_wf: u64,
+        golden: &[u8],
+        images: Option<&BoundaryImages>,
+    ) -> Result<(TrialResult, bool), InterpError> {
         if inj.reg as usize >= self.program.num_vregs() as usize
             || inj.lane as usize >= WAVE_LANES
             || inj.wg >= self.workgroups
         {
             return Err(InterpError::BadInjection(inj));
         }
-        self.mem.reset_from(&self.template);
-        let Self { program, workgroups, mem, wf, armed, .. } = self;
+        let first = match images {
+            Some(images) => {
+                self.mem.restore_boundary(&self.template, images, inj.wg as usize);
+                inj.wg
+            }
+            None => {
+                self.mem.reset_from(&self.template);
+                0
+            }
+        };
+        let Self { program, workgroups, template, mem, wf, armed } = self;
         let caught = crate::isolate::catch_crash(move || {
             let mut termination = Termination::Completed;
             let mut observed = false;
-            for wg in 0..*workgroups {
+            let mut rejoined = false;
+            for wg in first..*workgroups {
                 wf.relaunch(program, wg, 0, *workgroups);
                 armed.fill(0);
                 let mut pending = (inj.wg == wg).then_some(inj);
@@ -156,9 +221,16 @@ impl TrialArena {
                 if termination == Termination::Hang {
                     break;
                 }
+                let next = wg as usize + 1;
+                if next < *workgroups as usize
+                    && images.is_some_and(|images| mem.matches_boundary(template, images, next))
+                {
+                    rejoined = true;
+                    break;
+                }
             }
-            let output_matches = mem.output_matches(golden);
-            TrialResult { termination, output_matches, injected_value_read: observed }
+            let output_matches = rejoined || mem.output_matches(golden);
+            (TrialResult { termination, output_matches, injected_value_read: observed }, rejoined)
         });
         caught.map_err(|reason| InterpError::Crash { reason })
     }
@@ -223,6 +295,44 @@ mod tests {
                 (a, f) => panic!("trial {trial}: arena {a:?} vs fresh {f:?}"),
             }
         }
+    }
+
+    /// Starting at the fault's workgroup and stopping where the image
+    /// rejoins the golden one changes no verdict, whatever the previous
+    /// trial left behind — crashes included.
+    #[test]
+    fn boundary_trials_match_full_runs() {
+        let (p, mut gm, wgs) = build_instance();
+        let template = gm.clone();
+        let prof = crate::profile::profile_golden(&p, &mut gm, wgs);
+        let golden = gm.output_snapshot();
+        let max_steps = prof.per_wg.iter().map(|w| w.retired).max().unwrap() * 8;
+        let mut stops = 0;
+        for wrap_oob in [true, false] {
+            let mut full = TrialArena::new(p.clone(), template.clone(), wgs, wrap_oob);
+            let mut cut = TrialArena::new(p.clone(), template.clone(), wgs, wrap_oob);
+            for trial in 0..200u64 {
+                let inj = Injection {
+                    wg: (trial % u64::from(wgs)) as u32,
+                    after_retired: trial % 9,
+                    reg: (trial % u64::from(p.num_vregs())) as u8,
+                    lane: (trial % 64) as u8,
+                    bits: 1 << (trial % 32),
+                };
+                let want = full.run_trial(inj, max_steps, &golden);
+                let got =
+                    cut.run_trial_from_boundary(inj, max_steps, &golden, prof.boundary_images());
+                match (want, got) {
+                    (Ok(w), Ok((g, stopped))) => {
+                        assert_eq!(w, g, "trial {trial} wrap_oob={wrap_oob}");
+                        stops += u32::from(stopped);
+                    }
+                    (Err(InterpError::Crash { .. }), Err(InterpError::Crash { .. })) => {}
+                    (w, g) => panic!("trial {trial}: full {w:?} vs from boundary {g:?}"),
+                }
+            }
+        }
+        assert!(stops > 0, "no trial rejoined the golden image early");
     }
 
     #[test]

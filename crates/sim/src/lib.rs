@@ -42,6 +42,6 @@ pub use exec::Wavefront;
 pub use gpu::{run_timed, GpuConfig, RunResult};
 pub use interp::{run_functional, run_functional_isolated, run_golden, Injection};
 pub use isolate::catch_crash;
-pub use mem::{Memory, SimError};
+pub use mem::{BoundaryImages, Memory, SimError};
 pub use profile::{profile_golden, RegUseProfile};
 pub use program::{Assembler, Program};

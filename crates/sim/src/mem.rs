@@ -406,25 +406,29 @@ impl Memory {
         assert_eq!(self.data.len(), template.data.len(), "reset_from: size mismatch");
         assert_eq!(self.track, template.track, "reset_from: tracking mismatch");
         for wi in 0..self.dirty.len() {
-            let mut word = self.dirty[wi];
-            if word == 0 {
-                continue;
-            }
-            self.dirty[wi] = 0;
-            while word != 0 {
-                let page = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let start = page << PAGE_SHIFT;
-                let end = ((page + 1) << PAGE_SHIFT).min(self.data.len());
-                self.data[start..end].copy_from_slice(&template.data[start..end]);
-                if self.track {
-                    self.writer[start..end].copy_from_slice(&template.writer[start..end]);
-                    self.writer_byte[start..end].copy_from_slice(&template.writer_byte[start..end]);
-                }
+            let word = std::mem::take(&mut self.dirty[wi]);
+            for page in pages_of(wi, word) {
+                self.copy_page(template, page);
             }
         }
         self.next_alloc = template.next_alloc;
         self.outputs.clone_from(&template.outputs);
+    }
+
+    /// Byte range of page `page`, clipped to the image.
+    fn page_range(&self, page: usize) -> Range<usize> {
+        (page << PAGE_SHIFT)..((page + 1) << PAGE_SHIFT).min(self.data.len())
+    }
+
+    /// Copy page `page` — data and provenance — from `src`, leaving the
+    /// dirty map alone.
+    fn copy_page(&mut self, src: &Memory, page: usize) {
+        let r = self.page_range(page);
+        self.data[r.clone()].copy_from_slice(&src.data[r.clone()]);
+        if self.track {
+            self.writer[r.clone()].copy_from_slice(&src.writer[r.clone()]);
+            self.writer_byte[r.clone()].copy_from_slice(&src.writer_byte[r]);
+        }
     }
 
     /// Make this image byte-identical to `leader`, copying only the pages
@@ -448,17 +452,8 @@ impl Memory {
         assert_eq!(self.data.len(), leader.data.len(), "fork_from: size mismatch");
         assert_eq!(self.track, leader.track, "fork_from: tracking mismatch");
         for wi in 0..self.dirty.len() {
-            let mut word = self.dirty[wi] | leader.dirty[wi];
-            while word != 0 {
-                let page = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let start = page << PAGE_SHIFT;
-                let end = ((page + 1) << PAGE_SHIFT).min(self.data.len());
-                self.data[start..end].copy_from_slice(&leader.data[start..end]);
-                if self.track {
-                    self.writer[start..end].copy_from_slice(&leader.writer[start..end]);
-                    self.writer_byte[start..end].copy_from_slice(&leader.writer_byte[start..end]);
-                }
+            for page in pages_of(wi, self.dirty[wi] | leader.dirty[wi]) {
+                self.copy_page(leader, page);
             }
             self.dirty[wi] = leader.dirty[wi];
         }
@@ -472,19 +467,79 @@ impl Memory {
     /// has reconverged with the golden image at a workgroup boundary.
     pub(crate) fn same_device_bytes(&self, other: &Memory) -> bool {
         debug_assert_eq!(self.data.len(), other.data.len(), "same_device_bytes: size mismatch");
+        (0..self.dirty.len()).all(|wi| {
+            pages_of(wi, self.dirty[wi] | other.dirty[wi]).all(|page| {
+                let r = self.page_range(page);
+                self.data[r.clone()] == other.data[r]
+            })
+        })
+    }
+
+    /// Make this image byte-identical to boundary `k` of `images`: the
+    /// template's bytes everywhere except the pages the boundary's delta
+    /// holds. Copies only the pages dirty here or in that delta, and leaves
+    /// exactly the delta's pages dirty, so a later
+    /// [`Memory::reset_from`] or restore still sees every page that
+    /// differs from `template`.
+    ///
+    /// Same precondition as [`Memory::reset_from`] (this image was last
+    /// reset or restored from `template`); `images` must have been
+    /// captured from an image equal to `template`. Data bytes only:
+    /// provenance of the delta's pages is left unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `template` or `images` differ in size from this image, or
+    /// `k` is not a captured boundary.
+    pub(crate) fn restore_boundary(
+        &mut self,
+        template: &Memory,
+        images: &BoundaryImages,
+        k: usize,
+    ) {
+        assert_eq!(self.data.len(), template.data.len(), "restore_boundary: size mismatch");
+        assert_eq!(self.data.len(), images.size, "restore_boundary: image size mismatch");
+        let b = &images.boundaries[k];
         for wi in 0..self.dirty.len() {
-            let mut word = self.dirty[wi] | other.dirty[wi];
-            while word != 0 {
-                let page = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let start = page << PAGE_SHIFT;
-                let end = ((page + 1) << PAGE_SHIFT).min(self.data.len());
-                if self.data[start..end] != other.data[start..end] {
-                    return false;
-                }
+            for page in pages_of(wi, self.dirty[wi] & !b.pages[wi]) {
+                self.copy_page(template, page);
             }
         }
-        true
+        for &(page, version) in &b.delta {
+            let r = self.page_range(page as usize);
+            let len = r.len();
+            self.data[r].copy_from_slice(&images.version(version)[..len]);
+        }
+        self.dirty.copy_from_slice(&b.pages);
+        self.next_alloc = template.next_alloc;
+        self.outputs.clone_from(&template.outputs);
+    }
+
+    /// Whether this image's bytes equal boundary `k` of `images`: the
+    /// delta's pages against their captured versions, every other page
+    /// dirty here against `template`. Pages dirty in neither already equal
+    /// the template in both, so this is `same_device_bytes`'s question
+    /// asked of a stored golden image. Same precondition as
+    /// [`Memory::restore_boundary`].
+    pub(crate) fn matches_boundary(
+        &self,
+        template: &Memory,
+        images: &BoundaryImages,
+        k: usize,
+    ) -> bool {
+        let b = &images.boundaries[k];
+        let delta_matches = b.delta.iter().all(|&(page, version)| {
+            let r = self.page_range(page as usize);
+            let len = r.len();
+            self.data[r] == images.version(version)[..len]
+        });
+        delta_matches
+            && (0..self.dirty.len()).all(|wi| {
+                pages_of(wi, self.dirty[wi] & !b.pages[wi]).all(|page| {
+                    let r = self.page_range(page);
+                    self.data[r.clone()] == template.data[r]
+                })
+            })
     }
 
     /// Whether the concatenated output ranges equal `golden`, byte for byte
@@ -511,6 +566,136 @@ impl Memory {
     pub fn provenance(&self, addr: u32) -> (u32, u8) {
         assert!(self.track, "provenance requires tracking");
         (self.writer[addr as usize], self.writer_byte[addr as usize])
+    }
+}
+
+/// Page indices of the set bits of dirty-map word `wi`, ascending.
+fn pages_of(wi: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let page = wi * 64 + word.trailing_zeros() as usize;
+            word &= word - 1;
+            page
+        })
+    })
+}
+
+/// A run's memory images at its workgroup boundaries, stored as page
+/// deltas against the image the run started from (its template).
+///
+/// Boundary `k` is the image just before workgroup `k` ran; boundary 0 is
+/// the template itself. Each boundary lists the pages the run has written
+/// by then (every other page still holds template bytes) as indices into
+/// one shared store of page versions, and a page gets a new version only
+/// when a workgroup changes it. The store therefore grows with the bytes
+/// the run writes, not with boundaries × image size. Data bytes only:
+/// provenance is not captured.
+#[derive(Debug, Clone)]
+pub struct BoundaryImages {
+    /// Image size in bytes.
+    size: usize,
+    /// Page versions, one full page each (a short last page is padded).
+    versions: Vec<u8>,
+    boundaries: Vec<Boundary>,
+}
+
+/// One boundary's delta against the template.
+#[derive(Debug, Clone)]
+struct Boundary {
+    /// Dirty-map-shaped bitmap of the pages the delta holds.
+    pages: Vec<u64>,
+    /// `(page, version)` per held page, ascending by page.
+    delta: Vec<(u32, u32)>,
+}
+
+impl BoundaryImages {
+    /// Start capturing a run from its template image `start`, which
+    /// becomes boundary 0. Until [`BoundaryCapture::finish`] hands them
+    /// back, `start`'s dirty marks count only the run's writes since the
+    /// last boundary.
+    pub(crate) fn capture(start: &mut Memory) -> BoundaryCapture {
+        let pages = start.dirty.len();
+        BoundaryCapture {
+            images: BoundaryImages {
+                size: start.data.len(),
+                versions: Vec::new(),
+                boundaries: vec![Boundary { pages: vec![0; pages], delta: Vec::new() }],
+            },
+            set_aside: std::mem::replace(&mut start.dirty, vec![0; pages]),
+        }
+    }
+
+    /// Boundaries captured (the run's workgroup count).
+    pub(crate) fn len(&self) -> usize {
+        self.boundaries.len()
+    }
+
+    /// Bytes of page data stored across all boundaries.
+    #[cfg(test)]
+    fn stored_bytes(&self) -> usize {
+        self.versions.len()
+    }
+
+    fn version(&self, v: u32) -> &[u8] {
+        let start = (v as usize) << PAGE_SHIFT;
+        &self.versions[start..start + (1 << PAGE_SHIFT)]
+    }
+}
+
+/// An in-progress [`BoundaryImages`] capture.
+#[derive(Debug)]
+pub(crate) struct BoundaryCapture {
+    images: BoundaryImages,
+    /// Dirty marks taken off the run's image — the template's, then each
+    /// boundary's — so that it marks only the latest workgroup's writes.
+    set_aside: Vec<u64>,
+}
+
+impl BoundaryCapture {
+    /// Record `mem` — the run's image, grown from the template by the run's
+    /// writes — as the next boundary. Only pages written since the last
+    /// boundary can have changed; each gets a new version the first time
+    /// it is written and whenever its bytes change after that.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mem` differs in size from the template.
+    pub(crate) fn boundary(&mut self, mem: &mut Memory) {
+        assert_eq!(mem.data.len(), self.images.size, "boundary: size mismatch");
+        let images = &mut self.images;
+        let mut next = images.boundaries.last().expect("boundary 0 exists").clone();
+        for wi in 0..mem.dirty.len() {
+            let written = std::mem::take(&mut mem.dirty[wi]);
+            self.set_aside[wi] |= written;
+            for page in pages_of(wi, written) {
+                let r = mem.page_range(page);
+                let held = next.delta.binary_search_by_key(&(page as u32), |&(p, _)| p);
+                if let Ok(i) = held {
+                    if images.version(next.delta[i].1)[..r.len()] == mem.data[r.clone()] {
+                        continue;
+                    }
+                }
+                let version = u32::try_from(images.versions.len() >> PAGE_SHIFT)
+                    .expect("boundary: over 2^32 page versions");
+                images.versions.extend_from_slice(&mem.data[r]);
+                images.versions.resize((version as usize + 1) << PAGE_SHIFT, 0);
+                match held {
+                    Ok(i) => next.delta[i].1 = version,
+                    Err(i) => next.delta.insert(i, (page as u32, version)),
+                }
+                next.pages[wi] |= 1 << (page & 63);
+            }
+        }
+        images.boundaries.push(next);
+    }
+
+    /// The captured images. `mem`, the run's image, gets its dirty marks
+    /// back, so it can again be reset against the template.
+    pub(crate) fn finish(self, mem: &mut Memory) -> BoundaryImages {
+        for (word, set_aside) in mem.dirty.iter_mut().zip(self.set_aside) {
+            *word |= set_aside;
+        }
+        self.images
     }
 }
 
@@ -756,6 +941,46 @@ mod tests {
         a.reset_from(&template);
         b.reset_from(&template);
         assert!(a.same_device_bytes(&b));
+    }
+
+    #[test]
+    fn boundary_images_restore_and_match_exactly() {
+        let mut template = Memory::new(8192);
+        let a = template.alloc_u32(&[1, 2, 3, 4]);
+        template.mark_output(a, 16);
+        let mut run = template.clone();
+        let mut capture = BoundaryImages::capture(&mut run);
+        run.store(a, 4, 0xDEAD_BEEF, 1);
+        capture.boundary(&mut run);
+        let after_first = run.clone();
+        // The second "workgroup" writes a new page and puts page 0 back.
+        run.store(4096, 4, 7, 2);
+        run.store(a, 4, 1, 3);
+        capture.boundary(&mut run);
+        let after_second = run.clone();
+        let images = capture.finish(&mut run);
+        assert_eq!(images.len(), 3);
+        assert_eq!(images.stored_bytes(), 3 << PAGE_SHIFT, "one version per changed page");
+        // The run's image got its template marks back: it resets exactly.
+        run.reset_from(&template);
+        assert_eq!(run.bytes(), template.bytes());
+        let mut work = template.clone();
+        work.store(2048, 4, 9, 4);
+        for (k, want) in [(0, &template), (1, &after_first), (2, &after_second)] {
+            work.restore_boundary(&template, &images, k);
+            assert_eq!(work.bytes(), want.bytes(), "boundary {k}");
+            assert!(work.matches_boundary(&template, &images, k), "boundary {k}");
+            // Diverge on page 0: held by boundaries 1 and 2, clean in 0.
+            work.store(100, 1, 0x55, 5);
+            assert!(!work.matches_boundary(&template, &images, k), "boundary {k}");
+            // And off every delta page: only the dirty map can see it.
+            work.restore_boundary(&template, &images, k);
+            work.store(6000, 1, 0x55, 6);
+            assert!(!work.matches_boundary(&template, &images, k), "boundary {k}");
+        }
+        // Restores keep the dirty map covering every changed page.
+        work.reset_from(&template);
+        assert_eq!(work.bytes(), template.bytes());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Analytic register-use profiling of the golden run — the model side of
-//! the ACE-vs-injection validation gate.
+//! the ACE-vs-injection validation gate, and the campaign executor's oracle
+//! for trial shortcuts.
 //!
 //! A fault-injection campaign measures the *read-before-overwrite* rate
 //! empirically: flip a bit, watch whether the register is read (with the
@@ -19,24 +20,60 @@
 //! `read_before_overwrite` flag must equal [`RegUseProfile::site_is_read`]
 //! for that trial's site, exactly — not statistically. Any mismatch is a
 //! model/injector divergence, never sampling noise.
+//!
+//! The same identity lets a campaign skip work. A fault the profile calls
+//! unread runs the golden run bit for bit, so its trial is settled without
+//! executing it. And since only memory crosses a workgroup boundary, the
+//! profiling run also captures the golden memory image at every boundary
+//! ([`RegUseProfile::boundary_images`]): a read trial can start from the
+//! image before its fault's workgroup and stop once its image rejoins the
+//! golden one ([`TrialArena::run_trial_from_boundary`]).
+//!
+//! [`TrialArena::run_trial_from_boundary`]: crate::arena::TrialArena::run_trial_from_boundary
 
 use crate::exec::{step, Lanes, Ports, StepCtx, Wavefront};
 use crate::isa::{MemWidth, WAVE_LANES};
-use crate::mem::Memory;
+use crate::mem::{BoundaryImages, Memory};
 use crate::program::Program;
 
-/// One vector register-file access during the golden run.
+/// One vector register-file access during the golden run, packed into 16
+/// bytes: a campaign keeps its workload's profile, tens of thousands of
+/// events at Paper scale, for as long as it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Event {
-    /// Retired-instruction index of the accessing instruction (the campaign
-    /// sampler's `after_retired` clock: an injection at time `tau` lands
-    /// before the instruction with index `tau` executes).
-    idx: u64,
     /// Lanes active (EXEC mask) at the access. Divergent writes scrub only
     /// their active lanes, so lane membership is part of the event.
     exec: u64,
-    /// Read (source operand) vs write (destination).
-    read: bool,
+    /// Retired-instruction index of the accessing instruction (the campaign
+    /// sampler's `after_retired` clock: an injection at time `tau` lands
+    /// before the instruction with index `tau` executes) in the low 31
+    /// bits; [`Event::READ`] marks a read (source operand) rather than a
+    /// write (destination).
+    tagged_idx: u32,
+}
+
+impl Event {
+    const READ: u32 = 1 << 31;
+
+    /// # Panics
+    ///
+    /// Panics if `idx` does not fit in 31 bits (a wavefront retiring over
+    /// two billion instructions).
+    fn new(idx: u64, exec: u64, read: bool) -> Self {
+        let idx = u32::try_from(idx)
+            .ok()
+            .filter(|&i| i < Self::READ)
+            .unwrap_or_else(|| panic!("profile: instruction index {idx} exceeds 31 bits"));
+        Event { exec, tagged_idx: idx | if read { Self::READ } else { 0 } }
+    }
+
+    fn idx(self) -> u64 {
+        u64::from(self.tagged_idx & !Self::READ)
+    }
+
+    fn read(self) -> bool {
+        self.tagged_idx & Self::READ != 0
+    }
 }
 
 /// [`Ports`] backend that records register accesses and costs nothing.
@@ -54,12 +91,12 @@ impl Ports for Recorder {
     }
     fn reg_write(&mut self, _: u64, _: u8, reg: u8, _: u32, exec: u64) {
         if exec != 0 {
-            self.events[reg as usize].push(Event { idx: self.idx, exec, read: false });
+            self.events[reg as usize].push(Event::new(self.idx, exec, false));
         }
     }
     fn reg_read(&mut self, _: u64, _: u8, reg: u8, _: u32, _: u8, exec: u64) {
         if exec != 0 {
-            self.events[reg as usize].push(Event { idx: self.idx, exec, read: true });
+            self.events[reg as usize].push(Event::new(self.idx, exec, true));
         }
     }
     fn valu_cost(&self) -> u64 {
@@ -75,12 +112,34 @@ impl Ports for Recorder {
 pub struct WgProfile {
     /// Instructions this wavefront retired.
     pub retired: u64,
-    /// Per-register access events, ordered by retired-instruction index
-    /// (reads of an instruction precede its write).
-    events: Vec<Vec<Event>>,
+    /// Every access event, grouped by register; within a register ordered
+    /// by retired-instruction index (reads of an instruction precede its
+    /// write). One exact-size allocation per workgroup.
+    events: Vec<Event>,
+    /// Register `r`'s events are `events[starts[r]..starts[r + 1]]`.
+    starts: Vec<u32>,
 }
 
 impl WgProfile {
+    /// Flatten a recorder's per-register event lists, leaving them empty
+    /// (but allocated) for the next workgroup.
+    fn from_recorded(retired: u64, per_reg: &mut [Vec<Event>]) -> Self {
+        let total = per_reg.iter().map(Vec::len).sum();
+        let mut events = Vec::with_capacity(total);
+        let mut starts = Vec::with_capacity(per_reg.len() + 1);
+        starts.push(0);
+        for reg in per_reg {
+            events.append(reg);
+            starts.push(u32::try_from(events.len()).expect("profile: over 2^32 events"));
+        }
+        WgProfile { retired, events, starts }
+    }
+
+    fn reg_events(&self, reg: u8) -> &[Event] {
+        let reg = reg as usize;
+        &self.events[self.starts[reg] as usize..self.starts[reg + 1] as usize]
+    }
+
     /// For each lane of `reg`: how many injection times `tau` in
     /// `[0, retired)` would be read before overwrite.
     ///
@@ -92,13 +151,13 @@ impl WgProfile {
     pub fn observed_lanes(&self, reg: u8) -> [u64; WAVE_LANES] {
         let mut boundary = [0u64; WAVE_LANES];
         let mut observed = [0u64; WAVE_LANES];
-        for e in &self.events[reg as usize] {
+        for e in self.reg_events(reg) {
             let mut mask = e.exec;
             while mask != 0 {
                 let lane = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                let end = e.idx + 1;
-                if e.read && end > boundary[lane] {
+                let end = e.idx() + 1;
+                if e.read() && end > boundary[lane] {
                     observed[lane] += end - boundary[lane];
                 }
                 boundary[lane] = boundary[lane].max(end);
@@ -110,12 +169,14 @@ impl WgProfile {
     /// Whether a fault injected into `(reg, lane)` at time `after_retired`
     /// would be read before being overwritten: true iff the first
     /// subsequent access of that lane is a read.
+    ///
+    /// Events are ordered by index, so this binary-searches the first event
+    /// at or after `after_retired` and scans on from there for the lane.
     pub fn site_is_read(&self, after_retired: u64, reg: u8, lane: u8) -> bool {
         let bit = 1u64 << lane;
-        self.events[reg as usize]
-            .iter()
-            .find(|e| e.idx >= after_retired && e.exec & bit != 0)
-            .is_some_and(|e| e.read)
+        let events = self.reg_events(reg);
+        let from = events.partition_point(|e| e.idx() < after_retired);
+        events[from..].iter().find(|e| e.exec & bit != 0).is_some_and(|e| e.read())
     }
 }
 
@@ -126,6 +187,8 @@ pub struct RegUseProfile {
     pub num_vregs: u8,
     /// One timeline per workgroup, in dispatch order.
     pub per_wg: Vec<WgProfile>,
+    /// The golden memory image before each workgroup ran.
+    images: BoundaryImages,
 }
 
 impl RegUseProfile {
@@ -168,25 +231,42 @@ impl RegUseProfile {
     pub fn retired(&self) -> u64 {
         self.per_wg.iter().map(|w| w.retired).sum()
     }
+
+    /// The golden memory image at every workgroup boundary: boundary `k`
+    /// is the image just before workgroup `k` ran, as page deltas against
+    /// the image the profiled run started from.
+    pub fn boundary_images(&self) -> &BoundaryImages {
+        &self.images
+    }
 }
 
 /// Execute the golden (fault-free) run and record every vector
-/// register-file access. Functionally identical to
-/// [`run_golden`](crate::interp::run_golden) — same sequential workgroup
-/// order, same memory effects — but with the recording backend attached.
+/// register-file access and the memory image at every workgroup boundary.
+/// Functionally identical to [`run_golden`](crate::interp::run_golden) —
+/// same sequential workgroup order, same memory effects — but with the
+/// recording backend attached.
+///
+/// # Panics
+///
+/// Panics if a wavefront retires 2³¹ instructions or more.
 pub fn profile_golden(program: &Program, mem: &mut Memory, workgroups: u32) -> RegUseProfile {
     let mut per_wg = Vec::with_capacity(workgroups as usize);
+    let mut images = BoundaryImages::capture(mem);
+    let mut rec = Recorder { idx: 0, events: vec![Vec::new(); program.num_vregs() as usize] };
     for wg in 0..workgroups {
+        if wg > 0 {
+            images.boundary(mem);
+        }
         let mut wf = Wavefront::launch(program, wg, 0, workgroups);
-        let mut rec = Recorder { idx: 0, events: vec![Vec::new(); program.num_vregs() as usize] };
+
         while !wf.done {
             rec.idx = wf.retired;
             let mut ctx = StepCtx { mem, trace: None, ports: &mut rec, now: 0 };
             step(&mut wf, program, &mut ctx);
         }
-        per_wg.push(WgProfile { retired: wf.retired, events: rec.events });
+        per_wg.push(WgProfile::from_recorded(wf.retired, &mut rec.events));
     }
-    RegUseProfile { num_vregs: program.num_vregs(), per_wg }
+    RegUseProfile { num_vregs: program.num_vregs(), per_wg, images: images.finish(mem) }
 }
 
 #[cfg(test)]
@@ -242,6 +322,14 @@ mod tests {
         assert!(prof.site_is_read(0, 2, 3, 0));
         assert!(!prof.site_is_read(0, 3, 3, 0));
         assert_eq!(prof.per_wg[0].observed_lanes(3)[0], 1);
+    }
+
+    #[test]
+    fn events_pack_into_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+        let e = Event::new((1 << 31) - 1, 5, true);
+        assert_eq!((e.idx(), e.exec, e.read()), ((1 << 31) - 1, 5, true));
+        assert!(!Event::new(7, 1, false).read());
     }
 
     /// The analytic probability must equal brute-force enumeration of
