@@ -25,10 +25,12 @@
 //! Summaries are bit-identical for any `--threads` value, and a killed run
 //! restarted with the same `--checkpoint` file picks up where it left off.
 //! While the campaign runs, its write-ahead journal (`FILE.wal`) is the
-//! only durable record: each thread commits its finished trials in groups
-//! of at most `--checkpoint-every` (and at most 32, or `W` at
+//! only durable record: each worker thread — or, under `--isolation
+//! process|tcp`, each supervisor handler — commits its finished trials in
+//! groups of at most `--checkpoint-every` (and at most 32, or `W` at
 //! `--batch-width W`) with one fsynced write, so a crash loses at most each
-//! thread's open group. The checkpoint document `FILE` itself is written
+//! worker's or handler's open group. A handler also commits whenever no
+//! record frame is ready. The checkpoint document `FILE` itself is written
 //! at open when the journal held trials, when a failed append is repaired,
 //! and when the run ends, never while trials commit.
 //! `--no-wrap-oob` makes wild memory accesses fault instead of wrapping, so
@@ -178,8 +180,8 @@ fn usage() -> String {
         "usage: campaign --workload NAME [--injections N] [--seed S] [--mode-bits M]\n\
          \u{20}                [--threads N] [--batch-width W (lockstep trials per batch)]\n\
          \u{20}                [--checkpoint FILE (plus its journal FILE.wal)]\n\
-         \u{20}                [--checkpoint-every N (journal each thread's trials\n\
-         \u{20}                 at least every N; a crash loses at most N per thread)]\n\
+         \u{20}                [--checkpoint-every N (journal each worker's or handler's\n\
+         \u{20}                 trials at least every N; a crash loses at most N each)]\n\
          \u{20}                [--max-wall DUR (30s|15m|2h; bare numbers are seconds)]\n\
          \u{20}                [--max-trials-this-run N (alias: --stop-after)]\n\
          \u{20}                [--scale test|paper] [--no-wrap-oob]\n\

@@ -21,7 +21,8 @@
 //! * **mid-drain** — a second SIGTERM while the first is still draining
 //!   escalates to an immediate abort (exit `128+15 = 143`), after which
 //!   the WAL alone must still recover the run — under tcp isolation, and
-//!   in thread mode, where the journal is the only durable record.
+//!   in thread and process mode, where the journal is the only durable
+//!   record.
 //!
 //! Also pinned here: `--max-wall 0` exits partial with the wall-clock
 //! reason, and `campaign | head` / `validate | head` / `replay | head`
@@ -281,6 +282,32 @@ fn double_sigterm_mid_thread_campaign_leaves_only_the_journal() {
     let journal = std::fs::metadata(dir.join("thread.json.wal")).expect("journal must exist");
     assert!(journal.len() > 0, "the journal must hold the committed trials");
     resume_and_compare(&dir, "thread.json", &base);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn double_sigterm_mid_process_campaign_resumes_from_the_journal() {
+    let dir = temp_dir("process-abort");
+    let base = baseline(&dir);
+    // Process isolation, groups of 4: a supervisor handler journals each
+    // group before the drill counts it, so term2@6 lands with trial 6's
+    // group already durable. The abort writes no checkpoint document, and
+    // the commits never wrote one, so the journal is the only record.
+    let out = campaign(
+        &dir,
+        &["--checkpoint", "process.json", "--isolation", "process", "--checkpoint-every", "4"],
+        &[("MBAVF_DRILL", "term2@6")],
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(143),
+        "second signal must abort with 128+SIGTERM; stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!dir.join("process.json").exists(), "commits must not write the checkpoint document");
+    let journal = std::fs::metadata(dir.join("process.json.wal")).expect("journal must exist");
+    assert!(journal.len() > 0, "the journal must hold the committed trials");
+    resume_and_compare(&dir, "process.json", &base);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -7,14 +7,18 @@
 //!   byte-identical checkpoint versus thread mode, with no poison sidecar;
 //! * killing one of two daemons mid-campaign (`MBAVF_DRILL=die@T`) fails
 //!   over to the survivor and still exits 0 with identical rates;
+//! * a hostile peer's megabyte of nested JSON as its hello is refused, and
+//!   the daemon goes on to serve a byte-identical campaign;
 //! * `--isolation tcp` without `--connect` is a usage error.
 //!
 //! This is the same scenario the CI `network-smoke` job scripts against the
 //! release binary.
 
-use std::io::BufRead as _;
+use std::io::{BufRead as _, Read as _, Write as _};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
+use std::time::Duration;
 
 /// A `campaign __serve` daemon on a loopback ephemeral port, killed on drop.
 struct Daemon {
@@ -142,6 +146,38 @@ fn tcp_isolation_matches_thread_mode_with_no_poison() {
     assert!(
         !dir.join("tcp.json.poison.json").exists(),
         "a clean tcp campaign must not write a poison sidecar"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_deeply_nested_hello_is_refused_and_the_daemon_keeps_serving() {
+    let dir = temp_dir("nested-hello");
+    let thread = campaign(&dir, &["--checkpoint", "thread.json"]);
+    assert!(thread.status.success(), "{}", String::from_utf8_lossy(&thread.stderr));
+
+    // A hostile peer's hello: a megabyte of nesting, the largest frame the
+    // protocol allows. The daemon must hang up on it, not overflow a stack.
+    let daemon = Daemon::spawn(&["__serve", "--listen", "127.0.0.1:0"], &[]);
+    let mut peer = TcpStream::connect(&daemon.addr).expect("daemon accepts");
+    let hello = "[".repeat(1 << 20);
+    peer.write_all(&(hello.len() as u32).to_be_bytes()).unwrap();
+    peer.write_all(hello.as_bytes()).unwrap();
+    peer.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut answer = Vec::new();
+    peer.read_to_end(&mut answer).expect("the daemon closes the connection");
+    assert!(answer.is_empty(), "no reply to a refused hello: {answer:?}");
+
+    // The same daemon then serves a real campaign, bit-identical to threads.
+    let tcp = campaign(
+        &dir,
+        &["--checkpoint", "tcp.json", "--isolation", "tcp", "--connect", &daemon.addr],
+    );
+    assert!(tcp.status.success(), "{}", String::from_utf8_lossy(&tcp.stderr));
+    assert_eq!(
+        std::fs::read(dir.join("tcp.json")).unwrap(),
+        std::fs::read(dir.join("thread.json")).unwrap(),
+        "tcp checkpoint must be byte-identical to thread mode"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -6,6 +6,10 @@
 //! escapes), integers, floats, booleans, null — and keeps numbers as raw
 //! token text so `u64` values (seeds, trial indices) round-trip without
 //! passing through `f64`.
+//!
+//! The parser also reads frames from untrusted peers, so it recurses at
+//! most [`MAX_DEPTH`] containers deep: anything deeper is an `Err`, never a
+//! stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -69,14 +73,20 @@ impl Value {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts — far beyond
+/// the documents this workspace writes (a checkpoint nests 3 deep), and
+/// shallow enough to recurse through on any thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a complete JSON document.
 ///
 /// # Errors
 ///
-/// A human-readable description with the byte offset of the first problem.
+/// A human-readable description with the byte offset of the first problem,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { text, bytes, pos: 0 };
+    let mut p = Parser { text, bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -90,6 +100,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -118,8 +130,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -127,6 +139,17 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => self.err("expected a JSON value"),
         }
+    }
+
+    /// Parse one container with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return self.err(&format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
@@ -331,6 +354,24 @@ mod tests {
         assert_eq!(a[1].as_u64(), Some(42));
         assert_eq!(a[2].as_u64(), None); // negative: not a u64
         assert_eq!(a[3], Value::Num("2.5e3".into()));
+    }
+
+    /// A megabyte of nesting — the largest frame a peer may send — is an
+    /// `Err` on an ordinary 2 MiB thread, not a stack overflow.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let parse_on_small_stack = |text: String| {
+            let thread = std::thread::Builder::new().stack_size(2 << 20);
+            thread.spawn(move || parse(&text).map(drop)).unwrap().join().unwrap()
+        };
+        for opener in ["[", "{\"a\":"] {
+            let deep = opener.repeat((1 << 20) / opener.len());
+            let err = parse_on_small_stack(deep).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        let nest = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_on_small_stack(nest(MAX_DEPTH)).is_ok());
+        assert!(parse_on_small_stack(nest(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

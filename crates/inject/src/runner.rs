@@ -20,15 +20,16 @@
 //! checkpoint document (validating its config fingerprint), replays the
 //! write-ahead trial journal over it ([`checkpoint::wal`]), and runs only
 //! the missing trials. While the campaign runs, the journal is its only
-//! durable record: each worker commits its finished trials in groups, and a
-//! group is journaled to `<checkpoint>.wal` as one CRC-framed frame per
-//! trial, with one write and one fsync for the group, before any of it
-//! counts. A group closes after [`RunnerConfig::checkpoint_every`] trials,
-//! at the end of a lockstep group (batch width > 1), at the end of the
-//! claimed chunk of `CLAIM_CHUNK` (32) trials, or when the cancel token
-//! trips. A campaign killed at any point loses at most each worker's open
-//! group — ≤ min(`checkpoint_every`, 32) trials at width 1, ≤ W at width
-//! W — never a committed one.
+//! durable record. Thread workers and supervisor handlers commit their
+//! finished trials in groups through one path, `Shared::commit`: under one
+//! commit lock a group is merged into the slots and its fresh trials are
+//! journaled to `<checkpoint>.wal`, one CRC-framed frame each, with one
+//! write and one fsync, before any of it counts. A group closes after
+//! [`RunnerConfig::checkpoint_every`] trials (at most 32), at the end of a
+//! lockstep group (batch width > 1) or of a worker's claimed chunk of 32
+//! trials, when the cancel token trips, and — for a handler — whenever no
+//! record frame is ready. A campaign killed at any point loses at most each
+//! worker's or handler's open group, never a committed trial.
 //!
 //! The checkpoint document is an O(N) rewrite of every record, so it is
 //! written only off the commit path: at open when recovery found
@@ -204,23 +205,6 @@ pub struct CampaignReport {
     pub shortcuts: Shortcuts,
 }
 
-/// What [`Shared::commit_remote`] did with an offered record — the merge
-/// verdict plus, for fresh commits, the new completion count the preempt
-/// drill counts.
-pub(crate) enum RemoteCommit {
-    /// First sighting: stored and counted. Carries the new completion count.
-    Fresh(usize),
-    /// Byte-equal replay of an already-committed record: dropped.
-    Duplicate,
-    /// Same trial, conflicting contents: a protocol violation.
-    Conflict {
-        /// Human-readable description of the disagreement.
-        detail: String,
-    },
-    /// Outside the budget, or not covered by the sender's lease.
-    Foreign,
-}
-
 /// Where a checkpointed campaign keeps its durable state, and the campaign
 /// header its checkpoint document and journal both carry.
 struct Durable {
@@ -237,12 +221,26 @@ impl Durable {
     }
 }
 
+/// What a campaign has committed, behind the one commit lock.
+struct Committed {
+    /// One slot per trial in the budget; `Some` once completed.
+    slots: Vec<Option<SingleBitRecord>>,
+    /// Write-ahead trial journal: while the campaign runs, the only durable
+    /// copy of the trials committed since it opened. `None` without
+    /// checkpointing, once checkpointing is disabled, or while a failed
+    /// repair waits for the next commit to retry it.
+    journal: Option<wal::WalWriter>,
+    /// Per-trial wall-clock, microseconds, for trials run by this call.
+    /// Pre-reserved to the pending count so the hot path never allocates.
+    latencies_us: Vec<u64>,
+}
+
 /// Shared worker state for one campaign execution. Also reused by the
 /// process-isolation supervisor ([`crate::supervisor`]), whose record
 /// stream arrives from worker daemons instead of in-process threads.
 pub(crate) struct Shared {
-    /// One slot per trial in the budget; `Some` once completed.
-    pub(crate) slots: Mutex<Vec<Option<SingleBitRecord>>>,
+    /// Slots, journal and latency log: every commit takes this one lock.
+    committed: Mutex<Committed>,
     /// Next index into the pending-trials list.
     next: AtomicUsize,
     /// Completions since the run started.
@@ -252,19 +250,11 @@ pub(crate) struct Shared {
     /// Workers currently executing trials (heartbeat reporting and monitor
     /// shutdown).
     pub(crate) active_workers: AtomicUsize,
-    /// Per-trial wall-clock, microseconds, for trials run by this call.
-    /// Pre-reserved to the pending count so the hot path never allocates.
-    pub(crate) latencies_us: Mutex<Vec<u64>>,
     /// Trials settled from the golden profile without running (heartbeat
     /// and report).
     settled: AtomicU64,
     /// Trials stopped early at a golden workgroup boundary.
     stopped_early: AtomicU64,
-    /// Write-ahead trial journal: while the campaign runs, the only durable
-    /// copy of the trials committed since it opened. `None` without
-    /// checkpointing, once checkpointing is disabled, or while a failed
-    /// repair waits for the next commit to retry it.
-    pub(crate) journal: Mutex<Option<wal::WalWriter>>,
     /// Where the checkpoint document and journal live; `None` without
     /// checkpointing.
     durable: Option<Durable>,
@@ -288,16 +278,15 @@ pub(crate) const MAX_DURABLE_WRITE_FAILURES: usize = 3;
 
 impl Shared {
     fn new(slots: Vec<Option<SingleBitRecord>>, pending: usize, durable: Option<Durable>) -> Self {
+        let latencies_us = Vec::with_capacity(pending);
         Shared {
-            slots: Mutex::new(slots),
+            committed: Mutex::new(Committed { slots, journal: None, latencies_us }),
             next: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             kind_counts: Default::default(),
             active_workers: AtomicUsize::new(0),
-            latencies_us: Mutex::new(Vec::with_capacity(pending)),
             settled: AtomicU64::new(0),
             stopped_early: AtomicU64::new(0),
-            journal: Mutex::new(None),
             durable,
             durable_write_failures: AtomicUsize::new(0),
             checkpointing_disabled: AtomicBool::new(false),
@@ -321,24 +310,24 @@ impl Shared {
         );
     }
 
-    /// Start a fresh journal through the held journal guard, first
-    /// compacting every committed slot into the checkpoint document when
-    /// `compact` is set. This is the repair for a failed append (called
-    /// after the failing group's slots are stored, so no committed record
-    /// is ever in neither artifact) and, at open, the fold of journal-only
-    /// records into the document. A failure is counted and leaves `journal`
-    /// empty — the old journal file, still the durable copy of its records,
-    /// stays on disk — and the next commit retries.
-    fn reopen_journal(&self, journal: &mut Option<wal::WalWriter>, compact: bool) {
+    /// Start a fresh journal through the held commit lock, first compacting
+    /// every committed slot into the checkpoint document when `compact` is
+    /// set. This is the repair for a failed append (called after the
+    /// failing group's slots are stored, so no committed record is ever in
+    /// neither artifact) and, at open, the fold of journal-only records into
+    /// the document. A failure is counted and leaves the journal empty — the
+    /// old journal file, still the durable copy of its records, stays on
+    /// disk — and the next commit retries.
+    fn reopen_journal(&self, committed: &mut Committed, compact: bool) {
         let Some(durable) = &self.durable else { return };
         if self.checkpointing_disabled.load(Ordering::SeqCst) {
             return;
         }
+        let Committed { slots, journal, .. } = committed;
         *journal = None;
         let retry = "retrying at the next commit";
         if compact {
-            let records: Vec<SingleBitRecord> =
-                self.slots.lock().expect("slots lock").iter().flatten().cloned().collect();
+            let records: Vec<SingleBitRecord> = slots.iter().flatten().cloned().collect();
             if let Err(e) = durable.save(&records) {
                 let what =
                     format!("could not compact committed trials into {}", durable.path.display());
@@ -357,40 +346,6 @@ impl Shared {
         }
     }
 
-    /// Journal committed trials through an already-held journal guard — one
-    /// write and one fsync for the whole group. Returns whether the journal
-    /// is sound; `false` (an append failure, already retried with backoff
-    /// inside the writer and now counted, or a repair still pending) asks
-    /// the caller to [`Shared::reopen_journal`] once the trials are stored.
-    fn journal_locked<'a>(
-        &self,
-        journal: &mut Option<wal::WalWriter>,
-        records: impl IntoIterator<Item = &'a SingleBitRecord>,
-    ) -> bool {
-        let Some(writer) = journal.as_mut() else {
-            return self.durable.is_none() || self.checkpointing_disabled.load(Ordering::SeqCst);
-        };
-        let Err(e) = writer.append_all(records) else { return true };
-        let next = "compacting committed trials into the checkpoint and starting a fresh journal";
-        self.write_failed(journal, format!("trial journal append failed ({e})"), next);
-        false
-    }
-
-    /// Count freshly stored trials into the heartbeat counters, the latency
-    /// log (one lock for the group), and the completion count. Returns the
-    /// new completion count.
-    fn count_fresh(&self, fresh: impl ExactSizeIterator<Item = (OutcomeKind, u64)>) -> usize {
-        let n = fresh.len();
-        {
-            let mut lat = self.latencies_us.lock().expect("latency lock");
-            for (kind, elapsed_us) in fresh {
-                self.kind_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
-                lat.push(elapsed_us);
-            }
-        }
-        self.completed.fetch_add(n, Ordering::SeqCst) + n
-    }
-
     /// Add an executor's shortcut counts to the campaign's.
     fn count_shortcuts(&self, counts: Shortcuts) {
         self.settled.fetch_add(counts.settled, Ordering::Relaxed);
@@ -404,63 +359,68 @@ impl Shared {
         }
     }
 
-    /// Durably commit a group of locally-run trials, draining `group`: the
-    /// journal frames first (one write, one fsync), then the in-memory
-    /// slots, then — if the append failed — the repair, *all under the
-    /// journal lock*, so the repair's compaction sees the group's slots.
-    pub(crate) fn commit_group(&self, group: &mut Vec<(SingleBitRecord, u64)>) {
-        let mut journal = self.journal.lock().expect("journal lock");
-        let sound = self.journal_locked(&mut journal, group.iter().map(|(record, _)| record));
-        self.count_fresh(group.iter().map(|(r, us)| (r.outcome.kind(), *us)));
-        {
-            let mut slots = self.slots.lock().expect("slots lock");
-            for (record, _) in group.drain(..) {
-                let verdict = merge_slot(&mut slots, record, true);
-                debug_assert_eq!(verdict, MergeVerdict::Fresh, "a local trial commits once");
-            }
-        }
-        if !sound {
-            self.reopen_journal(&mut journal, true);
-        }
-    }
-
-    /// Commit one record arriving from a remote (or replayed) stream
-    /// through the idempotent merge. `leased` is whether the sending worker
-    /// currently holds a lease covering the trial — without it, only
-    /// byte-equal replays of already-committed records are tolerated. Only
-    /// a [`RemoteCommit::Fresh`] verdict updates the completion counters;
-    /// duplicates are dropped without recounting, so a reconnect that
-    /// replays frames can never inflate the campaign.
-    pub(crate) fn commit_remote(
+    /// Durably commit a group of trials — a thread worker's or a supervisor
+    /// handler's — draining `group`, all under the one commit lock: merge
+    /// the records into their slots in order, stopping at the first
+    /// conflicting or foreign one (the records after it are dropped);
+    /// journal the fresh ones from their slots with one write and one
+    /// fsync; count them; and, if the append failed, repair the journal,
+    /// whose compaction then sees the group's slots. Only a fresh verdict
+    /// counts, so a replayed record can never inflate the campaign, and
+    /// only a merged record is journaled, so a foreign one can never poison
+    /// recovery. Fills `verdicts` with each merged record's trial and
+    /// verdict; returns the completion count after the commit.
+    pub(crate) fn commit(
         &self,
-        record: SingleBitRecord,
-        elapsed_us: u64,
-        leased: bool,
-    ) -> RemoteCommit {
-        let kind = record.outcome.kind();
-        let journal_copy = record.clone();
-        // Journal lock before the merge (lock order: journal → slots), held
-        // until the accepted record's frame is appended — or the journal
-        // repaired, whose compaction then already sees the merged slot.
-        let mut journal = self.journal.lock().expect("journal lock");
-        let verdict = {
-            let mut slots = self.slots.lock().expect("slots lock");
-            merge_slot(&mut slots, record, leased)
-        };
-        match verdict {
-            MergeVerdict::Fresh => {
-                // Journal only what the merge accepted: writing Foreign or
-                // out-of-budget records ahead of the merge would poison the
-                // journal for every future recovery.
-                if !self.journal_locked(&mut journal, [&journal_copy]) {
-                    self.reopen_journal(&mut journal, true);
-                }
-                RemoteCommit::Fresh(self.count_fresh(std::iter::once((kind, elapsed_us))))
-            }
-            MergeVerdict::Duplicate => RemoteCommit::Duplicate,
-            MergeVerdict::Conflict { detail } => RemoteCommit::Conflict { detail },
-            MergeVerdict::Foreign { .. } => RemoteCommit::Foreign,
+        group: &mut Vec<Offer>,
+        verdicts: &mut Vec<(u64, MergeVerdict)>,
+    ) -> usize {
+        verdicts.clear();
+        if group.is_empty() {
+            return self.completed.load(Ordering::SeqCst);
         }
+        let mut committed = self.committed.lock().expect("commit lock");
+        let Committed { slots, journal, latencies_us } = &mut *committed;
+        for (record, elapsed_us, leased) in group.drain(..) {
+            let trial = record.trial;
+            let verdict = merge_slot(slots, record, leased);
+            debug_assert!(!leased || verdict == MergeVerdict::Fresh, "a leased trial commits once");
+            if verdict == MergeVerdict::Fresh {
+                latencies_us.push(elapsed_us);
+            }
+            let last = !matches!(verdict, MergeVerdict::Fresh | MergeVerdict::Duplicate);
+            verdicts.push((trial, verdict));
+            if last {
+                break;
+            }
+        }
+        let fresh = || {
+            let fresh = verdicts.iter().filter(|(_, v)| *v == MergeVerdict::Fresh);
+            fresh.map(|&(trial, _)| slots[trial as usize].as_ref().expect("a fresh trial's slot"))
+        };
+        // One write and one fsync for the group. A failed append (already
+        // retried inside the writer, now counted) or a repair still pending
+        // leaves the journal unsound, to be repaired once the group counts.
+        let sound = match journal.as_mut().map(|writer| writer.append_all(fresh())) {
+            None => self.durable.is_none() || self.checkpointing_disabled.load(Ordering::SeqCst),
+            Some(Ok(())) => true,
+            Some(Err(e)) => {
+                let next =
+                    "compacting committed trials into the checkpoint and starting a fresh journal";
+                self.write_failed(journal, format!("trial journal append failed ({e})"), next);
+                false
+            }
+        };
+        let mut n = 0;
+        for record in fresh() {
+            self.kind_counts[record.outcome.kind().index()].fetch_add(1, Ordering::Relaxed);
+            n += 1;
+        }
+        let done = self.completed.fetch_add(n, Ordering::SeqCst) + n;
+        if !sound {
+            self.reopen_journal(&mut committed, true);
+        }
+        done
     }
 
     /// Heartbeat monitor loop: print a progress line to stderr every
@@ -669,39 +629,65 @@ pub fn run_campaign(
     run_campaign_with(workload, cfg, runner, &golden_shape(workload, cfg)?)
 }
 
-/// Trials a thread worker claims per atomic increment. Chunking changes
-/// only which worker runs which trial — records land in per-trial slots,
-/// so summaries stay bit-identical at any chunk size or thread count.
-const CLAIM_CHUNK: usize = 32;
+/// Trials a thread worker claims per atomic increment, and the most a
+/// commit group holds in any mode. Chunking changes only which worker runs
+/// which trial — records land in per-trial slots, so summaries stay
+/// bit-identical at any chunk size or thread count.
+pub(crate) const CLAIM_CHUNK: usize = 32;
 
-/// A thread worker's open commit group: finished trials not yet journaled.
-/// A crash loses at most this group.
-struct CommitGroup<'s> {
+/// A trial waiting in a commit group: its record, its wall-clock in
+/// microseconds, and whether its sender holds a lease covering it (always,
+/// for a thread worker).
+pub(crate) type Offer = (SingleBitRecord, u64, bool);
+
+/// An open commit group: a thread worker's or a supervisor handler's
+/// finished trials, not yet journaled. A crash loses at most this group.
+pub(crate) struct CommitGroup<'s> {
     shared: &'s Shared,
-    trials: Vec<(SingleBitRecord, u64)>,
-    /// Trials after which the group commits on its own
-    /// ([`RunnerConfig::checkpoint_every`] when checkpointing).
+    trials: Vec<Offer>,
+    /// The last commit's verdicts, reused so commits do not allocate.
+    verdicts: Vec<(u64, MergeVerdict)>,
+    /// Trials at which the group is full.
     limit: usize,
 }
 
-impl CommitGroup<'_> {
-    /// Add a finished trial, committing the group once it holds `limit`
-    /// trials. The preempt drill counts the open group, so its signal lands
-    /// while the group is still uncommitted unless this trial filled it.
+impl<'s> CommitGroup<'s> {
+    pub(crate) fn new(shared: &'s Shared, limit: usize) -> Self {
+        let trials = Vec::with_capacity(limit.min(CLAIM_CHUNK));
+        CommitGroup { shared, trials, verdicts: Vec::new(), limit }
+    }
+
+    /// Add a finished trial; returns whether the group is now full.
+    pub(crate) fn push(&mut self, record: SingleBitRecord, elapsed_us: u64, leased: bool) -> bool {
+        self.trials.push((record, elapsed_us, leased));
+        self.trials.len() >= self.limit
+    }
+
+    /// Add a locally-run trial, committing the group once it is full. The
+    /// preempt drill counts the open group, so its signal lands while the
+    /// group is still uncommitted unless this trial filled it.
     fn add(&mut self, record: SingleBitRecord, elapsed_us: u64) {
-        self.trials.push((record, elapsed_us));
-        let open = self.shared.completed.load(Ordering::SeqCst) + self.trials.len();
-        if self.trials.len() >= self.limit {
+        let open = self.shared.completed.load(Ordering::SeqCst) + self.trials.len() + 1;
+        if self.push(record, elapsed_us, true) {
             self.commit();
         }
         crate::signals::preempt_drill(open - 1, open);
     }
 
-    /// Journal and store the group, if it holds anything.
-    fn commit(&mut self) {
-        if !self.trials.is_empty() {
-            self.shared.commit_group(&mut self.trials);
-        }
+    /// Commit the group through [`Shared::commit`]: returns the completion
+    /// count after it and each merged record's trial and verdict.
+    pub(crate) fn commit(&mut self) -> (usize, &[(u64, MergeVerdict)]) {
+        let done = self.shared.commit(&mut self.trials, &mut self.verdicts);
+        (done, &self.verdicts)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.trials.is_empty()
+    }
+
+    /// Whether the open group already holds a record for `trial`.
+    pub(crate) fn holds(&self, trial: u64) -> bool {
+        self.trials.iter().any(|(record, _, _)| record.trial == trial)
     }
 }
 
@@ -831,7 +817,7 @@ impl<'a> OpenCampaign<'a> {
             );
         }
         let shared = Shared::new(slots, pending.len(), durable);
-        shared.reopen_journal(&mut shared.journal.lock().expect("journal lock"), journaled > 0);
+        shared.reopen_journal(&mut shared.committed.lock().expect("commit lock"), journaled > 0);
         Ok(OpenCampaign {
             workload,
             cfg,
@@ -899,8 +885,9 @@ impl<'a> OpenCampaign<'a> {
         let (workload, fingerprint, shared) = (self.workload.name, self.fingerprint, self.shared);
         let durable_write_failures = shared.durable_write_failures.load(Ordering::SeqCst) as u64;
         let shortcuts = shared.shortcuts();
-        let records: Vec<SingleBitRecord> =
-            shared.slots.into_inner().expect("slots lock").into_iter().flatten().collect();
+        let Committed { slots, latencies_us, .. } =
+            shared.committed.into_inner().expect("commit lock");
+        let records: Vec<SingleBitRecord> = slots.into_iter().flatten().collect();
         // The final checkpoint replaces the journal — a finished campaign
         // leaves exactly one durable artifact. This is the one durable write
         // that cannot be degraded away: its failure is the typed
@@ -964,8 +951,7 @@ impl<'a> OpenCampaign<'a> {
 
         let newly_run = shared.completed.into_inner();
         let complete = newly_run + supervision.newly_poisoned == self.total_missing;
-        let trial_latency =
-            LatencyStats::from_micros(shared.latencies_us.into_inner().expect("latency lock"));
+        let trial_latency = LatencyStats::from_micros(latencies_us);
         Ok(CampaignReport {
             summary: CampaignSummary {
                 workload,
@@ -1013,7 +999,7 @@ impl<'a> OpenCampaign<'a> {
         // worker per campaign.
         let mut exec: Option<TrialExecutor> = None;
         let limit = if runner.checkpoint.is_some() { runner.checkpoint_every } else { usize::MAX };
-        let mut group = CommitGroup { shared, trials: Vec::with_capacity(CLAIM_CHUNK), limit };
+        let mut group = CommitGroup::new(shared, limit);
         loop {
             // Graceful preemption: stop claiming work once the token trips.
             // Unclaimed and unstarted trials simply stay pending; every
@@ -1255,8 +1241,8 @@ mod tests {
             mode_bits: 1,
         };
         let shared = Shared::new(vec![None; trials], trials, Some(durable));
-        shared.reopen_journal(&mut shared.journal.lock().unwrap(), false);
-        assert!(shared.journal.lock().unwrap().is_some());
+        shared.reopen_journal(&mut shared.committed.lock().unwrap(), false);
+        assert!(shared.committed.lock().unwrap().journal.is_some());
         shared
     }
 
@@ -1280,14 +1266,14 @@ mod tests {
                     let mut sizes = GROUP_SIZES.iter().cycle().skip(worker);
                     let mut size = *sizes.next().unwrap();
                     for trial in (worker..TRIALS).step_by(WORKERS) {
-                        group.push((record(trial), 1));
+                        group.push((record(trial), 1, true));
                         if group.len() == size {
-                            shared.commit_group(&mut group);
-                            assert!(group.is_empty(), "commit_group drains the group");
+                            shared.commit(&mut group, &mut Vec::new());
+                            assert!(group.is_empty(), "commit drains the group");
                             size = *sizes.next().unwrap();
                         }
                     }
-                    shared.commit_group(&mut group);
+                    shared.commit(&mut group, &mut Vec::new());
                 });
             }
         });
@@ -1311,7 +1297,7 @@ mod tests {
         let path = dir.join("bound.ckpt.json");
         for every in [1, 3, 4] {
             let shared = journaled_shared(&path, 10);
-            let mut group = CommitGroup { shared: &shared, trials: Vec::new(), limit: every };
+            let mut group = CommitGroup::new(&shared, every);
             for trial in 0..10 {
                 group.add(record(trial), 1);
                 let journaled = wal::recover(&path, "dct", 0xFEED).unwrap().records.len();
@@ -1323,7 +1309,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A failed append is repaired under the journal lock: every committed
+    /// A failed append is repaired under the commit lock: every committed
     /// record — the failing group included — is compacted into the
     /// checkpoint document, and the next group lands in a fresh journal.
     #[test]
@@ -1331,24 +1317,64 @@ mod tests {
         let dir = tmpdir("repair");
         let path = dir.join("repair.ckpt.json");
         let shared = journaled_shared(&path, 6);
-        shared.commit_group(&mut vec![(record(0), 1), (record(1), 1)]);
+        shared.commit(&mut vec![(record(0), 1, true), (record(1), 1, true)], &mut Vec::new());
 
         // A crash reason past the journal's 1 MiB frame cap fails the append.
         let mut big = record(2);
         big.outcome = crate::campaign::Outcome::Crash { reason: "x".repeat((1 << 20) + 1) };
-        let failing = vec![(big, 1), (record(3), 1)];
-        shared.commit_group(&mut failing.clone());
+        let failing = vec![(big, 1, true), (record(3), 1, true)];
+        shared.commit(&mut failing.clone(), &mut Vec::new());
         assert_eq!(shared.durable_write_failures.load(Ordering::SeqCst), 1);
         assert!(!shared.checkpointing_disabled.load(Ordering::SeqCst));
         let document = checkpoint::load(&path).unwrap().records;
-        let expect: Vec<SingleBitRecord> =
-            [record(0), record(1)].into_iter().chain(failing.into_iter().map(|(r, _)| r)).collect();
+        let expect: Vec<SingleBitRecord> = [record(0), record(1)]
+            .into_iter()
+            .chain(failing.into_iter().map(|(r, _, _)| r))
+            .collect();
         assert_eq!(document, expect, "the document holds every committed record");
         assert!(wal::recover(&path, "dct", 0xFEED).unwrap().records.is_empty());
 
-        shared.commit_group(&mut vec![(record(4), 1)]);
+        shared.commit(&mut vec![(record(4), 1, true)], &mut Vec::new());
         assert_eq!(wal::recover(&path, "dct", 0xFEED).unwrap().records, vec![record(4)]);
         assert_eq!(shared.durable_write_failures.load(Ordering::SeqCst), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One commit merges a mixed group in order and stops at the first
+    /// conflict: the records after it stay unmerged, and only the fresh
+    /// records before it are journaled and counted.
+    #[test]
+    fn a_mixed_group_commits_up_to_its_first_conflict() {
+        let dir = tmpdir("mixed");
+        let path = dir.join("mixed.ckpt.json");
+        let shared = journaled_shared(&path, 5);
+        // Trial 1 was committed before the journal opened, as a resume's
+        // document records are.
+        shared.committed.lock().unwrap().slots[1] = Some(record(1));
+        let mut conflicting = record(1);
+        conflicting.outcome = crate::campaign::Outcome::Masked;
+        let mut group = CommitGroup::new(&shared, usize::MAX);
+        for (r, leased) in [(record(0), true), (record(1), false), (record(2), true)] {
+            group.push(r, 1, leased);
+        }
+        group.push(conflicting, 1, false);
+        group.push(record(3), 1, true);
+        let (done, verdicts) = group.commit();
+        assert_eq!(done, 2);
+        let trials: Vec<u64> = verdicts.iter().map(|(t, _)| *t).collect();
+        assert_eq!(trials, vec![0, 1, 2, 1], "the verdicts stop at the conflict");
+        assert_eq!(verdicts[0].1, MergeVerdict::Fresh);
+        assert_eq!(verdicts[1].1, MergeVerdict::Duplicate);
+        assert_eq!(verdicts[2].1, MergeVerdict::Fresh);
+        assert!(matches!(verdicts[3].1, MergeVerdict::Conflict { .. }));
+        assert!(group.is_empty(), "the records after the conflict are dropped");
+        assert_eq!(shared.completed.load(Ordering::SeqCst), 2);
+        assert_eq!(wal::recover(&path, "dct", 0xFEED).unwrap().records, vec![record(0), record(2)]);
+        let committed = shared.committed.lock().unwrap();
+        assert_eq!(committed.slots[1], Some(record(1)), "a conflict never overwrites");
+        assert_eq!(committed.slots[3], None, "the trailing record is left unmerged");
+        assert_eq!(committed.latencies_us.len(), 2);
+        drop(committed);
         std::fs::remove_dir_all(&dir).ok();
     }
 

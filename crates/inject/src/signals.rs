@@ -114,7 +114,8 @@ pub fn reset_sigpipe() {}
 /// after]` — deliver a real SIGTERM to this process, exactly as a
 /// preempting scheduler would. Thread workers call it per finished trial,
 /// counting their open commit group, so the signal lands while that group
-/// is still in flight; the supervisor calls it per committed record.
+/// is still in flight; a supervisor handler calls it once per committed
+/// group.
 /// `term2` adds a second signal (second strike → immediate abort, exit
 /// `143`). Fires at most once per process. Used by the SIGTERM-at-every-
 /// phase torture drill to pin cancellation to a deterministic trial count.

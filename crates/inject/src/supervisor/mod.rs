@@ -36,6 +36,9 @@
 //! 3. a `{"done": N}` sentinel on success; or `{"error": "<detail>"}` for a
 //!    fatal configuration error.
 //!
+//! A handler commits records in groups through the thread workers' commit
+//! path ([`crate::runner`]): one journal write and fsync per group.
+//!
 //! ## Failure policy
 //!
 //! While a worker holds a shard, a `lease::Lease` tracks the revocation
@@ -77,7 +80,7 @@ use crate::checkpoint;
 use crate::durable::{atomic_write_durable, jittered_backoff, quarantine_with_warning};
 use crate::json::{self, Value};
 use crate::runner::{
-    worker_count, CampaignReport, OpenCampaign, RemoteCommit, RunnerConfig, Supervision,
+    worker_count, CampaignReport, CommitGroup, OpenCampaign, RunnerConfig, Supervision, CLAIM_CHUNK,
 };
 use mbavf_core::error::{InjectError, SupervisorError, TransportError};
 use mbavf_workloads::Workload;
@@ -99,6 +102,7 @@ pub use self::serve::serve_main;
 
 use self::audit::TrustLedger;
 use self::lease::{Lease, LeaseQueue, Shard};
+use self::merge::MergeVerdict;
 use self::transport::{render_hello, ChannelEvent, Transport};
 
 /// Version of the supervisor↔worker protocol (the handshake's
@@ -440,9 +444,15 @@ pub(crate) fn render_record_frame(r: &SingleBitRecord, us: u64) -> String {
     out
 }
 
-fn parse_record_frame(v: &Value) -> Result<(SingleBitRecord, u64), String> {
+/// Parse a record frame, `v` being its JSON. Only a record's canonical
+/// rendering is one, so what a handler journals is byte for byte what its
+/// daemon sent — never a reading of duplicate, defaulted or stray keys.
+fn parse_record_frame(frame: &str, v: &Value) -> Result<(SingleBitRecord, u64), String> {
     let record = checkpoint::parse_record(v, 0).map_err(|e| e.to_string())?;
     let us = v.get("us").and_then(Value::as_u64).ok_or("missing or non-integer \"us\"")?;
+    if render_record_frame(&record, us) != frame {
+        return Err("not the canonical rendering of its record".into());
+    }
     Ok((record, us))
 }
 
@@ -474,24 +484,12 @@ enum ShardRun {
     Fatal(SupervisorError),
     /// First frame was not a valid handshake for this campaign.
     Mismatch(String),
-    /// The worker sent a record conflicting with committed state — a trust
-    /// failure charged to the endpoint (`quarantined` reports whether it
-    /// crossed the ledger's budget), not a campaign-fatal protocol error.
+    /// The worker sent a record conflicting with committed state, or an
+    /// audit divergence pushed it past the trust ledger's budget — a trust
+    /// failure charged to the endpoint (`quarantined` reports whether it is
+    /// now quarantined for the rest of the campaign), not a campaign-fatal
+    /// protocol error.
     Hostile { quarantined: bool, detail: String },
-    /// An audit divergence pushed the endpoint past the trust ledger's
-    /// failure budget; it is quarantined for the rest of the campaign.
-    Quarantined { detail: String },
-}
-
-/// What the pre-commit audit concluded about one record.
-enum AuditOutcome {
-    /// Not in the audit sample (or auditing is off).
-    Skipped,
-    /// Re-executed locally; bit-identical.
-    Passed,
-    /// Re-executed locally; the records disagree. The local record is
-    /// committed in the remote one's place.
-    Diverged,
 }
 
 /// Why a handler stopped driving a shard.
@@ -503,6 +501,25 @@ enum ShardEnd {
     /// The remote endpoint stayed unreachable through the retry budget; the
     /// (partially completed) shard should be re-offered to other handlers.
     EndpointDead { detail: String },
+}
+
+/// One lease's stream: the handler's open commit group and what the lease
+/// has achieved so far.
+struct LeaseStream<'a, 'r> {
+    /// The shard's trials not yet committed, in trial order.
+    remaining: &'r mut VecDeque<u64>,
+    group: CommitGroup<'a>,
+    /// Per grouped record: whether it passed an audit.
+    passed: Vec<bool>,
+    lease: Lease,
+    progress: bool,
+    handshaken: bool,
+}
+
+impl LeaseStream<'_, '_> {
+    fn died(&self, detail: String) -> ShardRun {
+        ShardRun::Died { progress: self.progress, handshaken: self.handshaken, detail }
+    }
 }
 
 struct SupCtx<'a> {
@@ -580,240 +597,255 @@ impl SupCtx<'_> {
         }
     }
 
-    /// Stream one lease's messages, committing records as they arrive.
+    /// Stream one lease's messages, committing its records in groups.
     /// Committed trials are removed from `remaining`, so a retry re-leases
     /// only what is still missing — and the head of `remaining` is always
-    /// the trial the last death is attributable to.
+    /// the trial the last death is attributable to. A record frame is
+    /// audited on arrival and joins the open group, which commits when full,
+    /// when no frame is ready, right after an audit divergence, and before
+    /// anything else is acted on — so no return leaves it open.
     fn stream_shard(&self, transport: &mut Transport, remaining: &mut VecDeque<u64>) -> ShardRun {
-        let mut lease = Lease::new(self.sup.lease_timeout);
-        let mut progress = false;
-        let mut handshaken = false;
+        let limit = self.campaign.runner.checkpoint_every.min(CLAIM_CHUNK);
+        let mut s = LeaseStream {
+            remaining,
+            group: CommitGroup::new(&self.campaign.shared, limit),
+            passed: Vec::new(),
+            lease: Lease::new(self.sup.lease_timeout),
+            progress: false,
+            handshaken: false,
+        };
         let mut drain_sent = false;
         // Progress gate for heartbeats: renew only when the daemon's
         // completion count *changes*, so a frozen executor with a beating
         // heart still loses its lease.
         let mut last_hb: Option<u64> = None;
         loop {
-            if self.stop.load(Ordering::SeqCst) || self.degrade.load(Ordering::SeqCst) {
-                transport.revoke();
-                return ShardRun::Died {
-                    progress,
-                    handshaken,
-                    detail: "supervisor shutdown".into(),
-                };
-            }
-            if let Some(reason) = self.campaign.runner.cancel.cancelled() {
-                if handshaken {
+            // Stop and cancellation are acted on between groups: an open
+            // group commits at the next empty poll, or once it is full.
+            if s.group.is_empty() {
+                if self.stop.load(Ordering::SeqCst) || self.degrade.load(Ordering::SeqCst) {
+                    transport.revoke();
+                    return s.died("supervisor shutdown".into());
+                }
+                if let Some(reason) = self.campaign.runner.cancel.cancelled() {
+                    if !s.handshaken {
+                        // A daemon that has not yet handshaken has streamed
+                        // no work: revoke.
+                        transport.revoke();
+                        return s.died(format!("cancelled ({reason})"));
+                    }
                     // Graceful preemption of a live daemon: ask it to finish
                     // the trial in flight and part cleanly, then keep
-                    // streaming (and committing) until its `drained` ack.
-                    // A daemon that never acks still loses its lease on the
+                    // streaming (and committing) until its `drained` ack. A
+                    // daemon that never acks still loses its lease on the
                     // ordinary expiry path below — drain adds no new way to
                     // hang the supervisor.
                     if !drain_sent {
                         if let Err(detail) = transport.drain() {
                             transport.revoke();
-                            return ShardRun::Died {
-                                progress,
-                                handshaken,
-                                detail: format!("cancelled ({reason}); drain failed: {detail}"),
-                            };
+                            let detail = format!("cancelled ({reason}); drain failed: {detail}");
+                            return s.died(detail);
                         }
                         drain_sent = true;
                     }
-                } else {
-                    // A daemon that has not yet handshaken has streamed no
-                    // work: revoke.
-                    transport.revoke();
-                    return ShardRun::Died {
-                        progress,
-                        handshaken,
-                        detail: format!("cancelled ({reason})"),
-                    };
                 }
             }
-            match transport.recv(lease.poll_wait()) {
-                ChannelEvent::Msg(frame) => {
-                    if !handshaken {
-                        let parsed = json::parse(&frame).ok();
-                        // An error can precede the handshake: the daemon
-                        // rejected our hello. A fatal configuration error.
-                        if let Some(detail) =
-                            parsed.as_ref().and_then(|v| v.get("error")).and_then(Value::as_str)
-                        {
-                            let detail = detail.to_string();
-                            transport.revoke();
-                            return ShardRun::Fatal(SupervisorError::WorkerFatal { detail });
-                        }
-                        let ok = parsed.is_some_and(|v| {
-                            v.get("mbavf_worker").and_then(Value::as_u64) == Some(PROTOCOL_VERSION)
-                                && v.get("fingerprint").and_then(Value::as_u64)
-                                    == Some(self.campaign.fingerprint)
-                        });
-                        if !ok {
-                            transport.revoke();
-                            let head: String = frame.chars().take(120).collect();
-                            return ShardRun::Mismatch(format!(
-                                "expected worker handshake, got {head:?}"
-                            ));
-                        }
-                        handshaken = true;
-                        lease.renew();
-                        continue;
-                    }
-                    let Ok(v) = json::parse(&frame) else {
-                        // A malformed frame: nothing to commit. A dying
-                        // worker's EOF drives the retry.
-                        continue;
-                    };
-                    if let Some(n) = v.get("hb").and_then(Value::as_u64) {
-                        if last_hb != Some(n) {
-                            last_hb = Some(n);
-                            lease.renew();
-                        }
-                        continue;
-                    }
-                    if v.get("drained").is_some() {
-                        // The daemon honored our drain frame: its in-flight
-                        // trial is committed (we streamed it above), its
-                        // lease is flushed back, and it parted cleanly. The
-                        // shard's leftovers stay pending for the resume.
-                        return ShardRun::Died {
-                            progress,
-                            handshaken,
-                            detail: "endpoint drained after cancellation".into(),
-                        };
-                    }
-                    if let Some(detail) = v.get("error").and_then(Value::as_str) {
-                        let detail = detail.to_string();
-                        transport.revoke();
-                        return ShardRun::Fatal(SupervisorError::WorkerFatal { detail });
-                    }
-                    if v.get("done").is_some() {
-                        return if remaining.is_empty() {
-                            ShardRun::Done
-                        } else {
-                            ShardRun::Fatal(SupervisorError::Protocol {
-                                detail: format!(
-                                    "worker reported done with {} trials unaccounted for",
-                                    remaining.len()
-                                ),
-                            })
-                        };
-                    }
-                    let (record, us) = match parse_record_frame(&v) {
-                        Ok(r) => r,
-                        Err(detail) => {
-                            transport.revoke();
-                            return ShardRun::Fatal(SupervisorError::Protocol {
-                                detail: format!("bad record frame: {detail}"),
-                            });
-                        }
-                    };
-                    let trial = record.trial;
-                    let leased = remaining.iter().position(|&t| t == trial);
-                    // Trust-but-verify: re-execute sampled records in full
-                    // on the local arena *before* they reach the WAL — never
-                    // through the shortcuts the worker took, so a wrong
-                    // shortcut surfaces as a divergence. The
-                    // sample is a pure function of (seed, trial), so it is
-                    // invariant under the worker count and endpoint layout;
-                    // only leased (first-delivery) records are audited, so
-                    // each selected trial is audited exactly once. On
-                    // divergence the local re-execution wins the tie: the
-                    // local record is committed, the remote one discarded.
-                    let (mut record, mut us) = (record, us);
-                    let mut audit = AuditOutcome::Skipped;
-                    if leased.is_some() {
-                        if let (Some(policy), Some(auditor)) = (self.sup.audit, &self.auditor) {
-                            if policy.selects(self.campaign.cfg.seed, trial) {
-                                let (local, local_us) =
-                                    auditor.lock().expect("auditor lock").run_trial_in_full(trial);
-                                if local == record {
-                                    audit = AuditOutcome::Passed;
-                                } else {
-                                    audit = AuditOutcome::Diverged;
-                                    record = local;
-                                    us = local_us;
-                                }
-                            }
-                        }
-                    }
-                    match self.campaign.shared.commit_remote(record, us, leased.is_some()) {
-                        RemoteCommit::Fresh(done) => {
-                            let pos = leased.expect("fresh commits are leased");
-                            remaining.remove(pos);
-                            progress = true;
-                            lease.renew();
-                            crate::signals::preempt_drill(done - 1, done);
-                            match audit {
-                                AuditOutcome::Skipped => {}
-                                AuditOutcome::Passed => self.ledger.record_pass(),
-                                AuditOutcome::Diverged => {
-                                    let endpoint = transport.endpoint();
-                                    eprintln!(
-                                        "warning: audit divergence on trial {trial}: endpoint {endpoint} disagrees with local re-execution; the local record was committed"
-                                    );
-                                    if self.ledger.record_divergence(&endpoint) {
-                                        transport.revoke();
-                                        return ShardRun::Quarantined {
-                                            detail: format!(
-                                                "quarantined by the trust ledger after an audit divergence on trial {trial}"
-                                            ),
-                                        };
-                                    }
-                                }
-                            }
-                        }
-                        RemoteCommit::Duplicate => {
-                            // A replay of a record committed by an earlier
-                            // lease (reconnect, duplicated frames): dropped
-                            // by the merge, never recounted.
-                            if let Some(pos) = leased {
-                                remaining.remove(pos);
-                                progress = true;
-                            }
-                            lease.renew();
-                        }
-                        RemoteCommit::Conflict { detail } => {
-                            // A record contradicting committed state is a
-                            // trust failure, charged to the endpoint's
-                            // retry budget and trust ledger — not silently
-                            // formatted into a fatal error.
-                            let quarantined = self.ledger.record_conflict(&transport.endpoint());
-                            transport.revoke();
-                            return ShardRun::Hostile { quarantined, detail };
-                        }
-                        RemoteCommit::Foreign => {
-                            transport.revoke();
-                            return ShardRun::Fatal(SupervisorError::Protocol {
-                                detail: format!("worker emitted trial {trial} outside its shard"),
-                            });
+            // With a group open, poll without waiting: the first empty poll
+            // commits it.
+            let wait = if s.group.is_empty() { s.lease.poll_wait() } else { Duration::ZERO };
+            let event = transport.recv(wait);
+            let frame = match &event {
+                ChannelEvent::Msg(frame) => Some(frame.as_str()),
+                _ => None,
+            };
+            let v = frame.and_then(|frame| json::parse(frame).ok());
+            let control =
+                |v: &Value| ["hb", "drained", "error", "done"].iter().any(|k| v.get(k).is_some());
+            let record = frame
+                .zip(v.as_ref())
+                .filter(|(_, v)| s.handshaken && !control(v))
+                .map(|(frame, v)| parse_record_frame(frame, v));
+            if let Some(Ok((mut record, mut us))) = record {
+                let trial = record.trial;
+                // Leased: covered by the sender's lease and not already
+                // delivered into the open group.
+                let leased = s.remaining.contains(&trial) && !s.group.holds(trial);
+                // Trust-but-verify: re-execute sampled records in full on
+                // the local arena *before* they reach the WAL — never through
+                // the shortcuts the worker took, so a wrong shortcut surfaces
+                // as a divergence. The sample is a pure function of (seed,
+                // trial), so it is invariant under the worker count and
+                // endpoint layout; only leased (first-delivery) records are
+                // audited, so each selected trial is audited exactly once. On
+                // divergence the local re-execution wins the tie: the local
+                // record is committed, the remote one discarded.
+                let (mut passed, mut diverged) = (false, false);
+                let auditor = self.auditor.as_ref().filter(|_| leased);
+                if let (Some(policy), Some(auditor)) = (self.sup.audit, auditor) {
+                    if policy.selects(self.campaign.cfg.seed, trial) {
+                        let (local, local_us) =
+                            auditor.lock().expect("auditor lock").run_trial_in_full(trial);
+                        (passed, diverged) = (local == record, local != record);
+                        if diverged {
+                            (record, us) = (local, local_us);
                         }
                     }
                 }
-                ChannelEvent::Idle => {
-                    if lease.expired() {
-                        let detail = lease.describe(remaining.len());
-                        transport.revoke();
-                        return ShardRun::Died { progress, handshaken, detail };
+                s.passed.push(passed);
+                if s.group.push(record, us, leased) || diverged {
+                    if let Some(run) = self.settle(&mut s, transport) {
+                        return run;
                     }
+                }
+                // A divergence commits its group at once, so the local record
+                // is committed and the ledger charged before the next frame.
+                if diverged {
+                    let endpoint = transport.endpoint();
+                    eprintln!(
+                        "warning: audit divergence on trial {trial}: endpoint {endpoint} disagrees with local re-execution; the local record was committed"
+                    );
+                    if self.ledger.record_divergence(&endpoint) {
+                        transport.revoke();
+                        return ShardRun::Hostile {
+                            quarantined: true,
+                            detail: format!(
+                                "quarantined by the trust ledger after an audit divergence on trial {trial}"
+                            ),
+                        };
+                    }
+                }
+                continue;
+            }
+            // Anything but a record frame is acted on only once the open
+            // group is committed.
+            if let Some(run) = self.settle(&mut s, transport) {
+                return run;
+            }
+            let frame = match event {
+                ChannelEvent::Msg(frame) => frame,
+                ChannelEvent::Idle => {
+                    if s.lease.expired() {
+                        let detail = s.lease.describe(s.remaining.len());
+                        transport.revoke();
+                        return s.died(detail);
+                    }
+                    continue;
                 }
                 ChannelEvent::Eof { status } => {
                     // A worker that drained its shard but lost the sentinel
                     // did all the work; don't retry an empty shard.
-                    return if remaining.is_empty() {
-                        ShardRun::Done
-                    } else {
-                        ShardRun::Died {
-                            progress,
-                            handshaken,
-                            detail: format!("{status} with {} trials left", remaining.len()),
-                        }
-                    };
+                    if s.remaining.is_empty() {
+                        return ShardRun::Done;
+                    }
+                    return s.died(format!("{status} with {} trials left", s.remaining.len()));
+                }
+            };
+            // An error frame is fatal, even before the handshake: there it
+            // means the daemon rejected our hello's configuration.
+            if let Some(detail) = v.as_ref().and_then(|v| v.get("error")).and_then(Value::as_str) {
+                let detail = detail.to_string();
+                transport.revoke();
+                return ShardRun::Fatal(SupervisorError::WorkerFatal { detail });
+            }
+            if !s.handshaken {
+                let ok = v.is_some_and(|v| {
+                    v.get("mbavf_worker").and_then(Value::as_u64) == Some(PROTOCOL_VERSION)
+                        && v.get("fingerprint").and_then(Value::as_u64)
+                            == Some(self.campaign.fingerprint)
+                });
+                if !ok {
+                    transport.revoke();
+                    let head: String = frame.chars().take(120).collect();
+                    return ShardRun::Mismatch(format!("expected worker handshake, got {head:?}"));
+                }
+                s.handshaken = true;
+                s.lease.renew();
+                continue;
+            }
+            let Some(v) = v else {
+                // A malformed frame: nothing to commit. A dying worker's EOF
+                // drives the retry.
+                continue;
+            };
+            if let Some(Err(detail)) = record {
+                transport.revoke();
+                return ShardRun::Fatal(SupervisorError::Protocol {
+                    detail: format!("bad record frame: {detail}"),
+                });
+            }
+            if let Some(n) = v.get("hb").and_then(Value::as_u64) {
+                if last_hb != Some(n) {
+                    last_hb = Some(n);
+                    s.lease.renew();
+                }
+                continue;
+            }
+            if v.get("drained").is_some() {
+                // The daemon honored our drain frame: its in-flight trial is
+                // committed (we streamed it above), its lease is flushed
+                // back, and it parted cleanly. The shard's leftovers stay
+                // pending for the resume.
+                return s.died("endpoint drained after cancellation".into());
+            }
+            // The one frame left is `done`.
+            return if s.remaining.is_empty() {
+                ShardRun::Done
+            } else {
+                ShardRun::Fatal(SupervisorError::Protocol {
+                    detail: format!(
+                        "worker reported done with {} trials unaccounted for",
+                        s.remaining.len()
+                    ),
+                })
+            };
+        }
+    }
+
+    /// Commit the handler's open group and settle its verdicts, once per
+    /// group: committed trials leave `remaining` and renew the lease, passed
+    /// audits are counted, and the preempt drill counts the group's fresh
+    /// trials. Returns how the stream ends when the group held a
+    /// conflicting or foreign record.
+    fn settle(&self, s: &mut LeaseStream, transport: &mut Transport) -> Option<ShardRun> {
+        if s.group.is_empty() {
+            return None;
+        }
+        let (done, verdicts) = s.group.commit();
+        let fresh = verdicts.iter().filter(|(_, v)| *v == MergeVerdict::Fresh).count();
+        crate::signals::preempt_drill(done - fresh, done);
+        for (&(trial, ref verdict), passed) in verdicts.iter().zip(s.passed.drain(..)) {
+            match verdict {
+                // A duplicate replays a record an earlier lease committed
+                // (reconnect, duplicated frames): dropped by the merge,
+                // never recounted. Only fresh records passed an audit.
+                MergeVerdict::Fresh | MergeVerdict::Duplicate => {
+                    if let Some(pos) = s.remaining.iter().position(|&t| t == trial) {
+                        s.remaining.remove(pos);
+                        s.progress = true;
+                    }
+                    if passed {
+                        self.ledger.record_pass();
+                    }
+                }
+                MergeVerdict::Conflict { detail } => {
+                    // A record contradicting committed state is a trust
+                    // failure, charged to the endpoint's retry budget and
+                    // trust ledger — not silently formatted into a fatal
+                    // error.
+                    let quarantined = self.ledger.record_conflict(&transport.endpoint());
+                    transport.revoke();
+                    return Some(ShardRun::Hostile { quarantined, detail: detail.clone() });
+                }
+                MergeVerdict::Foreign { .. } => {
+                    transport.revoke();
+                    return Some(ShardRun::Fatal(SupervisorError::Protocol {
+                        detail: format!("worker emitted trial {trial} outside its shard"),
+                    }));
                 }
             }
         }
+        s.lease.renew();
+        None
     }
 
     /// Drive one shard to completion: lease/re-lease with jittered backoff,
@@ -909,9 +941,9 @@ impl SupCtx<'_> {
                 }
                 ShardRun::Hostile { quarantined, detail } => {
                     if !transport.is_remote() {
-                        // A local daemon contradicting committed state is a
-                        // determinism bug, not a trust problem — fail
-                        // loudly, exactly as before auditing existed.
+                        // A local daemon contradicting committed state or
+                        // its audit is a determinism bug in this very
+                        // binary, not a trust problem — fail loudly.
                         self.raise_fatal(SupervisorError::Protocol { detail });
                         return ShardEnd::Stop;
                     }
@@ -921,15 +953,6 @@ impl SupCtx<'_> {
                     if quarantined || lease_fails > self.sup.max_retries {
                         return ShardEnd::EndpointDead { detail };
                     }
-                }
-                ShardRun::Quarantined { detail } => {
-                    if transport.is_remote() {
-                        return ShardEnd::EndpointDead { detail };
-                    }
-                    // A local daemon diverging from local re-execution is
-                    // nondeterminism in this very binary — campaign-fatal.
-                    self.raise_fatal(SupervisorError::Protocol { detail });
-                    return ShardEnd::Stop;
                 }
                 ShardRun::Mismatch(detail) => {
                     if self.try_degrade() {
@@ -1057,21 +1080,12 @@ pub fn run_supervised(
 
     // Contiguous shards with boundaries fixed by trial index, so the shard
     // layout is invariant under the worker count.
-    let mut shards: VecDeque<Shard> = VecDeque::new();
-    for &t in &campaign.pending {
-        let shard_id = t / sup.shard_size as u64;
-        match shards.back_mut() {
-            Some(last)
-                if last
-                    .remaining
-                    .back()
-                    .is_some_and(|&p| p / sup.shard_size as u64 == shard_id) =>
-            {
-                last.remaining.push_back(t)
-            }
-            _ => shards.push_back(Shard::new(VecDeque::from([t]))),
-        }
-    }
+    let size = sup.shard_size as u64;
+    let shards: VecDeque<Shard> = campaign
+        .pending
+        .chunk_by(|a, b| a / size == b / size)
+        .map(|trials| Shard::new(trials.iter().copied().collect()))
+        .collect();
     let requested = match &sup.transport {
         TransportKind::Tcp { endpoints } => endpoints.len(),
         TransportKind::Local => sup.workers,
@@ -1170,6 +1184,9 @@ pub fn run_supervised(
     };
     campaign.finish(supervision)
 }
+
+#[cfg(test)]
+mod parser_fuzz;
 
 #[cfg(test)]
 mod tests {
@@ -1312,7 +1329,7 @@ mod tests {
         for r in records {
             let line = render_record_frame(&r, 1234);
             let v = json::parse(&line).unwrap();
-            assert_eq!(parse_record_frame(&v).unwrap(), (r, 1234));
+            assert_eq!(parse_record_frame(&line, &v).unwrap(), (r, 1234));
         }
     }
 
@@ -1469,6 +1486,23 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_megabyte_of_nesting_from_a_worker_is_dropped_and_the_stream_goes_on() {
+        // A hostile worker slips the largest frame the protocol allows — all
+        // nesting — into an otherwise honest record stream. The handler
+        // drops it as malformed instead of overflowing its stack, and the
+        // campaign finishes bit-identical to thread mode.
+        let w = by_name("transpose").expect("registered");
+        let cfg = cfg(6);
+        let thread = run_campaign(&w, &cfg, &RunnerConfig::serial()).unwrap();
+        let mut frames = vec![handshake(&w, &cfg), "[".repeat(transport::MAX_FRAME)];
+        frames.extend(thread.summary.records.iter().map(|r| render_record_frame(r, 1)));
+        frames.push("{\"done\": 6}".into());
+        let report = run_supervised(&w, &cfg, &RunnerConfig::serial(), &fake_sup(frames)).unwrap();
+        assert_eq!(report.summary, thread.summary);
+        assert!(report.poisoned.is_empty());
     }
 
     #[test]

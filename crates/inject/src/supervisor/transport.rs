@@ -296,17 +296,26 @@ impl Transport {
         Ok(())
     }
 
-    /// Wait up to `wait` for the next message. Once a frame's first byte
-    /// has arrived the whole frame is read, allowing the peer up to the
-    /// lease timeout to finish it: peers write frames whole, so only a
-    /// dying or broken one stalls mid-frame.
+    /// Wait up to `wait` for the next message; a zero wait only polls.
+    /// Once a frame's first byte has arrived the whole frame is read,
+    /// allowing the peer up to the lease timeout to finish it: peers write
+    /// frames whole, so only a dying or broken one stalls mid-frame.
     pub(crate) fn recv(&mut self, wait: Duration) -> ChannelEvent {
         let Some(conn) = &mut self.conn else {
             return ChannelEvent::Eof { status: format!("no connection to {}", self.endpoint()) };
         };
-        // A zero timeout is an error for the socket API; poll briefly.
-        let _ = conn.set_read_timeout(Some(wait.max(Duration::from_millis(1))));
-        let frame = match conn.peek(&mut [0u8; 1]) {
+        let peeked = if wait.is_zero() {
+            // A zero timeout is an error for the socket API: peek
+            // non-blocking, and leave the socket blocking for its writers.
+            let _ = conn.set_nonblocking(true);
+            let peeked = conn.peek(&mut [0u8; 1]);
+            let _ = conn.set_nonblocking(false);
+            peeked
+        } else {
+            let _ = conn.set_read_timeout(Some(wait));
+            conn.peek(&mut [0u8; 1])
+        };
+        let frame = match peeked {
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 return ChannelEvent::Idle;
             }
