@@ -17,13 +17,13 @@
 use mbavf_bench::experiments::{fig10, fig11, fig4, fig5, fig6, fig8, fig9};
 use mbavf_bench::report::{f3, pct, ratio, sparkline, Table};
 use mbavf_bench::validate::{validate_suite, ValidateConfig};
-use mbavf_bench::{injections_from_env, scale_from_env};
+use mbavf_bench::{injections_from_env, scale_from_env, table2};
 use mbavf_core::avf::mean;
 use mbavf_core::mttf::figure2;
 use mbavf_core::ser::{ibe_table1, paper_table3};
 use mbavf_core::stats::wilson;
-use mbavf_inject::{try_interference_study, CampaignConfig};
-use mbavf_workloads::{by_name, injection_suite, Scale};
+use mbavf_inject::try_interference_study;
+use mbavf_workloads::{by_name, injection_suite};
 use std::collections::BTreeMap;
 
 /// Accumulated per-design series: (sdc_mb, sdc_approx, due_mb).
@@ -137,14 +137,8 @@ fn main() {
 
     section("Table II: ACE interference (VGPR fault injection)");
     let injections = injections_from_env();
-    let groups: usize =
-        std::env::var("MBAVF_GROUPS").ok().and_then(|v| v.parse().ok()).unwrap_or(40);
-    let cfg = CampaignConfig {
-        seed: 0xACE5,
-        injections,
-        scale: Scale::Paper,
-        ..CampaignConfig::default()
-    };
+    let groups = table2::groups_from_env();
+    let cfg = table2::campaign_config(injections);
     let mut t = Table::new(&["benchmark", "SDC ACE bits", "2x1 intf", "3x1 intf", "4x1 intf"]);
     let (mut tg, mut ti, mut tb) = (0usize, 0usize, 0usize);
     // Skip workloads that already failed the pipeline; their golden runs
@@ -165,20 +159,7 @@ fn main() {
                 continue;
             }
         };
-        let cell = |k: usize, n: usize| {
-            if n == 0 {
-                return "0/0".to_string();
-            }
-            let r = wilson(k as u64, n as u64, 0.95);
-            format!("{k}/{n} [{:.2}, {:.2}]", r.lo, r.hi)
-        };
-        t.row(vec![
-            row.workload.into(),
-            row.sdc_ace_bits.to_string(),
-            cell(row.interference[0], row.groups_tested[0]),
-            cell(row.interference[1], row.groups_tested[1]),
-            cell(row.interference[2], row.groups_tested[2]),
-        ]);
+        t.row(table2::row_cells(&row));
         tg += row.groups_tested.iter().sum::<usize>();
         ti += row.interference.iter().sum::<usize>();
         tb += row.sdc_ace_bits;

@@ -12,32 +12,18 @@
 
 use mbavf_bench::injections_from_env;
 use mbavf_bench::report::{pct, Table};
+use mbavf_bench::table2::{campaign_config, groups_from_env, row_cells};
 use mbavf_core::stats::wilson;
-use mbavf_inject::{try_interference_study, CampaignConfig};
-use mbavf_workloads::{injection_suite, Scale};
-
-/// Interference count as `k/n` with its 95% Wilson interval.
-fn intf_cell(k: usize, n: usize) -> String {
-    if n == 0 {
-        return "0/0".to_string();
-    }
-    let r = wilson(k as u64, n as u64, 0.95);
-    format!("{k}/{n} [{:.2}, {:.2}]", r.lo, r.hi)
-}
+use mbavf_inject::try_interference_study;
+use mbavf_workloads::injection_suite;
 
 fn main() {
     let injections = injections_from_env();
-    let groups: usize =
-        std::env::var("MBAVF_GROUPS").ok().and_then(|v| v.parse().ok()).unwrap_or(40);
+    let groups = groups_from_env();
     println!("Table II: ACE interference in multi-bit faults (VGPR injection)");
     println!("({injections} single-bit injections/workload, up to {groups} groups/mode)\n");
 
-    let cfg = CampaignConfig {
-        seed: 0xACE5,
-        injections,
-        scale: Scale::Paper,
-        ..CampaignConfig::default()
-    };
+    let cfg = campaign_config(injections);
     let mut t = Table::new(&["benchmark", "SDC ACE bits", "2x1 intf", "3x1 intf", "4x1 intf"]);
     let mut total_groups = 0usize;
     let mut total_intf = 0usize;
@@ -51,13 +37,7 @@ fn main() {
                 continue;
             }
         };
-        t.row(vec![
-            row.workload.into(),
-            row.sdc_ace_bits.to_string(),
-            intf_cell(row.interference[0], row.groups_tested[0]),
-            intf_cell(row.interference[1], row.groups_tested[1]),
-            intf_cell(row.interference[2], row.groups_tested[2]),
-        ]);
+        t.row(row_cells(&row));
         total_groups += row.groups_tested.iter().sum::<usize>();
         total_intf += row.interference.iter().sum::<usize>();
         total_bits += row.sdc_ace_bits;

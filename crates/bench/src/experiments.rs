@@ -1,7 +1,7 @@
 //! Per-exhibit computations over [`WorkloadData`].
 
 use crate::pipeline::WorkloadData;
-use mbavf_core::analysis::{mb_avf, windowed_mb_avf, AnalysisConfig, MbAvfResult};
+use mbavf_core::analysis::{mb_avf, windowed_mb_avf, AnalysisConfig, MbAvfResult, PreparedStore};
 use mbavf_core::avf::{normalized, raw_avf};
 use mbavf_core::geometry::FaultMode;
 use mbavf_core::layout::{CacheInterleave, CacheLayout, VgprInterleave, VgprLayout};
@@ -290,6 +290,8 @@ pub fn approx_defeated(scheme: ProtectionKind, m: u32, i: u32) -> bool {
 pub fn fig11(d: &WorkloadData) -> Vec<Fig11Row> {
     let rates = paper_table3();
     let sb_ace = raw_avf(&d.vgpr);
+    // Every design and mode below analyses the same store.
+    let vgpr = PreparedStore::new(&d.vgpr);
     fig11_designs()
         .into_iter()
         .map(|(scheme, il)| {
@@ -302,7 +304,8 @@ pub fn fig11(d: &WorkloadData) -> Vec<Fig11Row> {
             let mut due_pairs = Vec::new();
             let mut approx_pairs = Vec::new();
             for rate in &rates {
-                let res = mb_avf(&d.vgpr, &layout, &FaultMode::mx1(rate.mode_bits), &cfg)
+                let res = vgpr
+                    .mb_avf(&layout, &FaultMode::mx1(rate.mode_bits), &cfg)
                     .expect("mode fits the VGPR row");
                 sdc_pairs.push((rate.clone(), res.sdc_avf()));
                 due_pairs.push((rate.clone(), res.due_avf()));

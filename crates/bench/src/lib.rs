@@ -28,6 +28,7 @@ pub mod experiments;
 pub mod microbench;
 pub mod pipeline;
 pub mod report;
+pub mod table2;
 pub mod validate;
 
 pub use mbavf_core::error::PipelineError;

@@ -30,6 +30,7 @@ use crate::protection::{Action, ProtectionKind};
 use crate::timeline::{BitState, Cycle, Interval, TimelineStore};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// Classification of one fault group during one cycle, in increasing order of
 /// severity (the precedence order of Section VII-B).
@@ -209,6 +210,9 @@ struct Scratch {
 /// The returned [`MbAvfResult`] carries SDC, true-DUE, and false-DUE
 /// components; single-bit AVFs are simply the `1x1` mode.
 ///
+/// A thin wrapper over [`PreparedStore::mb_avf`]; prepare the store once
+/// instead when analysing it under many layouts, modes or schemes.
+///
 /// # Errors
 ///
 /// * [`CoreError::ModeLargerThanLayout`] if the mode has no placement.
@@ -220,41 +224,92 @@ pub fn mb_avf<L: PhysicalLayout>(
     mode: &FaultMode,
     cfg: &AnalysisConfig,
 ) -> Result<MbAvfResult, CoreError> {
-    let groups = mode.group_count(layout.rows(), layout.cols());
-    let mut result = MbAvfResult::new(mode, groups, store.total_cycles(), None);
-    if mode.len() <= MEMO_MAX_BITS {
-        // Whole-run totals admit memoization at two levels: a repeated band
-        // fingerprint reuses a whole row's totals (`Band`), a repeated group
-        // key one group's (`GroupMemo`). This collapses the 64 replicated
-        // SIMT lanes of a register file, and the sea of untouched cache
-        // lines, into one row computation each.
-        mode.groups(layout.rows(), layout.cols())?; // fails before any bit is resolved
-        let mut memo = GroupMemo::new(store);
-        let mut bands: FxHashMap<Vec<BandCell>, [u128; 3]> = FxHashMap::default();
-        let mut band = Band::default();
-        for anchor_row in 0..=layout.rows() - mode.rows() {
-            let keyed = band.build(layout, &memo.content_ids, anchor_row, mode.rows());
-            let cached = if keyed { bands.get(band.cells.as_slice()).copied() } else { None };
-            let totals = match cached {
-                Some(t) => t,
-                None => {
-                    let t = memo.row_totals(store, layout, mode, cfg, anchor_row)?;
-                    if keyed {
-                        bands.insert(band.cells.clone(), t);
-                    }
-                    t
-                }
-            };
-            result.false_due_gc += totals[0];
-            result.true_due_gc += totals[1];
-            result.sdc_gc += totals[2];
-        }
-    } else {
-        sweep_groups(store, layout, mode, cfg, |class, start, end| {
-            result.add(class, u128::from(end - start));
-        })?;
+    PreparedStore::new(store).mb_avf(layout, mode, cfg)
+}
+
+/// A timeline store prepared for repeated whole-run MB-AVF analysis: the
+/// store plus the canonical content id of every byte's timeline, computed
+/// once (on the first memoized analysis) and shared by every
+/// [`mb_avf`](Self::mb_avf) call over it.
+///
+/// ```
+/// use mbavf_core::analysis::{mb_avf, AnalysisConfig, PreparedStore};
+/// use mbavf_core::geometry::FaultMode;
+/// use mbavf_core::layout::LinearLayout;
+/// use mbavf_core::protection::ProtectionKind;
+/// use mbavf_core::timeline::{Interval, TimelineStore};
+///
+/// let mut store = TimelineStore::new(2, 100);
+/// store.byte_mut(1).push(Interval { start: 10, end: 60, ace_mask: 0x0f, checked: true }).unwrap();
+/// let layout = LinearLayout::new(1, 16, 2);
+/// let cfg = AnalysisConfig::new(ProtectionKind::Parity);
+/// let prepared = PreparedStore::new(&store);
+/// for m in 1..=4 {
+///     let mode = FaultMode::mx1(m);
+///     assert_eq!(prepared.mb_avf(&layout, &mode, &cfg)?, mb_avf(&store, &layout, &mode, &cfg)?);
+/// }
+/// # Ok::<(), mbavf_core::CoreError>(())
+/// ```
+pub struct PreparedStore<'s> {
+    store: &'s TimelineStore,
+    content_ids: OnceLock<Vec<u32>>,
+}
+
+impl<'s> PreparedStore<'s> {
+    /// Prepare `store`. Cheap: the content ids are computed on first use.
+    pub fn new(store: &'s TimelineStore) -> Self {
+        Self { store, content_ids: OnceLock::new() }
     }
-    Ok(result)
+
+    /// [`mb_avf`] over the prepared store.
+    ///
+    /// # Errors
+    ///
+    /// As [`mb_avf`].
+    pub fn mb_avf<L: PhysicalLayout>(
+        &self,
+        layout: &L,
+        mode: &FaultMode,
+        cfg: &AnalysisConfig,
+    ) -> Result<MbAvfResult, CoreError> {
+        let store = self.store;
+        let groups = mode.group_count(layout.rows(), layout.cols());
+        let mut result = MbAvfResult::new(mode, groups, store.total_cycles(), None);
+        if mode.len() <= MEMO_MAX_BITS {
+            // Whole-run totals admit memoization at two levels: a repeated
+            // band fingerprint reuses a whole row's totals (`Band`), a
+            // repeated group key one group's (`GroupMemo`). This collapses
+            // the 64 replicated SIMT lanes of a register file, and the sea
+            // of untouched cache lines, into one row computation each.
+            mode.groups(layout.rows(), layout.cols())?; // fails before any bit is resolved
+            let content_ids = self.content_ids.get_or_init(|| content_ids(store));
+            let mut memo = GroupMemo::new(content_ids);
+            let mut bands: FxHashMap<Vec<BandCell>, [u128; 3]> = FxHashMap::default();
+            let mut band = Band::default();
+            for anchor_row in 0..=layout.rows() - mode.rows() {
+                let keyed = band.build(layout, content_ids, anchor_row, mode.rows());
+                let cached = if keyed { bands.get(band.cells.as_slice()).copied() } else { None };
+                let totals = match cached {
+                    Some(t) => t,
+                    None => {
+                        let t = memo.row_totals(store, layout, mode, cfg, anchor_row)?;
+                        if keyed {
+                            bands.insert(band.cells.clone(), t);
+                        }
+                        t
+                    }
+                };
+                result.false_due_gc += totals[0];
+                result.true_due_gc += totals[1];
+                result.sdc_gc += totals[2];
+            }
+        } else {
+            sweep_groups(store, layout, mode, cfg, |class, start, end| {
+                result.add(class, u128::from(end - start));
+            })?;
+        }
+        Ok(result)
+    }
 }
 
 /// Sweep the contiguous wordline fault modes `1x1 ..= max_bits x1` in one
@@ -286,7 +341,8 @@ pub fn mb_avf_modes<L: PhysicalLayout>(
     max_bits: u32,
     cfg: &AnalysisConfig,
 ) -> Result<Vec<MbAvfResult>, CoreError> {
-    (1..=max_bits).map(|m| mb_avf(store, layout, &FaultMode::mx1(m), cfg)).collect()
+    let prepared = PreparedStore::new(store);
+    (1..=max_bits).map(|m| prepared.mb_avf(layout, &FaultMode::mx1(m), cfg)).collect()
 }
 
 /// Memoization cutoff: modes larger than this fall back to the direct sweep.
@@ -310,19 +366,15 @@ impl MemoKey {
 
 /// The group level of the memo: whole-run `[false DUE, true DUE, SDC]`
 /// group-cycles per [`MemoKey`], shared by every band of one analysis.
-struct GroupMemo {
-    content_ids: Vec<u32>,
+struct GroupMemo<'c> {
+    content_ids: &'c [u32],
     totals: FxHashMap<MemoKey, [u128; 3]>,
     scratch: Scratch,
 }
 
-impl GroupMemo {
-    fn new(store: &TimelineStore) -> Self {
-        Self {
-            content_ids: content_ids(store),
-            totals: FxHashMap::default(),
-            scratch: Scratch::default(),
-        }
+impl<'c> GroupMemo<'c> {
+    fn new(content_ids: &'c [u32]) -> Self {
+        Self { content_ids, totals: FxHashMap::default(), scratch: Scratch::default() }
     }
 
     /// Summed totals of every group anchored on `anchor_row`, sweeping only
@@ -533,8 +585,9 @@ pub fn ace_locality<L: PhysicalLayout>(
     layout: &L,
 ) -> Result<f64, CoreError> {
     let cfg = AnalysisConfig::new(ProtectionKind::None);
-    let sb = mb_avf(store, layout, &FaultMode::mx1(1), &cfg)?.sdc_avf();
-    let mb2 = mb_avf(store, layout, &FaultMode::mx1(2), &cfg)?.sdc_avf();
+    let prepared = PreparedStore::new(store);
+    let sb = prepared.mb_avf(layout, &FaultMode::mx1(1), &cfg)?.sdc_avf();
+    let mb2 = prepared.mb_avf(layout, &FaultMode::mx1(2), &cfg)?.sdc_avf();
     if mb2 <= 0.0 {
         return Ok(1.0);
     }
@@ -622,7 +675,11 @@ fn sweep_one_group(
     sink: &mut impl FnMut(GroupClass, Cycle, Cycle),
 ) {
     s.bounds.clear();
-    for b in &s.bits {
+    for (i, b) in s.bits.iter().enumerate() {
+        // A byte's bounds once, however many of the group's bits it holds.
+        if s.bits[..i].iter().any(|p| p.byte == b.byte) {
+            continue;
+        }
         for iv in store.byte(b.byte as usize).intervals() {
             s.bounds.push(iv.start);
             s.bounds.push(iv.end);

@@ -511,6 +511,17 @@ pub enum InjectError {
         /// Human-readable explanation (workload / retirement shape).
         detail: String,
     },
+    /// A full replay of a campaign's SDC site did not come back SDC. Replay
+    /// is deterministic and the campaign's golden-run shortcuts are exact,
+    /// so this is a bug in one of them, never a result to count.
+    ReplayNotSdc {
+        /// Workload name.
+        workload: String,
+        /// The replayed fault site, rendered.
+        site: String,
+        /// The outcome class the replay produced instead.
+        outcome: String,
+    },
 }
 
 impl fmt::Display for InjectError {
@@ -526,6 +537,11 @@ impl fmt::Display for InjectError {
             InjectError::EmptySampleSpace { detail } => {
                 write!(f, "no retired instructions to sample fault sites from: {detail}")
             }
+            InjectError::ReplayNotSdc { workload, site, outcome } => write!(
+                f,
+                "replaying SDC site {site} of {workload} gave {outcome}, not sdc: \
+                 the executor is nondeterministic or a golden-run shortcut is wrong"
+            ),
         }
     }
 }

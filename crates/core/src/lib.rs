@@ -74,7 +74,7 @@ pub mod stats;
 pub mod timeline;
 
 pub use analysis::{
-    ace_locality, mb_avf, mb_avf_modes, windowed_mb_avf, AnalysisConfig, MbAvfResult,
+    ace_locality, mb_avf, mb_avf_modes, windowed_mb_avf, AnalysisConfig, MbAvfResult, PreparedStore,
 };
 pub use crc::{crc32, Crc32};
 pub use error::{

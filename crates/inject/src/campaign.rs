@@ -400,19 +400,26 @@ impl CampaignSummary {
 /// a lockstep [`TrialBatch`](mbavf_sim::TrialBatch) at width W, both with
 /// bit-identical verdicts.
 ///
-/// [`run_unit`](Self::run_unit) settles each trial with the least execution
-/// the golden run proves it needs (see [`GoldenShape::shortcuts_exact`]);
-/// [`run_site`](Self::run_site) always runs the whole kernel, so replay,
-/// Table II and audits check those shortcuts rather than repeat them.
+/// [`run_unit`](Self::run_unit) and
+/// [`run_site_shortcut`](Self::run_site_shortcut) settle each injection with
+/// the least execution the golden run proves it needs (see
+/// [`GoldenShape::shortcuts_exact`]); campaign trials and Table II's group
+/// runs take them. [`run_site`](Self::run_site) and
+/// [`run_trial_in_full`](Self::run_trial_in_full) always run the whole
+/// kernel, so audits, bundle replay and Table II's replay of each SDC site
+/// check those shortcuts rather than repeat them.
 pub(crate) struct TrialExecutor<'g> {
     cfg: &'g CampaignConfig,
     golden: &'g GoldenShape,
     sampler: &'g SiteSampler,
     engine: Engine,
+    /// Whether the golden run makes the shortcuts exact
+    /// ([`GoldenShape::shortcuts_exact`]).
+    exact: bool,
     /// The current unit's records and wall-clocks, reused across units.
     unit: Vec<(SingleBitRecord, u64)>,
-    /// Trials `run_unit` cut short since the last
-    /// [`take_shortcuts`](Self::take_shortcuts).
+    /// Injections `run_unit` and `run_site_shortcut` cut short since the
+    /// last [`take_shortcuts`](Self::take_shortcuts).
     shortcuts: Shortcuts,
 }
 
@@ -452,7 +459,8 @@ impl<'g> TrialExecutor<'g> {
             Engine::Arena(Box::new(mbavf_sim::TrialArena::new(program, mem, wgs, wrap)))
         };
         let unit = Vec::with_capacity(width.max(1));
-        TrialExecutor { cfg, golden, sampler, engine, unit, shortcuts: Shortcuts::default() }
+        let exact = golden.shortcuts_exact();
+        TrialExecutor { cfg, golden, sampler, engine, exact, unit, shortcuts: Shortcuts::default() }
     }
 
     /// The shortcut counts since the last call, resetting them.
@@ -477,10 +485,11 @@ impl<'g> TrialExecutor<'g> {
     ///
     /// When the golden run makes them exact, two shortcuts apply: a trial
     /// whose fault is never read is settled from the profile without
-    /// running (at width W it never joins the batch), and at width 1 a read
-    /// trial runs only from its fault's workgroup to the first boundary
-    /// where its memory rejoins the golden run. The records are those of
-    /// full runs.
+    /// running (at width W it never joins the batch), and at width 1 each
+    /// trial goes through [`run_site_shortcut`](Self::run_site_shortcut),
+    /// so a read trial runs only from its fault's workgroup to the first
+    /// boundary where its memory rejoins the golden run. The records are
+    /// those of full runs.
     pub(crate) fn run_unit(
         &mut self,
         trials: &[u64],
@@ -492,61 +501,72 @@ impl<'g> TrialExecutor<'g> {
             let site = sampler.sample(cfg.seed, trial);
             SingleBitRecord { trial, site, outcome: Outcome::Masked, read_before_overwrite: false }
         };
-        let exact = golden.shortcuts_exact();
-        let settled = |site: &FaultSite| {
-            exact && !golden.profile.site_is_read(site.wg, site.after_retired, site.reg, site.lane)
-        };
-        self.unit.clear();
-        self.unit.extend(trials.iter().map(|&trial| (sampled(trial), 0)));
+        let mut unit = std::mem::take(&mut self.unit);
+        unit.clear();
+        unit.extend(trials.iter().map(|&trial| (sampled(trial), 0)));
         let m = cfg.mode_bits.max(1);
-        let counts = &mut self.shortcuts;
-        match &mut self.engine {
-            Engine::Arena(arena) => {
-                let (steps, output) = (golden.max_steps, &golden.output);
-                let images = golden.profile.boundary_images();
-                for (record, us) in &mut self.unit {
-                    let t0 = Instant::now();
-                    let inj = record.site.injection(m);
-                    if settled(&record.site) {
-                        counts.settled += 1;
-                    } else {
-                        let result = if exact {
-                            let run = arena.run_trial_from_boundary(inj, steps, output, images);
-                            run.map(|(result, stopped)| {
-                                counts.stopped_early += u64::from(stopped);
-                                result
-                            })
-                        } else {
-                            arena.run_trial(inj, steps, output)
-                        };
-                        (record.outcome, record.read_before_overwrite) = classify_trial(result);
-                    }
-                    *us = t0.elapsed().as_micros() as u64;
+        if let Engine::Batch { batch, injections } = &mut self.engine {
+            let settled = |site: &FaultSite| settled_unread(self.exact, golden, site);
+            injections.clear();
+            for (record, _) in &unit {
+                if settled(&record.site) {
+                    self.shortcuts.settled += 1;
+                } else {
+                    injections.push(record.site.injection(m));
                 }
             }
-            Engine::Batch { batch, injections } => {
-                injections.clear();
-                for (record, _) in &self.unit {
-                    if settled(&record.site) {
-                        counts.settled += 1;
-                    } else {
-                        injections.push(record.site.injection(m));
-                    }
+            if !injections.is_empty() {
+                let t0 = Instant::now();
+                let results = batch.run_batch(injections, golden.max_steps, &golden.output);
+                let span_us = t0.elapsed().as_micros() as u64;
+                let n = injections.len();
+                let ran = unit.iter_mut().filter(|(r, _)| !settled(&r.site));
+                for (k, ((record, us), result)) in ran.zip(results).enumerate() {
+                    (record.outcome, record.read_before_overwrite) = classify_trial(result);
+                    *us = per_trial_latency_us(span_us, n, k);
                 }
-                if !injections.is_empty() {
-                    let t0 = Instant::now();
-                    let results = batch.run_batch(injections, golden.max_steps, &golden.output);
-                    let span_us = t0.elapsed().as_micros() as u64;
-                    let n = injections.len();
-                    let ran = self.unit.iter_mut().filter(|(r, _)| !settled(&r.site));
-                    for (k, ((record, us), result)) in ran.zip(results).enumerate() {
-                        (record.outcome, record.read_before_overwrite) = classify_trial(result);
-                        *us = per_trial_latency_us(span_us, n, k);
-                    }
-                }
+            }
+        } else {
+            for (record, us) in &mut unit {
+                let t0 = Instant::now();
+                (record.outcome, record.read_before_overwrite) =
+                    self.run_site_shortcut(record.site, m);
+                *us = t0.elapsed().as_micros() as u64;
             }
         }
+        self.unit = unit;
         self.unit.drain(..)
+    }
+
+    /// [`run_site`](Self::run_site) with the golden-run shortcuts, when
+    /// they are exact: a fault the profile proves is never read is settled
+    /// as masked and unread without running, and a read fault runs from its
+    /// workgroup's golden boundary image to the first later boundary where
+    /// its memory rejoins the golden run. The verdict is that of the full
+    /// run. Campaign trials at width 1 ([`run_unit`](Self::run_unit)) and
+    /// the Table II group runs take this path; the lockstep batch has no
+    /// boundary stop, so under it this is [`run_site`](Self::run_site).
+    ///
+    /// # Panics
+    ///
+    /// As [`run_site`](Self::run_site), for an out-of-range `site`.
+    pub(crate) fn run_site_shortcut(&mut self, site: FaultSite, m: u8) -> (Outcome, bool) {
+        let golden = self.golden;
+        let Engine::Arena(arena) = &mut self.engine else { return self.run_site(site, m) };
+        if settled_unread(self.exact, golden, &site) {
+            self.shortcuts.settled += 1;
+            return (Outcome::Masked, false);
+        }
+        let (inj, steps, output) = (site.injection(m), golden.max_steps, &golden.output);
+        classify_trial(if self.exact {
+            let images = golden.profile.boundary_images();
+            arena.run_trial_from_boundary(inj, steps, output, images).map(|(result, stopped)| {
+                self.shortcuts.stopped_early += u64::from(stopped);
+                result
+            })
+        } else {
+            arena.run_trial(inj, steps, output)
+        })
     }
 
     /// Run one injection of `m` contiguous bits at an explicit `site` and
@@ -582,6 +602,12 @@ impl<'g> TrialExecutor<'g> {
         let record = SingleBitRecord { trial, site, outcome, read_before_overwrite };
         (record, t0.elapsed().as_micros() as u64)
     }
+}
+
+/// Whether the golden profile settles `site` without a run: the shortcuts
+/// are `exact` and the faulty (register, lane) is never read.
+fn settled_unread(exact: bool, golden: &GoldenShape, site: &FaultSite) -> bool {
+    exact && !golden.profile.site_is_read(site.wg, site.after_retired, site.reg, site.lane)
 }
 
 /// Attribute one batch's wall-clock span to its `n` trials: trial `k` gets

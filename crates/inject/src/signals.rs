@@ -1,10 +1,10 @@
 //! Process-signal plumbing for graceful preemption, dependency-free.
 //!
 //! The repo vendors everything, so instead of the `libc` crate this module
-//! declares the two POSIX functions it needs (`signal`, `_exit`) directly.
-//! Both are async-signal-safe, and the handler itself touches nothing but
-//! atomics — the `CancelToken` is designed so that tripping it from a
-//! signal context is sound.
+//! declares the three C functions it needs (`signal`, `_exit`, `raise`)
+//! directly. All are async-signal-safe, and the handler itself touches
+//! nothing but atomics — the `CancelToken` is designed so that tripping it
+//! from a signal context is sound.
 //!
 //! Semantics (BSD/glibc `signal()`): the handler stays installed after
 //! delivery, so the *second* SIGINT/SIGTERM reaches the same handler,
@@ -32,10 +32,11 @@ static TOKEN: OnceLock<CancelToken> = OnceLock::new();
 
 #[cfg(unix)]
 mod ffi {
-    //! The only unsafe in the crate: two libc calls. `signal` installs a
+    //! The only unsafe in the crate: three libc calls. `signal` installs a
     //! handler (we only pass `extern "C"` fns or `SIG_DFL`), `_exit`
     //! terminates without running atexit handlers — the async-signal-safe
-    //! way out of a handler.
+    //! way out of a handler — and `raise` signals the calling thread,
+    //! running the handler before it returns.
     #![allow(unsafe_code)]
 
     pub(super) const SIGINT: i32 = 2;
@@ -46,6 +47,7 @@ mod ffi {
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
         fn _exit(status: i32) -> !;
+        fn raise(sig: i32) -> i32;
     }
 
     pub(super) fn set_handler(sig: i32, handler: extern "C" fn(i32)) {
@@ -62,6 +64,15 @@ mod ffi {
 
     pub(super) fn exit_now(status: i32) -> ! {
         unsafe { _exit(status) }
+    }
+
+    pub(super) fn raise_now(sig: i32) {
+        // SAFETY: `raise` takes a plain signal number and has no memory
+        // preconditions; the handlers it can run touch only atomics and
+        // `_exit`.
+        unsafe {
+            raise(sig);
+        }
     }
 }
 
@@ -130,20 +141,12 @@ pub(crate) fn preempt_drill(before: usize, after: usize) {
     if FIRED.swap(true, Ordering::SeqCst) {
         return;
     }
+    // Delivery is synchronous: the handler has tripped the token (or, on
+    // the second strike, exited) before `term_self` returns, so
+    // cancellation lands at this trial count, not a later one.
     term_self();
-    // Delivery is asynchronous; wait until the handler has visibly tripped
-    // the token so cancellation lands at this trial count, not a later one.
-    for _ in 0..2000 {
-        if TOKEN.get().is_some_and(|t| t.cancelled().is_some()) {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
     if double {
         term_self();
-        // The second strike _exits from the handler; hold the trial
-        // boundary until it does so the abort point is deterministic too.
-        std::thread::sleep(std::time::Duration::from_secs(10));
     }
 }
 
@@ -153,20 +156,11 @@ fn covers(before: usize, after: usize, at: usize) -> bool {
     before < at && at <= after
 }
 
-/// Deliver SIGTERM to ourselves via `kill(1)`, mirroring how the chaos
-/// drills deliver SIGKILL. Falls back to invoking the handler in-line if
-/// no `kill` binary exists (sandboxed CI).
+/// Deliver a real SIGTERM to the calling thread with `raise(3)`, which
+/// runs the installed handler before it returns.
 #[cfg(unix)]
 fn term_self() {
-    let pid = std::process::id().to_string();
-    let delivered = std::process::Command::new("kill")
-        .args(["-TERM", &pid])
-        .status()
-        .map(|s| s.success())
-        .unwrap_or(false);
-    if !delivered {
-        on_terminate(ffi::SIGTERM);
-    }
+    ffi::raise_now(ffi::SIGTERM);
 }
 
 #[cfg(not(unix))]
