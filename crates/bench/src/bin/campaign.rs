@@ -238,12 +238,9 @@ fn parse_fail_on(v: &str) -> Result<Vec<OutcomeKind>, String> {
     const VALID: &str = "valid outcomes: sdc, hang, crash";
     let mut kinds = Vec::new();
     for token in v.split(',') {
-        let kind = match token.trim() {
-            "sdc" => OutcomeKind::Sdc,
-            "hang" => OutcomeKind::Hang,
-            "crash" => OutcomeKind::Crash,
-            other => return Err(format!("unknown outcome {other:?} in --fail-on ({VALID})")),
-        };
+        let kind = OutcomeKind::parse(token.trim())
+            .filter(|&k| k != OutcomeKind::Masked)
+            .ok_or_else(|| format!("unknown outcome {:?} in --fail-on ({VALID})", token.trim()))?;
         if kinds.contains(&kind) {
             return Err(format!(
                 "duplicate outcome {:?} in --fail-on ({VALID}, each at most once)",
@@ -287,13 +284,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             // is kept as a compatible alias. Both feed the config fingerprint.
             "--hang-factor" | "--hang-multiplier" => {
                 args.cfg.hang_factor = match parse_u64(value()?)? {
-                    0 => return Err("hang multiplier must be at least 1".into()),
-                    k => k,
+                    k if CampaignConfig::HANG_FACTORS.contains(&k) => k,
+                    _ => return Err("hang multiplier must be at least 1".into()),
                 }
             }
             "--mode-bits" => {
                 args.cfg.mode_bits = match parse_u64(value()?)? {
-                    b @ 1..=32 => b as u8,
+                    b if CampaignConfig::MODE_BITS.contains(&b) => b as u8,
                     other => return Err(format!("mode width {other} out of range (1..=32)")),
                 }
             }
@@ -319,11 +316,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             // boundary polled past it trips the token.
             "--max-wall" => args.runner.cancel.set_max_wall(parse_duration(value()?)?),
             "--scale" => {
-                args.cfg.scale = match value()?.as_str() {
-                    "test" => Scale::Test,
-                    "paper" => Scale::Paper,
-                    other => return Err(format!("unknown scale {other} (test|paper)")),
-                }
+                let v = value()?;
+                args.cfg.scale =
+                    Scale::parse(v).ok_or_else(|| format!("unknown scale {v} (test|paper)"))?;
             }
             "--no-wrap-oob" => args.cfg.wrap_oob = false,
             "--heartbeat" => {

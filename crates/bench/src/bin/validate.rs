@@ -21,6 +21,7 @@
 //! a red gate arrives with one-command `replay` reproductions attached.
 
 use mbavf_bench::validate::{validate_suite, ValidateConfig};
+use mbavf_inject::CampaignConfig;
 use mbavf_workloads::{by_name, injection_suite, Scale, Workload};
 use std::process::ExitCode;
 
@@ -69,7 +70,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.cfg.modes = value()?
                     .split(',')
                     .map(|m| match parse_u64(m)? {
-                        b @ 1..=32 => Ok(b as u8),
+                        b if CampaignConfig::MODE_BITS.contains(&b) => Ok(b as u8),
                         other => Err(format!("mode width {other} out of range (1..=32)")),
                     })
                     .collect::<Result<_, _>>()?;
@@ -91,11 +92,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.cfg.tolerance = t;
             }
             "--scale" => {
-                args.cfg.scale = match value()?.as_str() {
-                    "test" => Scale::Test,
-                    "paper" => Scale::Paper,
-                    other => return Err(format!("unknown scale {other} (test|paper)")),
-                }
+                let v = value()?;
+                args.cfg.scale =
+                    Scale::parse(v).ok_or_else(|| format!("unknown scale {v} (test|paper)"))?;
             }
             "--json" => args.json = Some(value()?.clone()),
             "--repro-dir" => {

@@ -45,10 +45,7 @@ use mbavf_workloads::Scale;
 /// Problem scale selected by the `MBAVF_SCALE` environment variable
 /// (`test` for the small sizes, anything else — or unset — for paper scale).
 pub fn scale_from_env() -> Scale {
-    match std::env::var("MBAVF_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        _ => Scale::Paper,
-    }
+    std::env::var("MBAVF_SCALE").ok().and_then(|s| Scale::parse(&s)).unwrap_or(Scale::Paper)
 }
 
 /// Single-bit injection budget selected by `MBAVF_INJECTIONS`

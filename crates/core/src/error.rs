@@ -293,32 +293,11 @@ impl std::error::Error for BundleError {}
 /// The transport carries length-prefixed JSON frames to local and remote
 /// worker daemons alike. Most network failures are
 /// *retryable* — the supervisor redials with backoff and re-leases the
-/// shard — so these variants surface only once an endpoint (or every
-/// endpoint) is considered gone for good.
+/// shard — so these variants name only an oversized frame and a campaign
+/// left with no endpoint to run on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TransportError {
-    /// A worker endpoint could not be dialed (connection refused, bad
-    /// address, dial timeout) after exhausting the retry budget.
-    Dial {
-        /// The `host:port` the supervisor tried to reach.
-        addr: String,
-        /// OS error text of the last attempt.
-        detail: String,
-    },
-    /// Reading or writing an established connection failed.
-    Io {
-        /// The `host:port` of the connection.
-        addr: String,
-        /// OS error text.
-        detail: String,
-    },
-    /// A frame violated the length-delimited encoding (oversized length
-    /// prefix, non-UTF-8 payload).
-    Frame {
-        /// What the framing layer objected to.
-        detail: String,
-    },
     /// A frame's length prefix (or outbound payload) exceeded the hard
     /// cap, so a corrupt or hostile peer cannot make the supervisor
     /// allocate an attacker-chosen buffer. Mirrors the WAL's record cap.
@@ -327,14 +306,6 @@ pub enum TransportError {
         len: u64,
         /// The enforced cap in bytes.
         cap: u64,
-    },
-    /// The worker daemon rejected the campaign hello (protocol version or
-    /// configuration it cannot serve).
-    Handshake {
-        /// The `host:port` of the daemon.
-        addr: String,
-        /// The daemon's stated reason.
-        detail: String,
     },
     /// No worker endpoints were configured for a TCP-transport campaign.
     NoEndpoints,
@@ -350,20 +321,8 @@ pub enum TransportError {
 impl fmt::Display for TransportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TransportError::Dial { addr, detail } => {
-                write!(f, "cannot reach worker endpoint {addr}: {detail}")
-            }
-            TransportError::Io { addr, detail } => {
-                write!(f, "transport I/O with {addr}: {detail}")
-            }
-            TransportError::Frame { detail } => {
-                write!(f, "malformed transport frame: {detail}")
-            }
             TransportError::FrameTooLarge { len, cap } => {
                 write!(f, "transport frame of {len} bytes exceeds the {cap}-byte cap")
-            }
-            TransportError::Handshake { addr, detail } => {
-                write!(f, "worker endpoint {addr} rejected the campaign: {detail}")
             }
             TransportError::NoEndpoints => {
                 write!(f, "tcp transport configured with no worker endpoints")
@@ -797,9 +756,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TransportError>();
         for e in [
-            TransportError::Dial { addr: "h:1".into(), detail: "refused".into() },
-            TransportError::Io { addr: "h:1".into(), detail: "reset".into() },
-            TransportError::Frame { detail: "not UTF-8".into() },
             TransportError::FrameTooLarge { len: 1 << 30, cap: 1 << 20 },
             TransportError::NoEndpoints,
             TransportError::AllEndpointsLost { pending: 3 },

@@ -47,8 +47,11 @@
 use crate::campaign::{
     golden_shape, CampaignConfig, FaultSite, Outcome, OutcomeKind, SingleBitRecord, SAMPLER_ID,
 };
-use crate::checkpoint::config_fingerprint;
-use crate::json::{self, Value};
+use crate::checkpoint::{
+    config_fingerprint, parse_bool, parse_config, parse_outcome, parse_site, parse_str, parse_u64,
+    write_config, write_outcome, write_site,
+};
+use crate::json;
 use mbavf_core::error::{BundleError, InjectError};
 use mbavf_core::rng::fnv1a;
 use mbavf_workloads::{Scale, Workload};
@@ -124,66 +127,30 @@ impl ReproBundle {
     }
 }
 
-fn scale_str(s: Scale) -> &'static str {
-    match s {
-        Scale::Test => "test",
-        Scale::Paper => "paper",
-    }
-}
-
-fn parse_scale(s: &str) -> Option<Scale> {
-    match s {
-        "test" => Some(Scale::Test),
-        "paper" => Some(Scale::Paper),
-        _ => None,
-    }
-}
-
-fn render_site(out: &mut String, site: &FaultSite) {
-    let _ = write!(
-        out,
-        "\"wg\": {}, \"after\": {}, \"reg\": {}, \"lane\": {}, \"bit\": {}",
-        site.wg, site.after_retired, site.reg, site.lane, site.bit
-    );
-}
-
 /// Serialize a bundle document.
 pub fn render(b: &ReproBundle) -> String {
+    const SEP: &str = ",\n  ";
     let mut out = String::with_capacity(512);
     let _ = write!(
         out,
         "{{\n  \"version\": {BUNDLE_VERSION},\n  \"sampler\": \"{SAMPLER_ID}\",\n  \"workload\": "
     );
     json::write_str(&mut out, &b.workload);
+    let _ = write!(out, "{SEP}\"config_fingerprint\": {}{SEP}", b.config_fingerprint);
+    write_config(&mut out, &b.campaign_config(), SEP);
+    let _ = write!(out, "{SEP}\"trial\": {}{SEP}", b.trial);
+    write_site(&mut out, &b.site);
+    out.push_str(SEP);
+    write_outcome(&mut out, &b.outcome, SEP);
     let _ = write!(
         out,
-        ",\n  \"config_fingerprint\": {},\n  \"seed\": {},\n  \"scale\": \"{}\",\n  \
-         \"hang_factor\": {},\n  \"wrap_oob\": {},\n  \"mode_bits\": {},\n  \"trial\": {},\n  ",
-        b.config_fingerprint,
-        b.seed,
-        scale_str(b.scale),
-        b.hang_factor,
-        b.wrap_oob,
-        b.mode_bits,
-        b.trial,
-    );
-    render_site(&mut out, &b.site);
-    let _ = write!(out, ",\n  \"outcome\": \"{}\",\n  ", b.outcome.kind().as_str());
-    if let Outcome::Crash { reason } = &b.outcome {
-        out.push_str("\"reason\": ");
-        json::write_str(&mut out, reason);
-        out.push_str(",\n  ");
-    }
-    let _ = write!(
-        out,
-        "\"read\": {},\n  \"golden_digest\": {}",
+        "\"read\": {}{SEP}\"golden_digest\": {}",
         b.read_before_overwrite, b.golden_digest
     );
     if let Some(m) = &b.minimized {
-        out.push_str(",\n  \"minimized\": {");
-        render_site(&mut out, &m.site);
-        let _ = write!(out, ", \"mode_bits\": {}", m.mode_bits);
-        out.push('}');
+        let _ = write!(out, "{SEP}\"minimized\": {{");
+        write_site(&mut out, &m.site);
+        let _ = write!(out, ", \"mode_bits\": {}}}", m.mode_bits);
     }
     out.push_str("\n}\n");
     out
@@ -196,31 +163,6 @@ pub fn save(path: &Path, bundle: &ReproBundle) -> Result<(), BundleError> {
         .map_err(|e| BundleError::Io { path: path.display().to_string(), detail: e.to_string() })
 }
 
-fn field_u64(doc: &Value, key: &str) -> Result<u64, BundleError> {
-    doc.get(key).and_then(Value::as_u64).ok_or_else(|| BundleError::Malformed {
-        detail: format!("missing or non-integer \"{key}\""),
-    })
-}
-
-fn narrow(v: u64, key: &str, max: u64) -> Result<u64, BundleError> {
-    if v > max {
-        Err(BundleError::Malformed { detail: format!("\"{key}\" = {v} out of range") })
-    } else {
-        Ok(v)
-    }
-}
-
-fn parse_site(doc: &Value, ctx: &str) -> Result<FaultSite, BundleError> {
-    let key = |k: &str| format!("{ctx}{k}");
-    Ok(FaultSite {
-        wg: narrow(field_u64(doc, "wg")?, &key("wg"), u64::from(u32::MAX))? as u32,
-        after_retired: field_u64(doc, "after")?,
-        reg: narrow(field_u64(doc, "reg")?, &key("reg"), 255)? as u8,
-        lane: narrow(field_u64(doc, "lane")?, &key("lane"), 63)? as u8,
-        bit: narrow(field_u64(doc, "bit")?, &key("bit"), 31)? as u8,
-    })
-}
-
 /// Load and schema-validate the bundle at `path`.
 ///
 /// Every malformed input yields a typed error — the torture tests in
@@ -231,9 +173,15 @@ fn parse_site(doc: &Value, ctx: &str) -> Result<FaultSite, BundleError> {
 pub fn load(path: &Path) -> Result<ReproBundle, BundleError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| BundleError::Io { path: path.display().to_string(), detail: e.to_string() })?;
-    let doc = json::parse(&text).map_err(|detail| BundleError::Malformed { detail })?;
+    parse(&text)
+}
 
-    let version = field_u64(&doc, "version")?;
+/// Parse and schema-validate a bundle document ([`load`] without the file).
+pub(crate) fn parse(text: &str) -> Result<ReproBundle, BundleError> {
+    let bad = |detail: String| BundleError::Malformed { detail };
+    let doc = json::parse(text).map_err(bad)?;
+
+    let version = parse_u64(&doc, "version", ..).map_err(bad)?;
     if version == 1 {
         // Format version 1 predates the sampler field; its trials were
         // drawn by the per-workgroup-uniform v1 scheme, so under this build
@@ -246,78 +194,38 @@ pub fn load(path: &Path) -> Result<ReproBundle, BundleError> {
     if version != BUNDLE_VERSION {
         return Err(BundleError::VersionMismatch { found: version, expected: BUNDLE_VERSION });
     }
-    let sampler = doc
-        .get("sampler")
-        .and_then(Value::as_str)
-        .ok_or_else(|| BundleError::Malformed { detail: "missing \"sampler\"".into() })?;
+    let sampler = parse_str(&doc, "sampler").map_err(bad)?;
     if sampler != SAMPLER_ID {
         return Err(BundleError::SamplerMismatch {
             found: sampler.to_string(),
             expected: SAMPLER_ID.into(),
         });
     }
-    let workload = doc
-        .get("workload")
-        .and_then(Value::as_str)
-        .ok_or_else(|| BundleError::Malformed { detail: "missing \"workload\"".into() })?
-        .to_string();
-    let scale =
-        doc.get("scale").and_then(Value::as_str).and_then(parse_scale).ok_or_else(|| {
-            BundleError::Malformed { detail: "missing or unknown \"scale\"".into() }
-        })?;
-    let wrap_oob = doc
-        .get("wrap_oob")
-        .and_then(Value::as_bool)
-        .ok_or_else(|| BundleError::Malformed { detail: "missing \"wrap_oob\"".into() })?;
-    let mode_bits = narrow(field_u64(&doc, "mode_bits")?, "mode_bits", 32)? as u8;
-    if mode_bits == 0 {
-        return Err(BundleError::Malformed { detail: "\"mode_bits\" = 0 out of range".into() });
-    }
-    let kind = doc.get("outcome").and_then(Value::as_str).and_then(OutcomeKind::parse).ok_or_else(
-        || BundleError::Malformed { detail: "missing or unknown \"outcome\"".into() },
-    )?;
-    let outcome = match kind {
-        OutcomeKind::Masked => Outcome::Masked,
-        OutcomeKind::Sdc => Outcome::Sdc,
-        OutcomeKind::Hang => Outcome::Hang,
-        OutcomeKind::Crash => Outcome::Crash {
-            reason: doc
-                .get("reason")
-                .and_then(Value::as_str)
-                .unwrap_or("unrecorded crash reason")
-                .to_string(),
-        },
-    };
-    let read = doc
-        .get("read")
-        .and_then(Value::as_bool)
-        .ok_or_else(|| BundleError::Malformed { detail: "missing \"read\"".into() })?;
+    let cfg = parse_config(&doc).map_err(bad)?;
     let minimized = match doc.get("minimized") {
         None => None,
         Some(m) => {
-            let site = parse_site(m, "minimized.")?;
-            let bits = narrow(field_u64(m, "mode_bits")?, "minimized.mode_bits", 32)? as u8;
-            if bits == 0 {
-                return Err(BundleError::Malformed {
-                    detail: "\"minimized.mode_bits\" = 0 out of range".into(),
-                });
-            }
-            Some(Minimized { site, mode_bits: bits })
+            let in_minimized = |detail: String| bad(format!("in \"minimized\": {detail}"));
+            Some(Minimized {
+                site: parse_site(m).map_err(in_minimized)?,
+                mode_bits: parse_u64(m, "mode_bits", CampaignConfig::MODE_BITS)
+                    .map_err(in_minimized)? as u8,
+            })
         }
     };
     Ok(ReproBundle {
-        workload,
-        config_fingerprint: field_u64(&doc, "config_fingerprint")?,
-        seed: field_u64(&doc, "seed")?,
-        scale,
-        hang_factor: field_u64(&doc, "hang_factor")?,
-        wrap_oob,
-        mode_bits,
-        trial: field_u64(&doc, "trial")?,
-        site: parse_site(&doc, "")?,
-        outcome,
-        read_before_overwrite: read,
-        golden_digest: field_u64(&doc, "golden_digest")?,
+        workload: parse_str(&doc, "workload").map_err(bad)?.to_string(),
+        config_fingerprint: parse_u64(&doc, "config_fingerprint", ..).map_err(bad)?,
+        seed: cfg.seed,
+        scale: cfg.scale,
+        hang_factor: cfg.hang_factor,
+        wrap_oob: cfg.wrap_oob,
+        mode_bits: cfg.mode_bits,
+        trial: parse_u64(&doc, "trial", ..).map_err(bad)?,
+        site: parse_site(&doc).map_err(bad)?,
+        outcome: parse_outcome(&doc).map_err(bad)?,
+        read_before_overwrite: parse_bool(&doc, "read").map_err(bad)?,
+        golden_digest: parse_u64(&doc, "golden_digest", ..).map_err(bad)?,
         minimized,
     })
 }
@@ -483,6 +391,17 @@ mod tests {
         b.outcome = Outcome::Crash { reason: "assert \"a < b\"\n\tat mem.rs \\ λ".into() };
         save(&path, &b).unwrap();
         assert_eq!(load(&path).unwrap(), b);
+        // Every configuration field, at the edges of its range.
+        b.seed = u64::MAX;
+        b.scale = Scale::Paper;
+        b.hang_factor = u64::MAX;
+        b.wrap_oob = false;
+        b.mode_bits = 32;
+        save(&path, &b).unwrap();
+        assert_eq!(load(&path).unwrap(), b);
+        (b.seed, b.hang_factor, b.mode_bits) = (0, 1, 1);
+        save(&path, &b).unwrap();
+        assert_eq!(load(&path).unwrap(), b);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -503,6 +422,18 @@ mod tests {
         let doc = render(&b).replace("\"bit\": 30", "\"bit\": 77");
         std::fs::write(&path, doc).unwrap();
         assert!(matches!(load(&path), Err(BundleError::Malformed { .. })));
+        // So are configurations the CLI would refuse.
+        for (from, to) in [
+            ("\"mode_bits\": 4", "\"mode_bits\": 0"),
+            ("\"mode_bits\": 4", "\"mode_bits\": 33"),
+            ("\"hang_factor\": 8", "\"hang_factor\": 0"),
+        ] {
+            std::fs::write(&path, render(&b).replace(from, to)).unwrap();
+            match load(&path) {
+                Err(BundleError::Malformed { detail }) => assert!(detail.contains("out of range")),
+                other => panic!("{to} accepted: {other:?}"),
+            }
+        }
         assert!(matches!(load(&dir.join("absent.json")), Err(BundleError::Io { .. })));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -13,6 +13,7 @@ use mbavf_core::stats::{wilson, RateEstimate};
 use mbavf_sim::interp::{run_golden, InterpError, Termination};
 use mbavf_sim::profile::{profile_golden, RegUseProfile};
 use mbavf_workloads::{Scale, Workload};
+use std::ops::RangeInclusive;
 use std::time::Instant;
 
 /// Where and when a fault strikes.
@@ -255,6 +256,16 @@ pub struct CampaignConfig {
     /// (clipped at the register edge; `1` is the classic single-bit
     /// campaign, larger values model the paper's 1xM multi-bit modes).
     pub mode_bits: u8,
+}
+
+impl CampaignConfig {
+    /// The fault-mode widths a campaign accepts: one bit up to a whole
+    /// 32-bit register. The CLIs, hello frames and repro bundles share it.
+    pub const MODE_BITS: RangeInclusive<u64> = 1..=32;
+
+    /// The hang factors a campaign accepts: a guard of zero golden runs
+    /// would declare every trial hung.
+    pub const HANG_FACTORS: RangeInclusive<u64> = 1..=u64::MAX;
 }
 
 impl Default for CampaignConfig {

@@ -47,7 +47,9 @@ use crate::campaign::{CampaignConfig, FaultSite, Outcome, OutcomeKind, SingleBit
 use crate::json::{self, Value};
 use mbavf_core::error::CheckpointError;
 use mbavf_core::rng::fnv1a;
-use std::fmt::Write as _;
+use mbavf_workloads::Scale;
+use std::fmt::{Debug, Write as _};
+use std::ops::RangeBounds;
 use std::path::Path;
 
 pub mod wal;
@@ -111,69 +113,139 @@ pub fn config_fingerprint(workload: &str, cfg: &CampaignConfig) -> u64 {
 /// payload of a write-ahead journal frame, so a journal replay and a
 /// snapshot agree byte-for-byte on what a record is.
 pub(crate) fn write_record(out: &mut String, r: &SingleBitRecord) {
-    let _ = write!(
-        out,
-        "{{\"trial\": {}, \"wg\": {}, \"after\": {}, \"reg\": {}, \"lane\": {}, \"bit\": {}, \"outcome\": \"{}\", ",
-        r.trial,
-        r.site.wg,
-        r.site.after_retired,
-        r.site.reg,
-        r.site.lane,
-        r.site.bit,
-        r.outcome.kind().as_str(),
-    );
-    if let Outcome::Crash { reason } = &r.outcome {
-        out.push_str("\"reason\": ");
-        json::write_str(out, reason);
-        out.push_str(", ");
-    }
+    let _ = write!(out, "{{\"trial\": {}, ", r.trial);
+    write_site(out, &r.site);
+    out.push_str(", ");
+    write_outcome(out, &r.outcome, ", ");
     let _ = write!(out, "\"read\": {}}}", r.read_before_overwrite);
 }
 
 /// Parse one record object (as produced by [`write_record`]); `i` labels
 /// the record in error messages.
 pub(crate) fn parse_record(rec: &Value, i: usize) -> Result<SingleBitRecord, CheckpointError> {
-    let kind = rec.get("outcome").and_then(Value::as_str).and_then(OutcomeKind::parse).ok_or_else(
-        || CheckpointError::Malformed {
-            detail: format!("record {i}: missing or unknown \"outcome\""),
-        },
-    )?;
-    let outcome = match kind {
+    let bad =
+        |detail: String| CheckpointError::Malformed { detail: format!("record {i}: {detail}") };
+    Ok(SingleBitRecord {
+        outcome: parse_outcome(rec).map_err(bad)?,
+        read_before_overwrite: parse_bool(rec, "read").map_err(bad)?,
+        site: parse_site(rec).map_err(bad)?,
+        trial: parse_u64(rec, "trial", ..).map_err(bad)?,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// The field codec every campaign document and frame shares: checkpoint and
+// journal records, record frames, poison entries, repro bundles and hello
+// frames all write and read a fault site, an outcome and a campaign
+// configuration through these functions and nothing else.
+// ---------------------------------------------------------------------------
+
+/// Append a fault site's five coordinates as object members.
+pub(crate) fn write_site(out: &mut String, site: &FaultSite) {
+    let _ = write!(
+        out,
+        "\"wg\": {}, \"after\": {}, \"reg\": {}, \"lane\": {}, \"bit\": {}",
+        site.wg, site.after_retired, site.reg, site.lane, site.bit
+    );
+}
+
+/// Append an outcome's kind and, for a crash, its reason, each member
+/// followed by `sep`.
+pub(crate) fn write_outcome(out: &mut String, outcome: &Outcome, sep: &str) {
+    let _ = write!(out, "\"outcome\": \"{}\"{sep}", outcome.kind().as_str());
+    if let Outcome::Crash { reason } = outcome {
+        out.push_str("\"reason\": ");
+        json::write_str(out, reason);
+        out.push_str(sep);
+    }
+}
+
+/// Append the five configuration fields that fix what a trial means (the
+/// injection budget is not one of them), joined by `sep`.
+pub(crate) fn write_config(out: &mut String, cfg: &CampaignConfig, sep: &str) {
+    let _ = write!(
+        out,
+        "\"seed\": {}{sep}\"scale\": \"{}\"{sep}\"hang_factor\": {}{sep}\"wrap_oob\": {}{sep}\"mode_bits\": {}",
+        cfg.seed,
+        cfg.scale.as_str(),
+        cfg.hang_factor,
+        cfg.wrap_oob,
+        cfg.mode_bits,
+    );
+}
+
+/// The unsigned integer member `key` of `v`, required to lie in `range`.
+pub(crate) fn parse_u64(
+    v: &Value,
+    key: &str,
+    range: impl RangeBounds<u64> + Debug,
+) -> Result<u64, String> {
+    let n = member(v, key)?
+        .as_u64()
+        .ok_or_else(|| format!("bad \"{key}\": not an unsigned integer"))?;
+    if range.contains(&n) {
+        Ok(n)
+    } else {
+        Err(format!("\"{key}\" out of range: {n} not in {range:?}"))
+    }
+}
+
+/// The boolean member `key` of `v`.
+pub(crate) fn parse_bool(v: &Value, key: &str) -> Result<bool, String> {
+    member(v, key)?.as_bool().ok_or_else(|| format!("bad \"{key}\": not a boolean"))
+}
+
+/// The string member `key` of `v`.
+pub(crate) fn parse_str<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
+    member(v, key)?.as_str().ok_or_else(|| format!("bad \"{key}\": not a string"))
+}
+
+fn member<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
+    v.get(key).ok_or_else(|| format!("missing \"{key}\""))
+}
+
+/// Parse the fault site [`write_site`] wrote into `v`.
+pub(crate) fn parse_site(v: &Value) -> Result<FaultSite, String> {
+    Ok(FaultSite {
+        wg: parse_u64(v, "wg", ..=u64::from(u32::MAX))? as u32,
+        after_retired: parse_u64(v, "after", ..)?,
+        reg: parse_u64(v, "reg", ..=255)? as u8,
+        lane: parse_u64(v, "lane", ..=63)? as u8,
+        bit: parse_u64(v, "bit", ..=31)? as u8,
+    })
+}
+
+/// Parse the outcome [`write_outcome`] wrote into `v`.
+pub(crate) fn parse_outcome(v: &Value) -> Result<Outcome, String> {
+    let kind = parse_str(v, "outcome")?;
+    Ok(match OutcomeKind::parse(kind).ok_or_else(|| format!("bad \"outcome\": {kind:?}"))? {
         OutcomeKind::Masked => Outcome::Masked,
         OutcomeKind::Sdc => Outcome::Sdc,
         OutcomeKind::Hang => Outcome::Hang,
         OutcomeKind::Crash => Outcome::Crash {
-            reason: rec
+            reason: v
                 .get("reason")
                 .and_then(Value::as_str)
                 .unwrap_or("unrecorded crash reason")
                 .to_string(),
         },
-    };
-    let read = rec.get("read").and_then(Value::as_bool).ok_or_else(|| {
-        CheckpointError::Malformed { detail: format!("record {i}: missing \"read\"") }
-    })?;
-    let (trial, site) =
-        parse_site(rec, i).map_err(|detail| CheckpointError::Malformed { detail })?;
-    Ok(SingleBitRecord { trial, site, outcome, read_before_overwrite: read })
+    })
 }
 
-/// Parse the trial index and fault site every record-shaped object carries
-/// (records, record frames, poison entries); `i` labels it in errors.
-pub(crate) fn parse_site(rec: &Value, i: usize) -> Result<(u64, FaultSite), String> {
-    let field = |key: &str, max: u64| match rec.get(key).and_then(Value::as_u64) {
-        None => Err(format!("record {i}: missing or non-integer \"{key}\"")),
-        Some(v) if v > max => Err(format!("record {i}: \"{key}\" = {v} out of range")),
-        Some(v) => Ok(v),
-    };
-    let site = FaultSite {
-        wg: field("wg", u32::MAX.into())? as u32,
-        after_retired: field("after", u64::MAX)?,
-        reg: field("reg", 255)? as u8,
-        lane: field("lane", 63)? as u8,
-        bit: field("bit", 31)? as u8,
-    };
-    Ok((field("trial", u64::MAX)?, site))
+/// Parse the configuration [`write_config`] wrote into `v`, under the
+/// ranges the CLIs enforce ([`CampaignConfig::MODE_BITS`],
+/// [`CampaignConfig::HANG_FACTORS`]). The budget is not part of it and
+/// reads as 1.
+pub(crate) fn parse_config(v: &Value) -> Result<CampaignConfig, String> {
+    let scale = parse_str(v, "scale")?;
+    Ok(CampaignConfig {
+        seed: parse_u64(v, "seed", ..)?,
+        injections: 1,
+        scale: Scale::parse(scale).ok_or_else(|| format!("bad \"scale\": {scale:?}"))?,
+        hang_factor: parse_u64(v, "hang_factor", CampaignConfig::HANG_FACTORS)?,
+        wrap_oob: parse_bool(v, "wrap_oob")?,
+        mode_bits: parse_u64(v, "mode_bits", CampaignConfig::MODE_BITS)? as u8,
+    })
 }
 
 /// Serialize a checkpoint document.
@@ -233,30 +305,15 @@ pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
         detail: e.to_string(),
     })?;
     let doc = json::parse(&text).map_err(|detail| CheckpointError::Malformed { detail })?;
+    let bad = |detail: String| CheckpointError::Malformed { detail };
 
-    let version = doc
-        .get("version")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| CheckpointError::Malformed { detail: "missing \"version\"".into() })?;
+    let version = parse_u64(&doc, "version", ..).map_err(bad)?;
     if version != VERSION {
         return Err(CheckpointError::VersionMismatch { found: version, expected: VERSION });
     }
-    let workload = doc
-        .get("workload")
-        .and_then(Value::as_str)
-        .ok_or_else(|| CheckpointError::Malformed { detail: "missing \"workload\"".into() })?
-        .to_string();
-    let config_hash = doc
-        .get("config_hash")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| CheckpointError::Malformed { detail: "missing \"config_hash\"".into() })?;
-    let mode_bits = doc
-        .get("mode_bits")
-        .and_then(Value::as_u64)
-        .filter(|&m| m <= u64::from(u8::MAX))
-        .ok_or_else(|| CheckpointError::Malformed {
-            detail: "missing or out-of-range \"mode_bits\"".into(),
-        })? as u8;
+    let workload = parse_str(&doc, "workload").map_err(bad)?.to_string();
+    let config_hash = parse_u64(&doc, "config_hash", ..).map_err(bad)?;
+    let mode_bits = parse_u64(&doc, "mode_bits", ..=u64::from(u8::MAX)).map_err(bad)? as u8;
     let raw_records = doc
         .get("records")
         .and_then(Value::as_arr)

@@ -168,8 +168,9 @@ pub struct SupervisorConfig {
     /// Concurrent local worker daemons; `0` means one per available CPU.
     /// Ignored by the TCP transport, which runs one handler per endpoint.
     pub workers: usize,
-    /// Trials per worker shard. Shard boundaries are `trial / shard_size`,
-    /// so records are invariant under the worker count.
+    /// Trials per worker shard, at most [`MAX_LEASE_TRIALS`]. Shard
+    /// boundaries are `trial / shard_size`, so records are invariant under
+    /// the worker count.
     pub shard_size: usize,
     /// Consecutive no-progress worker failures tolerated before the shard's
     /// first remaining trial is poisoned. Progress resets the count.
@@ -262,26 +263,36 @@ pub fn format_trials(trials: &[u64]) -> String {
     out
 }
 
+/// Most trials one lease may name. A lease covers one shard, so
+/// [`run_supervised`] refuses a larger [`SupervisorConfig::shard_size`], and
+/// [`parse_trials`] refuses a longer list before allocating for it.
+pub const MAX_LEASE_TRIALS: usize = 1 << 16;
+
 /// Parse [`format_trials`] output back into a trial list.
 ///
 /// # Errors
 ///
 /// A description of the first malformed segment (bad integer, inverted
-/// range, empty list).
+/// range, empty list), or of a list naming more than
+/// [`MAX_LEASE_TRIALS`] trials — rejected before the segment that crosses
+/// the bound is expanded, since a daemon parses whatever a peer sends.
 pub fn parse_trials(s: &str) -> Result<Vec<u64>, String> {
     let mut trials = Vec::new();
     for seg in s.split(',') {
         let parse = |t: &str| t.parse::<u64>().map_err(|_| format!("bad trial index {t:?}"));
-        match seg.split_once('-') {
-            Some((a, b)) => {
-                let (a, b) = (parse(a)?, parse(b)?);
-                if a > b {
-                    return Err(format!("inverted range {seg:?}"));
-                }
-                trials.extend(a..=b);
-            }
-            None => trials.push(parse(seg)?),
+        let (a, b) = match seg.split_once('-') {
+            Some((a, b)) => (parse(a)?, parse(b)?),
+            None => (parse(seg)?, parse(seg)?),
+        };
+        if a > b {
+            return Err(format!("inverted range {seg:?}"));
         }
+        // The segment names `b - a + 1` trials; the list has room for
+        // `MAX_LEASE_TRIALS - trials.len()` more.
+        if b - a >= (MAX_LEASE_TRIALS - trials.len()) as u64 {
+            return Err(format!("trial list names more than {MAX_LEASE_TRIALS} trials"));
+        }
+        trials.extend(a..=b);
     }
     if trials.is_empty() {
         return Err("empty trial list".into());
@@ -305,11 +316,9 @@ pub fn render_poison(workload: &str, config_hash: u64, entries: &[PoisonEntry]) 
     let _ = write!(out, ",\n  \"config_hash\": {config_hash},\n  \"poisoned\": [");
     for (i, e) in entries.iter().enumerate() {
         let sep = if i == 0 { "\n" } else { ",\n" };
-        let _ = write!(
-            out,
-            "{sep}    {{\"trial\": {}, \"wg\": {}, \"after\": {}, \"reg\": {}, \"lane\": {}, \"bit\": {}, \"attempts\": {}, \"reason\": ",
-            e.trial, e.site.wg, e.site.after_retired, e.site.reg, e.site.lane, e.site.bit, e.attempts,
-        );
+        let _ = write!(out, "{sep}    {{\"trial\": {}, ", e.trial);
+        checkpoint::write_site(&mut out, &e.site);
+        let _ = write!(out, ", \"attempts\": {}, \"reason\": ", e.attempts);
         json::write_str(&mut out, &e.reason);
         out.push('}');
     }
@@ -359,44 +368,28 @@ pub fn load_poison(path: &Path) -> Result<PoisonSidecar, SupervisorError> {
         path: path.display().to_string(),
         detail: e.to_string(),
     })?;
-    let bad = |detail: String| SupervisorError::Protocol { detail };
-    let doc = json::parse(&text).map_err(|d| bad(format!("poison sidecar: {d}")))?;
-    let version = doc
-        .get("version")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| bad("poison sidecar: missing \"version\"".into()))?;
+    let bad =
+        |detail: String| SupervisorError::Protocol { detail: format!("poison sidecar: {detail}") };
+    let doc = json::parse(&text).map_err(bad)?;
+    let version = checkpoint::parse_u64(&doc, "version", ..).map_err(bad)?;
     if version != POISON_VERSION {
-        return Err(bad(format!("poison sidecar: foreign version {version}")));
+        return Err(bad(format!("foreign version {version}")));
     }
-    let workload = doc
-        .get("workload")
-        .and_then(Value::as_str)
-        .ok_or_else(|| bad("poison sidecar: missing \"workload\"".into()))?
-        .to_string();
-    let config_hash = doc
-        .get("config_hash")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| bad("poison sidecar: missing \"config_hash\"".into()))?;
+    let workload = checkpoint::parse_str(&doc, "workload").map_err(bad)?.to_string();
+    let config_hash = checkpoint::parse_u64(&doc, "config_hash", ..).map_err(bad)?;
     let raw = doc
         .get("poisoned")
         .and_then(Value::as_arr)
-        .ok_or_else(|| bad("poison sidecar: missing \"poisoned\"".into()))?;
+        .ok_or_else(|| bad("missing \"poisoned\"".into()))?;
     let mut entries = Vec::with_capacity(raw.len());
     for (i, e) in raw.iter().enumerate() {
-        let missing = |k: &str| bad(format!("poison entry {i}: missing \"{k}\""));
-        let (trial, site) = checkpoint::parse_site(e, i).map_err(|d| bad(format!("poison {d}")))?;
+        let bad = |detail: String| bad(format!("entry {i}: {detail}"));
         entries.push(PoisonEntry {
-            trial,
-            site,
-            attempts: e
-                .get("attempts")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| missing("attempts"))? as u32,
-            reason: e
-                .get("reason")
-                .and_then(Value::as_str)
-                .ok_or_else(|| missing("reason"))?
-                .to_string(),
+            trial: checkpoint::parse_u64(e, "trial", ..).map_err(bad)?,
+            site: checkpoint::parse_site(e).map_err(bad)?,
+            attempts: checkpoint::parse_u64(e, "attempts", ..=u64::from(u32::MAX)).map_err(bad)?
+                as u32,
+            reason: checkpoint::parse_str(e, "reason").map_err(bad)?.to_string(),
         });
     }
     entries.sort_by_key(|e| e.trial);
@@ -1056,8 +1049,10 @@ pub fn run_supervised(
     runner: &RunnerConfig,
     sup: &SupervisorConfig,
 ) -> Result<CampaignReport, InjectError> {
-    if sup.shard_size == 0 {
-        return Err(InjectError::BadConfig { detail: "shard_size must be at least 1".into() });
+    if !(1..=MAX_LEASE_TRIALS).contains(&sup.shard_size) {
+        return Err(InjectError::BadConfig {
+            detail: format!("shard_size must be in 1..={MAX_LEASE_TRIALS}"),
+        });
     }
     if let TransportKind::Tcp { endpoints } = &sup.transport {
         if endpoints.is_empty() {
@@ -1269,6 +1264,30 @@ mod tests {
         assert!(parse_trials("").is_err());
         assert!(parse_trials("3-1").is_err());
         assert!(parse_trials("a-b").is_err());
+    }
+
+    /// A lease list is bounded before it is expanded. The inputs stay small
+    /// even if the bound regresses: the full `u64` range overflows the
+    /// allocator's capacity check at once, and one trial over the bound is
+    /// half a megabyte.
+    #[test]
+    fn lease_lists_are_bounded_before_allocating() {
+        let at_bound = parse_trials(&format!("0-{}", MAX_LEASE_TRIALS - 1)).unwrap();
+        assert_eq!(at_bound.len(), MAX_LEASE_TRIALS);
+        for over in [
+            format!("0-{}", u64::MAX),
+            format!("0-{MAX_LEASE_TRIALS}"),
+            format!("7,0-{}", MAX_LEASE_TRIALS - 1),
+        ] {
+            let err = parse_trials(&over).unwrap_err();
+            assert!(err.contains("more than"), "{over}: {err}");
+        }
+        // No honest lease reaches the bound: a larger shard is refused.
+        let w = by_name("transpose").expect("registered");
+        let sup =
+            SupervisorConfig { shard_size: MAX_LEASE_TRIALS + 1, ..SupervisorConfig::default() };
+        let err = run_supervised(&w, &cfg(4), &RunnerConfig::serial(), &sup).unwrap_err();
+        assert!(matches!(err, InjectError::BadConfig { .. }), "{err}");
     }
 
     #[test]

@@ -1,26 +1,34 @@
 //! Deterministic, structure-aware fuzzing of every parser a trial record
-//! crosses on its way into the journal: the transport's frame reader
+//! crosses on its way into the journal — the transport's frame reader
 //! (`read_frame`), [`json::parse`], record frames (`parse_record_frame`,
 //! over [`checkpoint::parse_record`]) and journal recovery
-//! ([`wal::recover`]).
+//! ([`wal::recover`]) — and of the documents that share the record's field
+//! codec: hello frames, lease frames and repro bundles.
 //!
 //! Every mutant comes from a fixed SplitMix64 seed, so a failure replays
 //! exactly. The mutants are every truncation, seeded byte flips,
 //! length-prefix edits, nesting wrappers (up to a megabyte deep),
 //! duplicate keys and oversized numbers. The properties:
 //!
-//! * no parser panics or overflows its stack — the frame parsers run on a
+//! * no parser panics or overflows its stack — the parsers run on a
 //!   2 MiB thread, the size of a daemon's connection thread;
 //! * a frame that parses as a record re-renders to exactly its own bytes;
+//! * a hello or bundle that parses holds a configuration and fault sites
+//!   inside the campaign's ranges, and survives its own round trip;
+//! * a lease that parses names at most [`MAX_LEASE_TRIALS`] trials;
 //! * a damaged journal recovers exactly a prefix of the committed records.
 
-use super::transport::{read_frame, MAX_FRAME};
-use super::{parse_record_frame, render_record_frame};
-use crate::campaign::{FaultSite, Outcome, SingleBitRecord};
+use super::serve::{parse_hello, parse_lease};
+use super::transport::{read_frame, render_hello, render_lease, MAX_FRAME};
+use super::{parse_record_frame, render_record_frame, MAX_LEASE_TRIALS};
+use crate::bundle::{self, Minimized, ReproBundle};
+use crate::campaign::{CampaignConfig, FaultSite, Outcome, SingleBitRecord};
 use crate::checkpoint::{self, wal};
-use crate::json;
+use crate::json::{self, Value};
 use mbavf_core::rng::SplitMix64;
+use mbavf_workloads::Scale;
 use std::path::Path;
+use std::time::Duration;
 
 const SEED: u64 = 0xF0_22ED;
 
@@ -62,8 +70,15 @@ fn with_value(frame: &str, key: &str, value: &str) -> String {
     format!("{}{value}{}", &frame[..start], &frame[end..])
 }
 
-/// The structure-aware mutants of one frame.
-fn mutants(frame: &str, rng: &mut SplitMix64) -> Vec<Vec<u8>> {
+/// The numeric and the other fields of a record frame.
+const RECORD_FIELDS: Fields =
+    (&["trial", "wg", "after", "reg", "lane", "bit", "us"], &["outcome", "read"]);
+
+/// A frame's numeric fields, and its fields of other types.
+type Fields = (&'static [&'static str], &'static [&'static str]);
+
+/// The structure-aware mutants of one frame, whose fields are `fields`.
+fn mutants(frame: &str, (numeric, other): Fields, rng: &mut SplitMix64) -> Vec<Vec<u8>> {
     let bytes = frame.as_bytes();
     let mut out: Vec<Vec<u8>> = (0..=bytes.len()).map(|n| bytes[..n].to_vec()).collect();
     for _ in 0..FLIPS {
@@ -81,18 +96,18 @@ fn mutants(frame: &str, rng: &mut SplitMix64) -> Vec<Vec<u8>> {
         out.push(wrap("[", "]", depth));
     }
     out.push(wrap("{\"a\": ", "}", (MAX_FRAME - frame.len()) / 7));
-    let numeric = ["trial", "wg", "after", "reg", "lane", "bit", "us"];
-    for key in numeric.iter().chain(&["outcome", "read"]) {
+    for key in numeric.iter().chain(other) {
         // The key again, first and last, with a value of each type.
         for value in ["1", "\"sdc\"", "true"] {
             out.push(format!("{{\"{key}\": {value}, {}", &frame[1..]).into_bytes());
             out.push(format!("{}, \"{key}\": {value}}}", &frame[..frame.len() - 1]).into_bytes());
         }
     }
-    for key in numeric {
-        for value in
-            ["18446744073709551616", &format!("1{}", "0".repeat(400)), "1e999", "-1", "0.5"]
-        {
+    let huge = format!("1{}", "0".repeat(400));
+    // Just past each field's range, then past every integer's.
+    let values = ["0", "33", "64", "256", "4294967296", "18446744073709551616", &huge];
+    for &key in numeric {
+        for value in values.iter().chain(&["1e999", "-1", "0.5"]) {
             out.push(with_value(frame, key, value).into_bytes());
         }
     }
@@ -126,7 +141,7 @@ fn record_frame_parsers_survive_structured_mutants() {
         let mut parsed_as_records = 0;
         for frame in frames() {
             assert!(parse_record_frame(&frame, &json::parse(&frame).unwrap()).is_ok());
-            for mutant in mutants(&frame, &mut rng) {
+            for mutant in mutants(&frame, RECORD_FIELDS, &mut rng) {
                 for (wire, claim) in framings(&mutant) {
                     match read_frame(&mut wire.as_slice()) {
                         Ok(Some(payload)) => {
@@ -156,6 +171,170 @@ fn record_frame_parsers_survive_structured_mutants() {
         // The untruncated frame, a flipped digit, a wrapper-free mutant: the
         // fuzz must have accepted some records, or it proved nothing.
         assert!(parsed_as_records >= frames().len(), "{parsed_as_records}");
+    });
+}
+
+/// The numeric and the other fields of a hello frame.
+const HELLO_FIELDS: Fields = (
+    &["mbavf_hello", "lease_ms", "seed", "hang_factor", "mode_bits"],
+    &["workload", "scale", "wrap_oob"],
+);
+
+/// The numeric and the other fields of a lease frame.
+const LEASE_FIELDS: Fields = (&["attempt"], &["trials"]);
+
+/// The numeric and the other fields of a repro bundle.
+const BUNDLE_FIELDS: Fields = (
+    &[
+        "version",
+        "config_fingerprint",
+        "seed",
+        "hang_factor",
+        "mode_bits",
+        "trial",
+        "wg",
+        "after",
+        "reg",
+        "lane",
+        "bit",
+        "golden_digest",
+    ],
+    &["sampler", "workload", "scale", "wrap_oob", "outcome", "reason", "read", "minimized"],
+);
+
+/// A configuration with every field at the far edge of its range.
+fn extreme_config() -> CampaignConfig {
+    CampaignConfig {
+        seed: u64::MAX,
+        injections: 1,
+        scale: Scale::Paper,
+        hang_factor: u64::MAX,
+        wrap_oob: false,
+        mode_bits: 32,
+    }
+}
+
+/// Hello frames: the default configuration, and the extreme one under a
+/// workload name with escapes.
+fn hellos() -> Vec<String> {
+    vec![
+        render_hello("transpose", &CampaignConfig::default(), Duration::from_secs(30)),
+        render_hello("tr\"an\\spose λ", &extreme_config(), Duration::from_millis(u64::MAX)),
+    ]
+}
+
+/// Lease frames: a short list, exactly the bound, and one trial over the
+/// bound. No seed holds a long index: a flipped byte could turn it into a
+/// range of billions, which a regressed bound would try to allocate.
+fn leases() -> Vec<String> {
+    let bound: Vec<u64> = (0..MAX_LEASE_TRIALS as u64).collect();
+    vec![
+        render_lease(&[0, 1, 2, 5, 9, 10, 11], 0),
+        render_lease(&bound, u32::MAX),
+        format!("{{\"trials\": \"0-{MAX_LEASE_TRIALS}\", \"attempt\": 0}}"),
+    ]
+}
+
+/// Bundle documents: a plain SDC, and a crash with a minimized section and
+/// every field at an extreme.
+fn bundles() -> Vec<String> {
+    let plain = ReproBundle {
+        workload: "fast_walsh".into(),
+        config_fingerprint: 0xDEAD_BEEF,
+        seed: 7,
+        scale: Scale::Test,
+        hang_factor: 8,
+        wrap_oob: true,
+        mode_bits: 4,
+        trial: 17,
+        site: FaultSite { wg: 1, after_retired: 40, reg: 3, lane: 9, bit: 30 },
+        outcome: Outcome::Sdc,
+        read_before_overwrite: true,
+        golden_digest: 0xFEED,
+        minimized: None,
+    };
+    let cfg = extreme_config();
+    let site = FaultSite { wg: u32::MAX, after_retired: u64::MAX, reg: 255, lane: 63, bit: 31 };
+    let extreme = ReproBundle {
+        workload: "w \"λ\"".into(),
+        config_fingerprint: u64::MAX,
+        seed: cfg.seed,
+        scale: cfg.scale,
+        hang_factor: cfg.hang_factor,
+        wrap_oob: cfg.wrap_oob,
+        mode_bits: cfg.mode_bits,
+        trial: u64::MAX,
+        site,
+        outcome: Outcome::Crash { reason: "index out of bounds: \"len\"\n\tat mem.rs λ".into() },
+        read_before_overwrite: false,
+        golden_digest: u64::MAX,
+        minimized: Some(Minimized { site, mode_bits: 1 }),
+    };
+    // Trimmed, so a duplicate key appended before the closing brace still
+    // makes a well-formed document.
+    [plain, extreme].iter().map(|b| bundle::render(b).trim_end().to_string()).collect()
+}
+
+/// The configuration ranges every parser of a campaign configuration
+/// enforces.
+fn assert_config_in_range(cfg: &CampaignConfig) {
+    assert!(CampaignConfig::MODE_BITS.contains(&u64::from(cfg.mode_bits)), "{cfg:?}");
+    assert!(CampaignConfig::HANG_FACTORS.contains(&cfg.hang_factor), "{cfg:?}");
+}
+
+fn assert_site_in_range(site: &FaultSite) {
+    assert!(site.lane <= 63 && site.bit <= 31, "{site:?}");
+}
+
+/// The mutants of `seeds` that are JSON, as text and value.
+fn json_mutants(seeds: &[String], fields: Fields, rng: &mut SplitMix64) -> Vec<(String, Value)> {
+    let mut out = Vec::new();
+    for seed in seeds {
+        for mutant in mutants(seed, fields, rng) {
+            let Ok(text) = String::from_utf8(mutant) else { continue };
+            if let Ok(v) = json::parse(&text) {
+                out.push((text, v));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn hello_lease_and_bundle_parsers_survive_structured_mutants() {
+    on_small_stack(|| {
+        let mut rng = SplitMix64::new(SEED);
+        let mut accepted = 0;
+        for (_, v) in json_mutants(&hellos(), HELLO_FIELDS, &mut rng) {
+            let Ok((workload, cfg, lease_ms)) = parse_hello(&v) else { continue };
+            assert_config_in_range(&cfg);
+            let again = render_hello(&workload, &cfg, Duration::from_millis(lease_ms));
+            assert_eq!(parse_hello(&json::parse(&again).unwrap()), Ok((workload, cfg, lease_ms)));
+            accepted += 1;
+        }
+        assert!(accepted >= hellos().len(), "{accepted} hellos accepted");
+
+        let mut accepted = 0;
+        for (text, v) in json_mutants(&leases(), LEASE_FIELDS, &mut rng) {
+            let Ok((trials, _)) = parse_lease(&v) else { continue };
+            assert!(trials.len() <= MAX_LEASE_TRIALS, "{} trials from {text:?}", trials.len());
+            accepted += 1;
+        }
+        assert!(accepted >= leases().len() - 1, "{accepted} leases accepted");
+
+        let mut accepted = 0;
+        for (text, _) in json_mutants(&bundles(), BUNDLE_FIELDS, &mut rng) {
+            let Ok(b) = bundle::parse(&text) else { continue };
+            assert_config_in_range(&b.campaign_config());
+            assert_site_in_range(&b.site);
+            if let Some(m) = &b.minimized {
+                assert!(CampaignConfig::MODE_BITS.contains(&u64::from(m.mode_bits)), "{m:?}");
+                assert_site_in_range(&m.site);
+            }
+            assert_eq!(bundle::parse(&bundle::render(&b)), Ok(b));
+            accepted += 1;
+        }
+        assert!(accepted >= bundles().len(), "{accepted} bundles accepted");
     });
 }
 

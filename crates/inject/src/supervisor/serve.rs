@@ -46,7 +46,7 @@ use crate::chaos::{ChaosEngine, Fault, OpClass};
 use crate::checkpoint;
 use crate::drill::TrialAction;
 use crate::json::{self, Value};
-use mbavf_workloads::{by_name, Scale};
+use mbavf_workloads::by_name;
 use std::io::{BufReader, Write as _};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::Command;
@@ -136,48 +136,28 @@ fn serve_run(args: &[String]) -> Result<(), String> {
 
 /// Parse the supervisor's hello frame into (workload name, campaign
 /// config, lease budget in ms).
-fn parse_hello(v: &Value) -> Result<(String, CampaignConfig, u64), String> {
-    let version = v
-        .get("mbavf_hello")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| "hello frame missing \"mbavf_hello\"".to_string())?;
+pub(super) fn parse_hello(v: &Value) -> Result<(String, CampaignConfig, u64), String> {
+    let bad = |e: String| format!("hello frame: {e}");
+    let version = checkpoint::parse_u64(v, "mbavf_hello", ..).map_err(bad)?;
     if version != PROTOCOL_VERSION {
         return Err(format!(
             "unsupported protocol version {version} (this daemon speaks {PROTOCOL_VERSION})"
         ));
     }
-    let lease_ms = v
-        .get("lease_ms")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| "hello frame missing \"lease_ms\"".to_string())?;
-    let field = |k: &str| {
-        v.get(k).and_then(Value::as_u64).ok_or_else(|| format!("hello frame missing \"{k}\""))
-    };
-    let workload = v
-        .get("workload")
-        .and_then(Value::as_str)
-        .ok_or_else(|| "hello frame missing \"workload\"".to_string())?
-        .to_string();
-    let scale = match v.get("scale").and_then(Value::as_str) {
-        Some("test") => Scale::Test,
-        Some("paper") => Scale::Paper,
-        other => return Err(format!("hello frame has bad \"scale\" {other:?}")),
-    };
-    let cfg = CampaignConfig {
-        seed: field("seed")?,
-        // The budget is excluded from the fingerprint; the trials to run
-        // arrive per lease.
-        injections: 1,
-        scale,
-        hang_factor: field("hang_factor")?,
-        wrap_oob: v
-            .get("wrap_oob")
-            .and_then(Value::as_bool)
-            .ok_or_else(|| "hello frame missing \"wrap_oob\"".to_string())?,
-        mode_bits: u8::try_from(field("mode_bits")?)
-            .map_err(|_| "hello frame \"mode_bits\" out of range".to_string())?,
-    };
+    let lease_ms = checkpoint::parse_u64(v, "lease_ms", ..).map_err(bad)?;
+    let workload = checkpoint::parse_str(v, "workload").map_err(bad)?.to_string();
+    // The budget is not part of the configuration; the trials to run
+    // arrive per lease.
+    let cfg = checkpoint::parse_config(v).map_err(bad)?;
     Ok((workload, cfg, lease_ms))
+}
+
+/// Parse a lease frame into its trials (at most
+/// [`MAX_LEASE_TRIALS`](super::MAX_LEASE_TRIALS)) and the retry attempt.
+pub(super) fn parse_lease(v: &Value) -> Result<(Vec<u64>, u32), String> {
+    let trials = checkpoint::parse_str(v, "trials").map_err(|e| format!("lease frame: {e}"))?;
+    let attempt = v.get("attempt").and_then(Value::as_u64).unwrap_or(0) as u32;
+    Ok((parse_trials(trials)?, attempt))
 }
 
 /// Send one frame through the shared writer (record stream and heartbeat
@@ -259,28 +239,31 @@ fn handle_conn(stream: TcpStream) -> Result<(), String> {
         }
     });
 
-    loop {
-        let lease = match frames.recv() {
-            Ok(Ok(frame)) => frame,
-            Ok(Err(detail)) => return Err(format!("reading lease: {detail}")),
-            Err(mpsc::RecvError) => return Ok(()), // supervisor closed: campaign over
-        };
-        let v = json::parse(&lease).map_err(|d| format!("bad lease frame: {d}"))?;
-        if v.get("drain").is_some() {
-            // Drained between leases: nothing in flight, nothing unsent.
-            // Ack and keep the connection; the supervisor parts by closing.
-            send(&writer, "{\"drained\": 0}")?;
-            continue;
+    let served = (|| -> Result<(), String> {
+        loop {
+            let lease = match frames.recv() {
+                Ok(Ok(frame)) => frame,
+                Ok(Err(detail)) => return Err(format!("reading lease: {detail}")),
+                Err(mpsc::RecvError) => return Ok(()), // supervisor closed: campaign over
+            };
+            let v = json::parse(&lease).map_err(|d| format!("bad lease frame: {d}"))?;
+            if v.get("drain").is_some() {
+                // Drained between leases: nothing in flight, nothing unsent.
+                // Ack and keep the connection; the supervisor parts by closing.
+                send(&writer, "{\"drained\": 0}")?;
+                continue;
+            }
+            let (trials, attempt) = parse_lease(&v)?;
+            send(&writer, &handshake)?;
+            run_lease(&writer, &frames, &mut exec, &trials, attempt, hb_every, liar.as_ref())?;
         }
-        let trials = parse_trials(
-            v.get("trials")
-                .and_then(Value::as_str)
-                .ok_or_else(|| "lease frame missing \"trials\"".to_string())?,
-        )?;
-        let attempt = v.get("attempt").and_then(Value::as_u64).unwrap_or(0) as u32;
-        send(&writer, &handshake)?;
-        run_lease(&writer, &frames, &mut exec, &trials, attempt, hb_every, liar.as_ref())?;
+    })();
+    if served.is_err() {
+        // Hang up, not just return: the frame reader thread holds its own
+        // handle on the socket, and the peer must see the connection end.
+        let _ = writer.lock().expect("writer lock").shutdown(Shutdown::Both);
     }
+    served
 }
 
 /// The lie a verdict-flip fault tells: always a *plausible* wrong answer —
@@ -423,6 +406,23 @@ mod tests {
         let (workload, cfg, lease_ms) = hello_with(|_| {}).unwrap();
         assert_eq!(workload, "transpose");
         assert_eq!((cfg.seed, cfg.mode_bits, lease_ms), (9, 3, 30_000));
+        // Every configuration field, at a non-default value and at the
+        // edges of its range, comes back as sent.
+        for sent in [
+            CampaignConfig {
+                seed: u64::MAX,
+                injections: 1,
+                scale: mbavf_workloads::Scale::Paper,
+                hang_factor: u64::MAX,
+                wrap_oob: false,
+                mode_bits: 32,
+            },
+            CampaignConfig { seed: 0, injections: 1, hang_factor: 1, mode_bits: 1, ..cfg },
+        ] {
+            let hello = render_hello("transpose", &sent, Duration::from_millis(1));
+            let (_, got, _) = parse_hello(&json::parse(&hello).unwrap()).unwrap();
+            assert_eq!(got, sent);
+        }
     }
 
     #[test]
@@ -432,6 +432,9 @@ mod tests {
             ("unsupported protocol version", version.as_str(), "\"mbavf_hello\": 999"),
             ("bad \"scale\"", "\"scale\": \"test\"", "\"scale\": \"huge\""),
             ("\"mode_bits\" out of range", "\"mode_bits\": 3", "\"mode_bits\": 256"),
+            ("\"mode_bits\" out of range", "\"mode_bits\": 3", "\"mode_bits\": 0"),
+            ("\"mode_bits\" out of range", "\"mode_bits\": 3", "\"mode_bits\": 33"),
+            ("\"hang_factor\" out of range", "\"hang_factor\": 8", "\"hang_factor\": 0"),
             ("missing \"seed\"", "\"seed\": 9", "\"sead\": 9"),
         ] {
             let err = hello_with(|h| {

@@ -24,9 +24,9 @@
 use super::format_trials;
 use super::serve::{parse_announcement, EXIT_WITH_SUPERVISOR};
 use crate::campaign::CampaignConfig;
+use crate::checkpoint;
 use crate::json;
 use mbavf_core::error::TransportError;
-use mbavf_workloads::Scale;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -131,10 +131,6 @@ pub(crate) fn render_hello(
     cfg: &CampaignConfig,
     lease_timeout: Duration,
 ) -> String {
-    let scale = match cfg.scale {
-        Scale::Test => "test",
-        Scale::Paper => "paper",
-    };
     let mut out = String::with_capacity(192);
     let _ = write!(
         out,
@@ -143,12 +139,15 @@ pub(crate) fn render_hello(
         lease_timeout.as_millis(),
     );
     json::write_str(&mut out, workload);
-    let _ = write!(
-        out,
-        ", \"seed\": {}, \"scale\": \"{scale}\", \"hang_factor\": {}, \"wrap_oob\": {}, \"mode_bits\": {}}}",
-        cfg.seed, cfg.hang_factor, cfg.wrap_oob, cfg.mode_bits,
-    );
+    out.push_str(", ");
+    checkpoint::write_config(&mut out, cfg, ", ");
+    out.push('}');
     out
+}
+
+/// Serialize a lease frame: the trials to run and the retry attempt.
+pub(crate) fn render_lease(trials: &[u64], attempt: u32) -> String {
+    format!("{{\"trials\": \"{}\", \"attempt\": {attempt}}}", format_trials(trials))
 }
 
 /// A `__serve` child daemon owned by one local transport.
@@ -286,8 +285,7 @@ impl Transport {
                 return Err(detail);
             }
         }
-        let frame =
-            format!("{{\"trials\": \"{}\", \"attempt\": {attempt}}}", format_trials(trials));
+        let frame = render_lease(trials, attempt);
         let conn = self.conn.as_ref().expect("dialed above");
         if let Err(e) = write_frame(&mut &*conn, &frame) {
             self.revoke();

@@ -41,6 +41,26 @@ pub enum Scale {
     Paper,
 }
 
+impl Scale {
+    /// Stable lowercase name: the `--scale` flag, `MBAVF_SCALE`, and the
+    /// `"scale"` field of repro bundles and hello frames.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Paper => "paper",
+        }
+    }
+
+    /// Parse [`Self::as_str`] output.
+    pub fn parse(s: &str) -> Option<Scale> {
+        match s {
+            "test" => Some(Scale::Test),
+            "paper" => Some(Scale::Paper),
+            _ => None,
+        }
+    }
+}
+
 /// Addresses/sizes a workload records for its checker and for reports.
 #[derive(Debug, Clone, Default)]
 pub struct InstanceMeta {
