@@ -4,10 +4,11 @@
 //! The random-store cache groups are the memo's all-miss worst case: almost
 //! no two wordlines or groups repeat. The lane-replicated register file is
 //! the case that dominates the paper's exhibits: every SIMT lane shares one
-//! timeline per register byte, so most wordlines repeat.
+//! timeline per register byte, so most wordlines repeat. Its Figure 11
+//! shape compares one `mb_avf` call per mode and scheme with one grid.
 
 use mbavf_bench::microbench::{group, run};
-use mbavf_core::analysis::{mb_avf, windowed_mb_avf, AnalysisConfig};
+use mbavf_core::analysis::{mb_avf, windowed_mb_avf, AnalysisConfig, PreparedStore};
 use mbavf_core::geometry::FaultMode;
 use mbavf_core::layout::{
     CacheGeometry, CacheInterleave, CacheLayout, VgprGeometry, VgprInterleave, VgprLayout,
@@ -111,6 +112,24 @@ fn main() {
         let cfg = AnalysisConfig::new(ProtectionKind::Parity).with_due_preempts_sdc(lock_step);
         run(&format!("mb_avf_vgpr_{}_table3", il.label()), || {
             modes.iter().map(|m| mb_avf(&vgpr, &layout, m, &cfg).unwrap()).collect::<Vec<_>>()
+        });
+    }
+
+    group("Figure 11 shape: Table III modes x {parity, SEC-DED} (lane-replicated VGPR)");
+    let prepared = PreparedStore::new(&vgpr);
+    for il in [VgprInterleave::IntraThread(2), VgprInterleave::InterThread(4)] {
+        let layout = VgprLayout::new(vgeom, il).unwrap();
+        let lock_step = matches!(il, VgprInterleave::InterThread(_));
+        let cfgs = [ProtectionKind::Parity, ProtectionKind::SecDed]
+            .map(|s| AnalysisConfig::new(s).with_due_preempts_sdc(lock_step));
+        run(&format!("fig11_{}_per_call", il.label()), || {
+            let per_mode = modes.iter().map(|m| {
+                cfgs.iter().map(|c| prepared.mb_avf(&layout, m, c).unwrap()).collect::<Vec<_>>()
+            });
+            per_mode.collect::<Vec<_>>()
+        });
+        run(&format!("fig11_{}_grid", il.label()), || {
+            prepared.mb_avf_grid(&layout, &modes, &cfgs).unwrap()
         });
     }
 }

@@ -10,7 +10,7 @@
 
 use mbavf_bench::report::{f3, pct, Table};
 use mbavf_bench::{run_workload, scale_from_env};
-use mbavf_core::analysis::{ace_locality, mb_avf, AnalysisConfig};
+use mbavf_core::analysis::{ace_locality, AnalysisConfig, PreparedStore};
 use mbavf_core::geometry::FaultMode;
 use mbavf_core::layout::{CacheGeometry, CacheInterleave, CacheLayout, VgprInterleave, VgprLayout};
 use mbavf_core::markov::MarkovModel;
@@ -29,24 +29,33 @@ fn main() {
     let d = run_workload(&w, scale);
     let geom = CacheGeometry::l1_16k();
     let rates = paper_table3();
-    let mut t = Table::new(&["scheme", "interleave", "SDC FIT", "DUE FIT"]);
-    for scheme in [
+    let modes: Vec<FaultMode> = rates.iter().map(|r| FaultMode::mx1(r.mode_bits)).collect();
+    let schemes = [
         ProtectionKind::Parity,
         ProtectionKind::SecDed,
         ProtectionKind::DecTed,
         ProtectionKind::Crc { burst_detect: 8 },
-    ] {
-        for factor in [1u32, 2, 4] {
+    ];
+    let cfgs = schemes.map(AnalysisConfig::new);
+    let factors = [1u32, 2, 4];
+    // One grid per layout, `[mode][scheme]`.
+    let l1 = PreparedStore::new(&d.l1);
+    let grids: Vec<_> = factors
+        .into_iter()
+        .map(|factor| {
             let layout = CacheLayout::new(geom, CacheInterleave::WayPhysical(factor))
                 .expect("4-way L1 accepts x1/x2/x4");
-            let cfg = AnalysisConfig::new(scheme);
+            l1.mb_avf_grid(&layout, &modes, &cfgs).expect("modes fit")
+        })
+        .collect();
+    let mut t = Table::new(&["scheme", "interleave", "SDC FIT", "DUE FIT"]);
+    for (s, scheme) in schemes.into_iter().enumerate() {
+        for (grid, factor) in grids.iter().zip(factors) {
             let mut sdc = Vec::new();
             let mut due = Vec::new();
-            for r in &rates {
-                let res =
-                    mb_avf(&d.l1, &layout, &FaultMode::mx1(r.mode_bits), &cfg).expect("mode fits");
-                sdc.push((r.clone(), res.sdc_avf()));
-                due.push((r.clone(), res.due_avf()));
+            for (r, row) in rates.iter().zip(grid) {
+                sdc.push((r.clone(), row[s].sdc_avf()));
+                due.push((r.clone(), row[s].due_avf()));
             }
             t.row(vec![
                 scheme.to_string(),
@@ -85,22 +94,13 @@ fn main() {
     let d = run_workload(&w, scale);
     let layout = VgprLayout::new(d.vgpr_geom, VgprInterleave::InterThread(2)).expect("valid");
     let mut t = Table::new(&["mode", "SDC (rule off)", "SDC (rule on)", "DUE (rule on)"]);
-    for m in [3u32, 4, 5, 7] {
-        let off = mb_avf(
-            &d.vgpr,
-            &layout,
-            &FaultMode::mx1(m),
-            &AnalysisConfig::new(ProtectionKind::Parity),
-        )
-        .expect("fits");
-        let on = mb_avf(
-            &d.vgpr,
-            &layout,
-            &FaultMode::mx1(m),
-            &AnalysisConfig::new(ProtectionKind::Parity).with_due_preempts_sdc(true),
-        )
-        .expect("fits");
-        t.row(vec![format!("{m}x1"), pct(off.sdc_avf()), pct(on.sdc_avf()), pct(on.due_avf())]);
+    let modes = [3u32, 4, 5, 7].map(FaultMode::mx1);
+    let cfgs = [false, true]
+        .map(|on| AnalysisConfig::new(ProtectionKind::Parity).with_due_preempts_sdc(on));
+    let grid = PreparedStore::new(&d.vgpr).mb_avf_grid(&layout, &modes, &cfgs).expect("fits");
+    for (mode, row) in modes.iter().zip(&grid) {
+        let (off, on) = (&row[0], &row[1]);
+        t.row(vec![mode.to_string(), pct(off.sdc_avf()), pct(on.sdc_avf()), pct(on.due_avf())]);
     }
     println!("{}", t.render());
     println!("Odd modes split unevenly across the two interleaved registers, leaving one");

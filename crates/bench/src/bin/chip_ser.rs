@@ -10,11 +10,14 @@
 
 use mbavf_bench::report::{pct, Table};
 use mbavf_bench::{run_workload, scale_from_env};
-use mbavf_core::analysis::{mb_avf, AnalysisConfig, MbAvfResult};
+use mbavf_core::analysis::{AnalysisConfig, PreparedStore};
 use mbavf_core::geometry::FaultMode;
-use mbavf_core::layout::{CacheInterleave, CacheLayout, VgprInterleave, VgprLayout};
+use mbavf_core::layout::{
+    CacheInterleave, CacheLayout, PhysicalLayout, VgprInterleave, VgprLayout,
+};
 use mbavf_core::protection::ProtectionKind;
 use mbavf_core::ser::paper_table3;
+use mbavf_core::timeline::TimelineStore;
 use mbavf_workloads::by_name;
 
 struct StructureSer {
@@ -24,16 +27,26 @@ struct StructureSer {
     due_fit: f64,
 }
 
-fn compose(name: &str, bits: u64, per_mode: impl Fn(u32) -> MbAvfResult) -> StructureSer {
+/// One structure's SER from the MB-AVFs of every Table III mode, analysed
+/// in one grid.
+fn compose(
+    name: &str,
+    bits: u64,
+    store: &TimelineStore,
+    layout: &impl PhysicalLayout,
+    cfg: AnalysisConfig,
+) -> StructureSer {
+    let rates = paper_table3();
+    let modes: Vec<FaultMode> = rates.iter().map(|r| FaultMode::mx1(r.mode_bits)).collect();
+    let grid = PreparedStore::new(store).mb_avf_grid(layout, &modes, &[cfg]).expect("fits");
     // Table III rates are per a notional 100-FIT array; scale by bit count
     // so structures of different sizes weigh correctly.
     let scale = bits as f64 / (16.0 * 1024.0 * 8.0); // normalize to one L1
     let mut sdc = 0.0;
     let mut due = 0.0;
-    for r in paper_table3() {
-        let res = per_mode(r.mode_bits);
-        sdc += r.rate_fit * res.sdc_avf() * scale;
-        due += r.rate_fit * res.due_avf() * scale;
+    for (r, row) in rates.iter().zip(&grid) {
+        sdc += r.rate_fit * row[0].sdc_avf() * scale;
+        due += r.rate_fit * row[0].due_avf() * scale;
     }
     StructureSer { name: name.to_owned(), bits, sdc_fit: sdc, due_fit: due }
 }
@@ -52,20 +65,15 @@ fn main() {
     let cfg = AnalysisConfig::new(ProtectionKind::Parity);
     // All four L1s: CU0 measured, others assumed statistically identical
     // (workgroups are distributed round-robin).
-    structures.push(compose("4 x L1 (16KB)", 4 * 16 * 1024 * 8, |m| {
-        mb_avf(&d.l1, &l1_layout, &FaultMode::mx1(m), &cfg).expect("fits")
-    }));
+    structures.push(compose("4 x L1 (16KB)", 4 * 16 * 1024 * 8, &d.l1, &l1_layout, cfg));
 
     let l2_layout = CacheLayout::new(d.l2_geom, CacheInterleave::WayPhysical(2)).expect("valid");
-    structures.push(compose("L2 (256KB)", 256 * 1024 * 8, |m| {
-        mb_avf(&d.l2, &l2_layout, &FaultMode::mx1(m), &cfg).expect("fits")
-    }));
+    structures.push(compose("L2 (256KB)", 256 * 1024 * 8, &d.l2, &l2_layout, cfg));
 
     let vgpr_layout = VgprLayout::new(d.vgpr_geom, VgprInterleave::InterThread(4)).expect("valid");
     let vgpr_cfg = AnalysisConfig::new(ProtectionKind::Parity).with_due_preempts_sdc(true);
-    structures.push(compose("4 x VGPR", 4 * u64::from(d.vgpr_geom.bytes()) * 8, |m| {
-        mb_avf(&d.vgpr, &vgpr_layout, &FaultMode::mx1(m), &vgpr_cfg).expect("fits")
-    }));
+    let vgpr_bits = 4 * u64::from(d.vgpr_geom.bytes()) * 8;
+    structures.push(compose("4 x VGPR", vgpr_bits, &d.vgpr, &vgpr_layout, vgpr_cfg));
 
     let mut t = Table::new(&["structure", "bits", "SDC FIT", "DUE FIT", "SDC share"]);
     let total_sdc: f64 = structures.iter().map(|s| s.sdc_fit).sum();

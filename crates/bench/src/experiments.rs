@@ -39,6 +39,21 @@ pub fn l1_mb_avf(
     mb_avf(&d.l1, &layout, &FaultMode::mx1(m), &cfg).expect("mode fits the L1")
 }
 
+/// L1 MB-AVFs of the `Mx1` modes `ms` under every scheme of `schemes` on one
+/// layout, from one grid analysis, as `[mode][scheme]`.
+fn l1_grid(
+    d: &WorkloadData,
+    il: CacheInterleave,
+    ms: &[u32],
+    schemes: &[ProtectionKind],
+) -> Vec<Vec<MbAvfResult>> {
+    let modes: Vec<FaultMode> = ms.iter().map(|&m| FaultMode::mx1(m)).collect();
+    let cfgs: Vec<AnalysisConfig> = schemes.iter().map(|&s| AnalysisConfig::new(s)).collect();
+    PreparedStore::new(&d.l1)
+        .mb_avf_grid(&l1_layout(d, il), &modes, &cfgs)
+        .expect("modes fit the L1")
+}
+
 // ---------------------------------------------------------------------------
 // Figure 4
 // ---------------------------------------------------------------------------
@@ -127,12 +142,13 @@ pub struct Fig6Row {
 /// Compute Figure 6 for one workload.
 pub fn fig6(d: &WorkloadData) -> Fig6Row {
     let sb = sb_due_avf(d);
-    let il = CacheInterleave::WayPhysical(4);
+    let schemes = [ProtectionKind::Parity, ProtectionKind::SecDed];
+    let grid = l1_grid(d, CacheInterleave::WayPhysical(4), &MODES_2_TO_8, &schemes);
     let mut parity = [0.0; 7];
     let mut secded = [0.0; 7];
-    for (i, m) in MODES_2_TO_8.into_iter().enumerate() {
-        parity[i] = normalized(l1_mb_avf(d, il, ProtectionKind::Parity, m).due_avf(), sb);
-        secded[i] = normalized(l1_mb_avf(d, il, ProtectionKind::SecDed, m).due_avf(), sb);
+    for (i, row) in grid.iter().enumerate() {
+        parity[i] = normalized(row[0].due_avf(), sb);
+        secded[i] = normalized(row[1].due_avf(), sb);
     }
     Fig6Row { workload: d.name, parity, secded }
 }
@@ -188,10 +204,11 @@ pub struct Fig9Row {
 /// Compute Figure 9 for one workload.
 pub fn fig9(d: &WorkloadData) -> Fig9Row {
     let sb = sb_due_avf(d);
-    let il = CacheInterleave::WayPhysical(2);
+    let grid =
+        l1_grid(d, CacheInterleave::WayPhysical(2), &[5, 6, 7, 8], &[ProtectionKind::SecDed]);
     let mut sdc = [0.0; 4];
-    for (i, m) in [5u32, 6, 7, 8].into_iter().enumerate() {
-        sdc[i] = normalized(l1_mb_avf(d, il, ProtectionKind::SecDed, m).sdc_avf(), sb);
+    for (i, row) in grid.iter().enumerate() {
+        sdc[i] = normalized(row[0].sdc_avf(), sb);
     }
     Fig9Row { workload: d.name, sdc }
 }
@@ -225,11 +242,11 @@ impl Fig10Row {
 
 /// Compute Figure 10 for one workload.
 pub fn fig10(d: &WorkloadData) -> Fig10Row {
-    let il = CacheInterleave::WayPhysical(4);
+    let grid =
+        l1_grid(d, CacheInterleave::WayPhysical(4), &[1, 2, 3, 4], &[ProtectionKind::Parity]);
     let mut due = [(0.0, 0.0); 4];
-    for (i, m) in [1u32, 2, 3, 4].into_iter().enumerate() {
-        let r = l1_mb_avf(d, il, ProtectionKind::Parity, m);
-        due[i] = (r.true_due_avf(), r.false_due_avf());
+    for (i, row) in grid.iter().enumerate() {
+        due[i] = (row[0].true_due_avf(), row[0].false_due_avf());
     }
     Fig10Row { workload: d.name, due }
 }
@@ -254,20 +271,20 @@ pub struct Fig11Row {
     pub overhead: f64,
 }
 
+/// The protection schemes of Figure 11's design points.
+const FIG11_SCHEMES: [ProtectionKind; 2] = [ProtectionKind::Parity, ProtectionKind::SecDed];
+
+/// The VGPR interleavings of Figure 11's design points.
+const FIG11_INTERLEAVES: [VgprInterleave; 4] = [
+    VgprInterleave::IntraThread(2),
+    VgprInterleave::IntraThread(4),
+    VgprInterleave::InterThread(2),
+    VgprInterleave::InterThread(4),
+];
+
 /// The eight design points of Figure 11.
 pub fn fig11_designs() -> Vec<(ProtectionKind, VgprInterleave)> {
-    let mut v = Vec::new();
-    for scheme in [ProtectionKind::Parity, ProtectionKind::SecDed] {
-        for il in [
-            VgprInterleave::IntraThread(2),
-            VgprInterleave::IntraThread(4),
-            VgprInterleave::InterThread(2),
-            VgprInterleave::InterThread(4),
-        ] {
-            v.push((scheme, il));
-        }
-    }
-    v
+    FIG11_SCHEMES.into_iter().flat_map(|s| FIG11_INTERLEAVES.map(|il| (s, il))).collect()
 }
 
 /// Whether the worst overlapped region of an `Mx1` fault under `xI`
@@ -290,38 +307,45 @@ pub fn approx_defeated(scheme: ProtectionKind, m: u32, i: u32) -> bool {
 pub fn fig11(d: &WorkloadData) -> Vec<Fig11Row> {
     let rates = paper_table3();
     let sb_ace = raw_avf(&d.vgpr);
-    // Every design and mode below analyses the same store.
+    let modes: Vec<FaultMode> = rates.iter().map(|r| FaultMode::mx1(r.mode_bits)).collect();
+    // Every design below analyses the same store, and the designs of one
+    // interleaving share a layout: one grid each, `[mode][scheme]`.
     let vgpr = PreparedStore::new(&d.vgpr);
-    fig11_designs()
+    let grids: Vec<Vec<Vec<MbAvfResult>>> = FIG11_INTERLEAVES
         .into_iter()
-        .map(|(scheme, il)| {
+        .map(|il| {
             let layout = VgprLayout::new(d.vgpr_geom, il).expect("paper geometry");
             // Inter-thread interleaving is read lock-step by the SIMD unit:
             // a detected error preempts a same-cycle SDC (Section VIII).
             let lock_step = matches!(il, VgprInterleave::InterThread(_));
-            let cfg = AnalysisConfig::new(scheme).with_due_preempts_sdc(lock_step);
+            let cfgs =
+                FIG11_SCHEMES.map(|s| AnalysisConfig::new(s).with_due_preempts_sdc(lock_step));
+            vgpr.mb_avf_grid(&layout, &modes, &cfgs).expect("modes fit the VGPR row")
+        })
+        .collect();
+    let mut rows = Vec::new();
+    for (s, scheme) in FIG11_SCHEMES.into_iter().enumerate() {
+        for (grid, il) in grids.iter().zip(FIG11_INTERLEAVES) {
             let mut sdc_pairs = Vec::new();
             let mut due_pairs = Vec::new();
             let mut approx_pairs = Vec::new();
-            for rate in &rates {
-                let res = vgpr
-                    .mb_avf(&layout, &FaultMode::mx1(rate.mode_bits), &cfg)
-                    .expect("mode fits the VGPR row");
-                sdc_pairs.push((rate.clone(), res.sdc_avf()));
-                due_pairs.push((rate.clone(), res.due_avf()));
+            for (rate, results) in rates.iter().zip(grid) {
+                sdc_pairs.push((rate.clone(), results[s].sdc_avf()));
+                due_pairs.push((rate.clone(), results[s].due_avf()));
                 let approx =
                     if approx_defeated(scheme, rate.mode_bits, il.factor()) { sb_ace } else { 0.0 };
                 approx_pairs.push((rate.clone(), approx));
             }
-            Fig11Row {
+            rows.push(Fig11Row {
                 label: format!("{scheme} {}", il.label()),
                 sdc_mb: SerBreakdown::new(sdc_pairs).total_fit(),
                 sdc_approx: SerBreakdown::new(approx_pairs).total_fit(),
                 due_mb: SerBreakdown::new(due_pairs).total_fit(),
                 overhead: scheme.overhead(32),
-            }
-        })
-        .collect()
+            });
+        }
+    }
+    rows
 }
 
 #[cfg(test)]
@@ -454,6 +478,115 @@ mod tests {
         assert!(approx_defeated(SecDed, 5, 2));
         // 4x1 with x4 SEC-DED: single-bit regions -> corrected.
         assert!(!approx_defeated(SecDed, 4, 4));
+    }
+
+    /// Figures 6, 9, 10 and 11 as computed before the grid: one `mb_avf`
+    /// call per mode and scheme.
+    mod per_call {
+        use super::super::*;
+
+        pub fn fig6(d: &WorkloadData) -> Fig6Row {
+            let sb = sb_due_avf(d);
+            let il = CacheInterleave::WayPhysical(4);
+            let mut parity = [0.0; 7];
+            let mut secded = [0.0; 7];
+            for (i, m) in MODES_2_TO_8.into_iter().enumerate() {
+                parity[i] = normalized(l1_mb_avf(d, il, ProtectionKind::Parity, m).due_avf(), sb);
+                secded[i] = normalized(l1_mb_avf(d, il, ProtectionKind::SecDed, m).due_avf(), sb);
+            }
+            Fig6Row { workload: d.name, parity, secded }
+        }
+
+        pub fn fig9(d: &WorkloadData) -> Fig9Row {
+            let sb = sb_due_avf(d);
+            let il = CacheInterleave::WayPhysical(2);
+            let mut sdc = [0.0; 4];
+            for (i, m) in [5u32, 6, 7, 8].into_iter().enumerate() {
+                sdc[i] = normalized(l1_mb_avf(d, il, ProtectionKind::SecDed, m).sdc_avf(), sb);
+            }
+            Fig9Row { workload: d.name, sdc }
+        }
+
+        pub fn fig10(d: &WorkloadData) -> Fig10Row {
+            let il = CacheInterleave::WayPhysical(4);
+            let mut due = [(0.0, 0.0); 4];
+            for (i, m) in [1u32, 2, 3, 4].into_iter().enumerate() {
+                let r = l1_mb_avf(d, il, ProtectionKind::Parity, m);
+                due[i] = (r.true_due_avf(), r.false_due_avf());
+            }
+            Fig10Row { workload: d.name, due }
+        }
+
+        pub fn fig11(d: &WorkloadData) -> Vec<Fig11Row> {
+            let rates = paper_table3();
+            let sb_ace = raw_avf(&d.vgpr);
+            let vgpr = PreparedStore::new(&d.vgpr);
+            fig11_designs()
+                .into_iter()
+                .map(|(scheme, il)| {
+                    let layout = VgprLayout::new(d.vgpr_geom, il).expect("paper geometry");
+                    let lock_step = matches!(il, VgprInterleave::InterThread(_));
+                    let cfg = AnalysisConfig::new(scheme).with_due_preempts_sdc(lock_step);
+                    let mut sdc_pairs = Vec::new();
+                    let mut due_pairs = Vec::new();
+                    let mut approx_pairs = Vec::new();
+                    for rate in &rates {
+                        let res = vgpr
+                            .mb_avf(&layout, &FaultMode::mx1(rate.mode_bits), &cfg)
+                            .expect("mode fits the VGPR row");
+                        sdc_pairs.push((rate.clone(), res.sdc_avf()));
+                        due_pairs.push((rate.clone(), res.due_avf()));
+                        let approx = if approx_defeated(scheme, rate.mode_bits, il.factor()) {
+                            sb_ace
+                        } else {
+                            0.0
+                        };
+                        approx_pairs.push((rate.clone(), approx));
+                    }
+                    Fig11Row {
+                        label: format!("{scheme} {}", il.label()),
+                        sdc_mb: SerBreakdown::new(sdc_pairs).total_fit(),
+                        sdc_approx: SerBreakdown::new(approx_pairs).total_fit(),
+                        due_mb: SerBreakdown::new(due_pairs).total_fit(),
+                        overhead: scheme.overhead(32),
+                    }
+                })
+                .collect()
+        }
+    }
+
+    fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        values.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// The grid-based Figures 6, 9, 10 and 11 reproduce the per-call rows
+    /// bit for bit, on workloads that include divergent EXEC (pathfinder).
+    #[test]
+    fn grid_figures_match_the_per_call_reference() {
+        for name in ["matmul", "dct", "comd", "pathfinder"] {
+            let d = data(name);
+            let (got, want) = (fig6(&d), per_call::fig6(&d));
+            assert_eq!(got.workload, want.workload);
+            assert_eq!(bits(got.parity), bits(want.parity), "{name} fig6 parity");
+            assert_eq!(bits(got.secded), bits(want.secded), "{name} fig6 SEC-DED");
+
+            let (got, want) = (fig9(&d), per_call::fig9(&d));
+            assert_eq!(got.workload, want.workload);
+            assert_eq!(bits(got.sdc), bits(want.sdc), "{name} fig9");
+
+            let (got, want) = (fig10(&d), per_call::fig10(&d));
+            assert_eq!(got.workload, want.workload);
+            let flat = |row: &Fig10Row| bits(row.due.iter().flat_map(|&(t, f)| [t, f]));
+            assert_eq!(flat(&got), flat(&want), "{name} fig10");
+
+            let (got, want) = (fig11(&d), per_call::fig11(&d));
+            assert_eq!(got.len(), want.len(), "{name} fig11 designs");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.label, w.label, "{name} fig11 design order");
+                let row = |r: &Fig11Row| bits([r.sdc_mb, r.sdc_approx, r.due_mb, r.overhead]);
+                assert_eq!(row(g), row(w), "{name} fig11 {}", g.label);
+            }
+        }
     }
 
     #[test]

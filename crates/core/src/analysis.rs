@@ -29,7 +29,8 @@ use crate::layout::{BitRef, PhysicalLayout};
 use crate::protection::{Action, ProtectionKind};
 use crate::timeline::{BitState, Cycle, Interval, TimelineStore};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::slice;
 use std::sync::OnceLock;
 
 /// Classification of one fault group during one cycle, in increasing order of
@@ -185,6 +186,15 @@ impl MbAvfResult {
             GroupClass::Sdc => self.sdc_gc += dur,
         }
     }
+
+    /// Add `rows` copies of one anchor row's `[false DUE, true DUE, SDC]`
+    /// group-cycles.
+    fn add_rows(&mut self, totals: &[u128; 3], rows: u32) {
+        let rows = u128::from(rows);
+        self.false_due_gc += totals[0] * rows;
+        self.true_due_gc += totals[1] * rows;
+        self.sdc_gc += totals[2] * rows;
+    }
 }
 
 /// Scratch buffers reused across fault groups to keep the per-group sweep
@@ -194,14 +204,35 @@ struct Scratch {
     bits: Vec<BitRef>,
     /// Region index of each bit (parallel to `bits`).
     region_of: Vec<u8>,
-    /// Per-region protection action.
+    /// Number of the group's bits in each region.
+    region_bits: Vec<u32>,
+    /// Protection action of each configuration on each region, laid out
+    /// `[config][region]`.
     actions: Vec<Action>,
+    /// Per configuration: whether some region is left uncorrected.
+    live: Vec<bool>,
     /// Merged, deduplicated interval boundaries of the group's bits.
     bounds: Vec<Cycle>,
     /// Per-bit monotone cursor into its timeline.
     cursors: Vec<usize>,
     /// Per-region max bit state within the current segment.
     region_state: Vec<BitState>,
+}
+
+impl Scratch {
+    /// Compute every configuration's action on every region of the gathered
+    /// group. Returns `false` if every configuration corrects every region:
+    /// then the group can never err.
+    fn protect(&mut self, cfgs: &[AnalysisConfig]) -> bool {
+        self.actions.clear();
+        self.live.clear();
+        for cfg in cfgs {
+            let first = self.actions.len();
+            self.actions.extend(self.region_bits.iter().map(|&k| cfg.scheme.action(k)));
+            self.live.push(self.actions[first..].iter().any(|a| *a != Action::Correct));
+        }
+        self.live.contains(&true)
+    }
 }
 
 /// Compute the MB-AVF of `mode` on the structure described by `store`,
@@ -211,7 +242,9 @@ struct Scratch {
 /// components; single-bit AVFs are simply the `1x1` mode.
 ///
 /// A thin wrapper over [`PreparedStore::mb_avf`]; prepare the store once
-/// instead when analysing it under many layouts, modes or schemes.
+/// instead when analysing it under many layouts, and ask
+/// [`PreparedStore::mb_avf_grid`] for every mode and scheme of a layout at
+/// once.
 ///
 /// # Errors
 ///
@@ -228,9 +261,10 @@ pub fn mb_avf<L: PhysicalLayout>(
 }
 
 /// A timeline store prepared for repeated whole-run MB-AVF analysis: the
-/// store plus the canonical content id of every byte's timeline, computed
-/// once (on the first memoized analysis) and shared by every
-/// [`mb_avf`](Self::mb_avf) call over it.
+/// store plus the canonical id of every bit's timeline, computed once (on
+/// the first memoized analysis) and shared by every
+/// [`mb_avf_grid`](Self::mb_avf_grid) and [`mb_avf`](Self::mb_avf) call over
+/// it.
 ///
 /// ```
 /// use mbavf_core::analysis::{mb_avf, AnalysisConfig, PreparedStore};
@@ -252,16 +286,17 @@ pub fn mb_avf<L: PhysicalLayout>(
 /// ```
 pub struct PreparedStore<'s> {
     store: &'s TimelineStore,
-    content_ids: OnceLock<Vec<u32>>,
+    ids: OnceLock<TimelineIds>,
 }
 
 impl<'s> PreparedStore<'s> {
-    /// Prepare `store`. Cheap: the content ids are computed on first use.
+    /// Prepare `store`. Cheap: the timeline ids are computed on first use.
     pub fn new(store: &'s TimelineStore) -> Self {
-        Self { store, content_ids: OnceLock::new() }
+        Self { store, ids: OnceLock::new() }
     }
 
-    /// [`mb_avf`] over the prepared store.
+    /// [`mb_avf`] over the prepared store: the 1×1 case of
+    /// [`mb_avf_grid`](Self::mb_avf_grid).
     ///
     /// # Errors
     ///
@@ -272,43 +307,96 @@ impl<'s> PreparedStore<'s> {
         mode: &FaultMode,
         cfg: &AnalysisConfig,
     ) -> Result<MbAvfResult, CoreError> {
+        let mut grid = self.mb_avf_grid(layout, slice::from_ref(mode), slice::from_ref(cfg))?;
+        Ok(grid.swap_remove(0).swap_remove(0))
+    }
+
+    /// [`mb_avf`] of every fault mode in `modes` under every configuration
+    /// in `cfgs`, on one layout, as `[mode][cfg]`.
+    ///
+    /// Equal to one [`mb_avf`](Self::mb_avf) call per pair, but the work that
+    /// does not depend on the scheme is done once: the anchor rows are
+    /// classified once per mode row span, and each fault group is resolved,
+    /// partitioned into regions and swept once for all configurations.
+    ///
+    /// ```
+    /// use mbavf_core::analysis::{AnalysisConfig, PreparedStore};
+    /// use mbavf_core::geometry::FaultMode;
+    /// use mbavf_core::layout::LinearLayout;
+    /// use mbavf_core::protection::ProtectionKind;
+    /// use mbavf_core::timeline::{Interval, TimelineStore};
+    ///
+    /// let mut store = TimelineStore::new(2, 100);
+    /// store.byte_mut(0).push(Interval { start: 0, end: 40, ace_mask: 0x3c, checked: true }).unwrap();
+    /// let layout = LinearLayout::new(1, 16, 4);
+    /// let modes: Vec<FaultMode> = (1..=4).map(FaultMode::mx1).collect();
+    /// let cfgs = [ProtectionKind::Parity, ProtectionKind::SecDed].map(AnalysisConfig::new);
+    /// let prepared = PreparedStore::new(&store);
+    /// let grid = prepared.mb_avf_grid(&layout, &modes, &cfgs)?;
+    /// for (mode, row) in modes.iter().zip(&grid) {
+    ///     for (cfg, result) in cfgs.iter().zip(row) {
+    ///         assert_eq!(*result, prepared.mb_avf(&layout, mode, cfg)?);
+    ///     }
+    /// }
+    /// # Ok::<(), mbavf_core::CoreError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// The error of the first failing per-pair [`mb_avf`] in mode order. An
+    /// analysis's errors never depend on its configuration.
+    pub fn mb_avf_grid<L: PhysicalLayout>(
+        &self,
+        layout: &L,
+        modes: &[FaultMode],
+        cfgs: &[AnalysisConfig],
+    ) -> Result<Vec<Vec<MbAvfResult>>, CoreError> {
+        if cfgs.is_empty() {
+            return Ok(modes.iter().map(|_| Vec::new()).collect());
+        }
         let store = self.store;
-        let groups = mode.group_count(layout.rows(), layout.cols());
-        let mut result = MbAvfResult::new(mode, groups, store.total_cycles(), None);
-        if mode.len() <= MEMO_MAX_BITS {
-            // Whole-run totals admit memoization at two levels: a repeated
-            // band fingerprint reuses a whole row's totals (`Band`), a
-            // repeated group key one group's (`GroupMemo`). This collapses
-            // the 64 replicated SIMT lanes of a register file, and the sea
-            // of untouched cache lines, into one row computation each.
-            mode.groups(layout.rows(), layout.cols())?; // fails before any bit is resolved
-            let content_ids = self.content_ids.get_or_init(|| content_ids(store));
-            let mut memo = GroupMemo::new(content_ids);
-            let mut bands: FxHashMap<Vec<BandCell>, [u128; 3]> = FxHashMap::default();
-            let mut band = Band::default();
-            for anchor_row in 0..=layout.rows() - mode.rows() {
-                let keyed = band.build(layout, content_ids, anchor_row, mode.rows());
-                let cached = if keyed { bands.get(band.cells.as_slice()).copied() } else { None };
-                let totals = match cached {
-                    Some(t) => t,
+        // Band classes per mode row span: modes of one span share them.
+        let mut spans: Vec<(u32, Vec<BandClass>)> = Vec::new();
+        let mut memo: Option<GroupMemo> = None;
+        let mut grid = Vec::with_capacity(modes.len());
+        for mode in modes {
+            let groups = mode.group_count(layout.rows(), layout.cols());
+            let mut results: Vec<MbAvfResult> = cfgs
+                .iter()
+                .map(|_| MbAvfResult::new(mode, groups, store.total_cycles(), None))
+                .collect();
+            if mode.len() <= MEMO_MAX_BITS {
+                // Whole-run totals admit memoization at two levels: anchor
+                // rows with one band fingerprint share their totals
+                // (`BandClass`), groups with one key theirs (`GroupMemo`).
+                // This collapses the 64 replicated SIMT lanes of a register
+                // file, and the sea of untouched cache lines, into one row
+                // computation each.
+                mode.groups(layout.rows(), layout.cols())?; // fails before any bit is resolved
+                let ids = self.ids.get_or_init(|| TimelineIds::new(store));
+                let span = match spans.iter().position(|(rows, _)| *rows == mode.rows()) {
+                    Some(i) => i,
                     None => {
-                        let t = memo.row_totals(store, layout, mode, cfg, anchor_row)?;
-                        if keyed {
-                            bands.insert(band.cells.clone(), t);
-                        }
-                        t
+                        spans.push((mode.rows(), band_classes(layout, ids, mode.rows())));
+                        spans.len() - 1
                     }
                 };
-                result.false_due_gc += totals[0];
-                result.true_due_gc += totals[1];
-                result.sdc_gc += totals[2];
+                let memo = memo.get_or_insert_with(|| GroupMemo::new(ids));
+                memo.clear();
+                for class in &spans[span].1 {
+                    let row = memo.row_totals(store, layout, mode, cfgs, class.anchor_row)?;
+                    for (result, totals) in results.iter_mut().zip(row) {
+                        result.add_rows(totals, class.rows);
+                    }
+                }
+            } else {
+                sweep_groups(store, layout, mode, cfgs, |c, class, start, end| {
+                    results[c].add(class, u128::from(end - start));
+                })?;
             }
-        } else {
-            sweep_groups(store, layout, mode, cfg, |class, start, end| {
-                result.add(class, u128::from(end - start));
-            })?;
+            grid.push(results);
         }
-        Ok(result)
+        Ok(grid)
     }
 }
 
@@ -341,100 +429,164 @@ pub fn mb_avf_modes<L: PhysicalLayout>(
     max_bits: u32,
     cfg: &AnalysisConfig,
 ) -> Result<Vec<MbAvfResult>, CoreError> {
-    let prepared = PreparedStore::new(store);
-    (1..=max_bits).map(|m| prepared.mb_avf(layout, &FaultMode::mx1(m), cfg)).collect()
+    let modes: Vec<FaultMode> = (1..=max_bits).map(FaultMode::mx1).collect();
+    let grid = PreparedStore::new(store).mb_avf_grid(layout, &modes, slice::from_ref(cfg))?;
+    Ok(grid.into_iter().map(|mut row| row.swap_remove(0)).collect())
 }
 
 /// Memoization cutoff: modes larger than this fall back to the direct sweep.
 const MEMO_MAX_BITS: usize = 16;
 
-/// A fault group's classification fingerprint: per member bit, the canonical
-/// content id of its timeline, its bit index, and its overlapped-region id.
-/// Two groups with equal keys (under one scheme) have identical outcomes.
-#[derive(Default, PartialEq, Eq, Hash)]
+/// A fault group's classification fingerprint: per member bit, the
+/// [`TimelineIds`] id of the bit's timeline and its overlapped-region id,
+/// packed into one word. Two groups with equal keys have identical outcomes
+/// under every scheme.
+#[derive(Default, PartialEq, Eq)]
 struct MemoKey {
-    entries: [(u32, u8, u8); MEMO_MAX_BITS],
+    entries: [u64; MEMO_MAX_BITS],
     len: u8,
 }
 
 impl MemoKey {
-    fn push(&mut self, content: u32, bit: u8, region: u8) {
-        self.entries[self.len as usize] = (content, bit, region);
+    fn push(&mut self, bit_timeline: u64, region: u8) {
+        self.entries[self.len as usize] = bit_timeline << 8 | u64::from(region);
         self.len += 1;
     }
 }
 
-/// The group level of the memo: whole-run `[false DUE, true DUE, SDC]`
-/// group-cycles per [`MemoKey`], shared by every band of one analysis.
+impl Hash for MemoKey {
+    /// Only the member entries: unused ones are always zero.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &entry in &self.entries[..usize::from(self.len)] {
+            state.write_u64(entry);
+        }
+    }
+}
+
+/// The group level of the memo: per [`MemoKey`], one slot of whole-run
+/// `[false DUE, true DUE, SDC]` group-cycles per configuration, shared by
+/// every band class of one mode.
 struct GroupMemo<'c> {
-    content_ids: &'c [u32],
-    totals: FxHashMap<MemoKey, [u128; 3]>,
+    ids: &'c TimelineIds,
+    slots: FxHashMap<MemoKey, u32>,
+    /// Slot `s`'s totals under configuration `c` are at `s * cfgs + c`.
+    totals: Vec<[u128; 3]>,
+    /// The current anchor row's summed totals, one per configuration.
+    row: Vec<[u128; 3]>,
     scratch: Scratch,
 }
 
 impl<'c> GroupMemo<'c> {
-    fn new(content_ids: &'c [u32]) -> Self {
-        Self { content_ids, totals: FxHashMap::default(), scratch: Scratch::default() }
+    fn new(ids: &'c TimelineIds) -> Self {
+        Self {
+            ids,
+            slots: FxHashMap::default(),
+            totals: Vec::new(),
+            row: Vec::new(),
+            scratch: Scratch::default(),
+        }
     }
 
-    /// Summed totals of every group anchored on `anchor_row`, sweeping only
-    /// the groups whose key has not been seen.
+    /// Forget every memoized group, keeping the tables' capacity.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.totals.clear();
+    }
+
+    /// Summed totals of every group anchored on `anchor_row`, one per
+    /// configuration, sweeping only the groups whose key has not been seen.
     fn row_totals<L: PhysicalLayout>(
         &mut self,
         store: &TimelineStore,
         layout: &L,
         mode: &FaultMode,
-        cfg: &AnalysisConfig,
+        cfgs: &[AnalysisConfig],
         anchor_row: u32,
-    ) -> Result<[u128; 3], CoreError> {
-        let mut row = [0u128; 3];
-        let s = &mut self.scratch;
+    ) -> Result<&[[u128; 3]], CoreError> {
+        let n = cfgs.len();
+        let Self { ids, slots, totals, row, scratch: s } = self;
+        row.clear();
+        row.resize(n, [0; 3]);
         for anchor_col in 0..=layout.cols() - mode.cols() {
             let group = FaultGroup { anchor_row, anchor_col };
-            gather_group(store, layout, mode, &group, cfg, s)?;
-            if s.actions.iter().all(|a| *a == Action::Correct) {
+            gather_group(store, layout, mode, &group, s)?;
+            if !s.protect(cfgs) {
                 continue;
             }
             let mut key = MemoKey::default();
             for (i, b) in s.bits.iter().enumerate() {
-                key.push(self.content_ids[b.byte as usize], b.bit, s.region_of[i]);
+                key.push(ids.bit(b).expect("gathered bits lie in the store"), s.region_of[i]);
             }
-            let totals = match self.totals.get(&key) {
-                Some(t) => *t,
+            let slot = match slots.get(&key) {
+                Some(&slot) => slot as usize,
                 None => {
-                    let mut t = [0u128; 3];
-                    sweep_one_group(store, cfg, s, &mut |class, start, end| {
+                    let slot = slots.len();
+                    totals.resize((slot + 1) * n, [0; 3]);
+                    let t = &mut totals[slot * n..];
+                    sweep_one_group(store, cfgs, s, &mut |c, class, start, end| {
                         let d = u128::from(end - start);
                         match class {
-                            GroupClass::FalseDue => t[0] += d,
-                            GroupClass::TrueDue => t[1] += d,
-                            GroupClass::Sdc => t[2] += d,
+                            GroupClass::FalseDue => t[c][0] += d,
+                            GroupClass::TrueDue => t[c][1] += d,
+                            GroupClass::Sdc => t[c][2] += d,
                             GroupClass::UnAce => {}
                         }
                     });
-                    self.totals.insert(key, t);
-                    t
+                    slots.insert(key, slot as u32);
+                    slot
                 }
             };
-            for (acc, x) in row.iter_mut().zip(totals) {
-                *acc += x;
+            for (acc, t) in row.iter_mut().zip(&totals[slot * n..(slot + 1) * n]) {
+                for (a, x) in acc.iter_mut().zip(t) {
+                    *a += x;
+                }
             }
         }
         Ok(row)
     }
 }
 
-/// One cell of a wordline band's fingerprint: the canonical content id of
-/// the bit's timeline, its bit index, and its band-local domain label (the
-/// domain's first-appearance index within the band).
-type BandCell = (u32, u8, u32);
+/// Anchor rows whose wordline bands share one fingerprint: every group
+/// anchored on one of them has the totals of the group at the same column
+/// of `anchor_row`.
+struct BandClass {
+    /// The class's first anchor row, whose groups are swept.
+    anchor_row: u32,
+    /// Number of anchor rows in the class.
+    rows: u32,
+}
+
+/// Classify the anchor rows of `span`-row bands by fingerprint, in order of
+/// first appearance. A band with a cell outside the store is a class of its
+/// own, so its groups report the error at the row a plain group sweep would.
+fn band_classes<L: PhysicalLayout>(layout: &L, ids: &TimelineIds, span: u32) -> Vec<BandClass> {
+    let mut band = Band::default();
+    let mut index: FxHashMap<Vec<BandCell>, usize> = FxHashMap::default();
+    let mut classes: Vec<BandClass> = Vec::new();
+    for anchor_row in 0..=layout.rows() - span {
+        if band.build(layout, ids, anchor_row, span) {
+            if let Some(&class) = index.get(band.cells.as_slice()) {
+                classes[class].rows += 1;
+                continue;
+            }
+            index.insert(band.cells.clone(), classes.len());
+        }
+        classes.push(BandClass { anchor_row, rows: 1 });
+    }
+    classes
+}
+
+/// One cell of a wordline band's fingerprint: the [`TimelineIds`] id of the
+/// bit's timeline, and its band-local domain label (the domain's
+/// first-appearance index within the band).
+type BandCell = (u64, u32);
 
 /// Reused buffers for a wordline band's fingerprint: physical rows
-/// `anchor_row .. anchor_row + mode.rows()` across every column, row-major.
+/// `anchor_row .. anchor_row + rows` across every column, row-major.
 ///
 /// Equal fingerprints give every group anchored at the same column equal
-/// member content, bit indices, and domain partition — hence equal
-/// [`MemoKey`]s and equal totals.
+/// member bit timelines and domain partition — hence equal [`MemoKey`]s and
+/// equal totals.
 #[derive(Default)]
 struct Band {
     cells: Vec<BandCell>,
@@ -443,13 +595,11 @@ struct Band {
 
 impl Band {
     /// Fingerprint the band anchored at `anchor_row`. Returns `false` (and
-    /// leaves the fingerprint unusable) if a cell lies outside the store, so
-    /// the caller's per-group path reports the error exactly as a plain
-    /// group sweep would.
+    /// leaves the fingerprint unusable) if a cell lies outside the store.
     fn build<L: PhysicalLayout>(
         &mut self,
         layout: &L,
-        content_ids: &[u32],
+        ids: &TimelineIds,
         anchor_row: u32,
         rows: u32,
     ) -> bool {
@@ -458,13 +608,10 @@ impl Band {
         for row in anchor_row..anchor_row + rows {
             for col in 0..layout.cols() {
                 let b = layout.bit_at(row, col);
-                let Some(&content) = content_ids.get(b.byte as usize) else { return false };
-                if b.bit >= 8 {
-                    return false;
-                }
+                let Some(timeline) = ids.bit(&b) else { return false };
                 let next = self.labels.len() as u32;
                 let label = *self.labels.entry(b.domain).or_insert(next);
-                self.cells.push((content, b.bit, label));
+                self.cells.push((timeline, label));
             }
         }
         true
@@ -512,16 +659,46 @@ impl Hasher for FxHasher {
 
 type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// Canonical content id per byte: bytes with byte-for-byte identical
-/// timelines share an id (exact comparison: the hash only picks buckets).
-fn content_ids(store: &TimelineStore) -> Vec<u32> {
-    let mut canon: FxHashMap<&[Interval], u32> = FxHashMap::default();
-    (0..store.num_bytes())
-        .map(|b| {
-            let next = canon.len() as u32;
-            *canon.entry(store.byte(b).intervals()).or_insert(next)
-        })
-        .collect()
+/// Canonical ids of a store's bit timelines (exact comparison: the hash
+/// only picks buckets).
+///
+/// Bytes with byte-for-byte identical timelines share a content id, and a
+/// bit's id is its byte's content id with its bit index. A byte-granular
+/// timeline (every interval's mask `0x00` or `0xff`) puts its eight bits in
+/// the same state in every cycle, so they share the id of bit 0. Two bits
+/// with equal ids are in the same state in every cycle.
+struct TimelineIds {
+    /// Per byte: the content id of its timeline.
+    byte: Vec<u32>,
+    /// Per content id: whether the timeline is byte-granular.
+    granular: Vec<bool>,
+}
+
+impl TimelineIds {
+    fn new(store: &TimelineStore) -> Self {
+        let mut canon: FxHashMap<&[Interval], u32> = FxHashMap::default();
+        let mut granular = Vec::new();
+        let byte = (0..store.num_bytes())
+            .map(|b| {
+                let intervals = store.byte(b).intervals();
+                *canon.entry(intervals).or_insert_with(|| {
+                    granular.push(intervals.iter().all(|iv| matches!(iv.ace_mask, 0x00 | 0xff)));
+                    granular.len() as u32 - 1
+                })
+            })
+            .collect();
+        Self { byte, granular }
+    }
+
+    /// The id of `b`'s timeline, or `None` if `b` lies outside the store.
+    fn bit(&self, b: &BitRef) -> Option<u64> {
+        let content = *self.byte.get(b.byte as usize)?;
+        if b.bit >= 8 {
+            return None;
+        }
+        let bit = if self.granular[content as usize] { 0 } else { b.bit };
+        Some(u64::from(content) << 3 | u64::from(bit))
+    }
 }
 
 /// Compute MB-AVF per time window of `window` cycles (Figure 5's
@@ -529,7 +706,9 @@ fn content_ids(store: &TimelineStore) -> Vec<u32> {
 ///
 /// # Errors
 ///
-/// As [`mb_avf`], plus [`CoreError::ZeroWindow`] if `window == 0`.
+/// As [`mb_avf`], plus [`CoreError::ZeroWindow`] if `window == 0` and
+/// [`CoreError::TooManyWindows`] if the run needs more than `u32::MAX`
+/// windows.
 pub fn windowed_mb_avf<L: PhysicalLayout>(
     store: &TimelineStore,
     layout: &L,
@@ -542,7 +721,8 @@ pub fn windowed_mb_avf<L: PhysicalLayout>(
     }
     let total = store.total_cycles();
     let groups = mode.group_count(layout.rows(), layout.cols());
-    let num_windows = total.div_ceil(window) as u32;
+    let windows = total.div_ceil(window);
+    let num_windows = u32::try_from(windows).map_err(|_| CoreError::TooManyWindows { windows })?;
     let mut results: Vec<MbAvfResult> = (0..num_windows)
         .map(|w| {
             let start = Cycle::from(w) * window;
@@ -550,7 +730,7 @@ pub fn windowed_mb_avf<L: PhysicalLayout>(
             MbAvfResult::new(mode, groups, len, Some(w))
         })
         .collect();
-    sweep_groups(store, layout, mode, cfg, |class, start, end| {
+    sweep_groups(store, layout, mode, slice::from_ref(cfg), |_, class, start, end| {
         // Split [start, end) across window bins.
         let mut t = start;
         while t < end {
@@ -585,48 +765,46 @@ pub fn ace_locality<L: PhysicalLayout>(
     layout: &L,
 ) -> Result<f64, CoreError> {
     let cfg = AnalysisConfig::new(ProtectionKind::None);
-    let prepared = PreparedStore::new(store);
-    let sb = prepared.mb_avf(layout, &FaultMode::mx1(1), &cfg)?.sdc_avf();
-    let mb2 = prepared.mb_avf(layout, &FaultMode::mx1(2), &cfg)?.sdc_avf();
+    let modes = [FaultMode::mx1(1), FaultMode::mx1(2)];
+    let grid = PreparedStore::new(store).mb_avf_grid(layout, &modes, &[cfg])?;
+    let (sb, mb2) = (grid[0][0].sdc_avf(), grid[1][0].sdc_avf());
     if mb2 <= 0.0 {
         return Ok(1.0);
     }
     Ok(((2.0 * sb - mb2) / mb2).clamp(0.0, 1.0))
 }
 
-/// Enumerate groups and report every non-unACE `(class, start, end)` segment
-/// to `sink`.
+/// Enumerate groups and report every non-unACE `(config, class, start, end)`
+/// segment to `sink`, where `config` indexes `cfgs`.
 fn sweep_groups<L: PhysicalLayout>(
     store: &TimelineStore,
     layout: &L,
     mode: &FaultMode,
-    cfg: &AnalysisConfig,
-    mut sink: impl FnMut(GroupClass, Cycle, Cycle),
+    cfgs: &[AnalysisConfig],
+    mut sink: impl FnMut(usize, GroupClass, Cycle, Cycle),
 ) -> Result<(), CoreError> {
     let mut scratch = Scratch::default();
     for group in mode.groups(layout.rows(), layout.cols())? {
-        gather_group(store, layout, mode, &group, cfg, &mut scratch)?;
-        if scratch.actions.iter().all(|a| *a == Action::Correct) {
-            continue; // every region corrected: the group can never err
+        gather_group(store, layout, mode, &group, &mut scratch)?;
+        if scratch.protect(cfgs) {
+            sweep_one_group(store, cfgs, &mut scratch, &mut sink);
         }
-        sweep_one_group(store, cfg, &mut scratch, &mut sink);
     }
     Ok(())
 }
 
-/// Resolve a group's bits, partition them into overlapped regions by
-/// protection domain, and compute each region's action.
+/// Resolve a group's bits and partition them into overlapped regions by
+/// protection domain.
 fn gather_group<L: PhysicalLayout>(
     store: &TimelineStore,
     layout: &L,
     mode: &FaultMode,
     group: &FaultGroup,
-    cfg: &AnalysisConfig,
     s: &mut Scratch,
 ) -> Result<(), CoreError> {
     s.bits.clear();
     s.region_of.clear();
-    s.actions.clear();
+    s.region_bits.clear();
     for (r, c) in group.bits(mode) {
         let b = layout.bit_at(r, c);
         if b.byte as usize >= store.num_bytes() {
@@ -644,7 +822,7 @@ fn gather_group<L: PhysicalLayout>(
         if s.region_of[i] != u8::MAX {
             continue;
         }
-        let region = s.actions.len() as u8;
+        let region = s.region_bits.len() as u8;
         let mut k = 0u32;
         for j in i..s.bits.len() {
             if s.region_of[j] == u8::MAX && s.bits[j].domain == s.bits[i].domain {
@@ -652,7 +830,7 @@ fn gather_group<L: PhysicalLayout>(
                 k += 1;
             }
         }
-        s.actions.push(cfg.scheme.action(k));
+        s.region_bits.push(k);
     }
     Ok(())
 }
@@ -668,11 +846,14 @@ fn bit_state_at(intervals: &[Interval], cursor: &mut usize, bit: u8, t: Cycle) -
     }
 }
 
+/// Sweep one gathered, [protected](Scratch::protect) group through time.
+/// The segment bounds and region states do not depend on the scheme, so
+/// each segment is classified under every configuration from one pass.
 fn sweep_one_group(
     store: &TimelineStore,
-    cfg: &AnalysisConfig,
+    cfgs: &[AnalysisConfig],
     s: &mut Scratch,
-    sink: &mut impl FnMut(GroupClass, Cycle, Cycle),
+    sink: &mut impl FnMut(usize, GroupClass, Cycle, Cycle),
 ) {
     s.bounds.clear();
     for (i, b) in s.bits.iter().enumerate() {
@@ -692,8 +873,9 @@ fn sweep_one_group(
     }
     s.cursors.clear();
     s.cursors.resize(s.bits.len(), 0);
+    let regions = s.region_bits.len();
     s.region_state.clear();
-    s.region_state.resize(s.actions.len(), BitState::UnAce);
+    s.region_state.resize(regions, BitState::UnAce);
     for w in s.bounds.windows(2) {
         let (t0, t1) = (w[0], w[1]);
         s.region_state.fill(BitState::UnAce);
@@ -705,9 +887,18 @@ fn sweep_one_group(
                 s.region_state[r] = st;
             }
         }
-        let class = classify(cfg, &s.actions, &s.region_state);
-        if class != GroupClass::UnAce {
-            sink(class, t0, t1);
+        if s.region_state.iter().all(|st| *st == BitState::UnAce) {
+            continue; // unACE under every scheme
+        }
+        for (c, cfg) in cfgs.iter().enumerate() {
+            if !s.live[c] {
+                continue; // every region corrected
+            }
+            let actions = &s.actions[c * regions..(c + 1) * regions];
+            let class = classify(cfg, actions, &s.region_state);
+            if class != GroupClass::UnAce {
+                sink(c, class, t0, t1);
+            }
         }
     }
 }
@@ -929,6 +1120,42 @@ mod tests {
         assert_eq!(
             windowed_mb_avf(&store, &layout, &FaultMode::mx1(1), &cfg, 0),
             Err(CoreError::ZeroWindow)
+        );
+    }
+
+    #[test]
+    fn bit_timeline_ids_follow_bit_states() {
+        let mut store = TimelineStore::new(4, 100);
+        // Byte-granular: all eight bits share one timeline.
+        let ace = Interval { start: 0, end: 10, ace_mask: 0xff, checked: true };
+        store.byte_mut(0).push(ace).unwrap();
+        store.byte_mut(1).push(ace).unwrap();
+        // Logic-masked: bits 1..8 FalseDetect, bit 0 ACE.
+        store.byte_mut(2).push(Interval { ace_mask: 0x01, ..ace }).unwrap();
+        let ids = TimelineIds::new(&store);
+        let id = |byte, bit| ids.bit(&BitRef { domain: 0, byte, bit }).unwrap();
+        assert!((1..8).all(|bit| id(0, bit) == id(0, 0)));
+        assert_eq!(id(1, 5), id(0, 0));
+        assert_ne!(id(2, 0), id(2, 1));
+        assert_ne!(id(2, 1), id(2, 2));
+        assert_ne!(id(3, 0), id(0, 0));
+        assert_eq!(ids.bit(&BitRef { domain: 0, byte: 4, bit: 0 }), None);
+        assert_eq!(ids.bit(&BitRef { domain: 0, byte: 0, bit: 8 }), None);
+    }
+
+    #[test]
+    fn window_count_past_u32_is_rejected() {
+        let total = (1u64 << 32) + 10;
+        let mut store = store_1byte(total);
+        store
+            .byte_mut(0)
+            .push(Interval { start: 100, end: 101, ace_mask: 0x01, checked: false })
+            .unwrap();
+        let layout = LinearLayout::new(1, 8, 8);
+        let cfg = AnalysisConfig::new(ProtectionKind::None);
+        assert_eq!(
+            windowed_mb_avf(&store, &layout, &FaultMode::mx1(1), &cfg, 1),
+            Err(CoreError::TooManyWindows { windows: total })
         );
     }
 

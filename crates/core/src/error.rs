@@ -54,6 +54,12 @@ pub enum CoreError {
     },
     /// A windowed analysis was requested with a zero-length window.
     ZeroWindow,
+    /// A windowed analysis would need more windows than a result can index
+    /// (`u32::MAX`).
+    TooManyWindows {
+        /// Number of windows the run length and window length imply.
+        windows: u64,
+    },
     /// A structure was declared with zero bytes or zero cycles.
     EmptyStructure,
 }
@@ -88,6 +94,11 @@ impl fmt::Display for CoreError {
                 "fault mode bounding box {mode_rows}x{mode_cols} does not fit layout {layout_rows}x{layout_cols}"
             ),
             CoreError::ZeroWindow => write!(f, "analysis window length must be nonzero"),
+            CoreError::TooManyWindows { windows } => write!(
+                f,
+                "windowed analysis needs {windows} windows, more than the {} a result can index",
+                u32::MAX
+            ),
             CoreError::EmptyStructure => {
                 write!(f, "structure must have at least one byte and one cycle")
             }
@@ -638,6 +649,7 @@ mod tests {
                 layout_rows: 1,
             },
             CoreError::ZeroWindow,
+            CoreError::TooManyWindows { windows: 1 << 32 },
             CoreError::EmptyStructure,
         ];
         for v in variants {

@@ -6,7 +6,7 @@
 //! [`SplitMix64`] streams. Every case's stream index is part of the panic
 //! message, so a failure reproduces with `SplitMix64::stream(SEED, index)`.
 
-use mbavf_core::analysis::{mb_avf, windowed_mb_avf, AnalysisConfig};
+use mbavf_core::analysis::{mb_avf, windowed_mb_avf, AnalysisConfig, PreparedStore};
 use mbavf_core::ecc::{Crc32, Crc8, DecTed, Decoded, Gf64, Parity, SecDed};
 use mbavf_core::geometry::FaultMode;
 use mbavf_core::layout::{
@@ -378,6 +378,112 @@ fn memoized_mb_avf_matches_direct_sweep() {
             let layout = VgprLayout::new(geom, il).unwrap();
             let store = replicated_store(rng, geom.instances() as usize, 4, 4);
             assert_memo_matches_direct(&store, &layout, &il.label());
+        }
+    });
+}
+
+/// The fault modes every grid case asks for: `1x1`–`8x1`, a square, and a
+/// sparse pattern.
+fn grid_modes() -> Vec<FaultMode> {
+    let sparse = FaultMode::from_offsets("sparse", [(0, 0), (1, 2), (0, 3)]).unwrap();
+    (1..=8).map(FaultMode::mx1).chain([FaultMode::rect(2, 2), sparse]).collect()
+}
+
+/// Every (scheme, SDC precedence) configuration.
+fn grid_configs() -> Vec<AnalysisConfig> {
+    let schemes = [
+        ProtectionKind::None,
+        ProtectionKind::Parity,
+        ProtectionKind::SecDed,
+        ProtectionKind::DecTed,
+        ProtectionKind::Crc { burst_detect: 3 },
+    ];
+    schemes
+        .into_iter()
+        .flat_map(|scheme| {
+            [false, true]
+                .map(|lock_step| AnalysisConfig::new(scheme).with_due_preempts_sdc(lock_step))
+        })
+        .collect()
+}
+
+/// Check one grid call against per-pair `mb_avf` calls: every result (mode
+/// name, groups, cycles and counters), or the error of the first failing
+/// pair in mode order.
+fn assert_grid_matches_per_call<L: PhysicalLayout>(
+    store: &TimelineStore,
+    layout: &L,
+    modes: &[FaultMode],
+    what: &str,
+) {
+    let cfgs = grid_configs();
+    let per_call: Result<Vec<Vec<_>>, _> = modes
+        .iter()
+        .map(|mode| cfgs.iter().map(|cfg| mb_avf(store, layout, mode, cfg)).collect())
+        .collect();
+    let grid = PreparedStore::new(store).mb_avf_grid(layout, modes, &cfgs);
+    assert_eq!(grid, per_call, "{what}");
+}
+
+/// One `mb_avf_grid` call over every mode and configuration equals the
+/// per-pair `mb_avf` calls, on the replicated stores and layout families of
+/// `memoized_mb_avf_matches_direct_sweep`, for modes on both sides of the
+/// memo cutoff, and fails with the per-call error when a mode does not fit
+/// or the layout reaches past the store.
+#[test]
+fn mb_avf_grid_matches_per_call() {
+    for_cases(2, |rng| {
+        let bits_per_domain = [3, 5, 6, 7][rng.below(4) as usize];
+        for layout in [LinearLayout::new(4, 12, 4), LinearLayout::new(4, 8, bits_per_domain)] {
+            let bytes = (layout.num_bits() as usize).div_ceil(8);
+            let store = replicated_store(rng, bytes, 1, bytes);
+            let what = format!("{layout:?}");
+            assert_grid_matches_per_call(&store, &layout, &grid_modes(), &what);
+            // A mode too wide for the layout fails the grid.
+            let mut modes = grid_modes();
+            modes.insert(3, FaultMode::mx1(layout.cols() + 1));
+            let err = PreparedStore::new(&store).mb_avf_grid(&layout, &modes, &grid_configs());
+            assert!(err.is_err(), "{what}: a mode wider than the layout must fail");
+            assert_grid_matches_per_call(&store, &layout, &modes, &what);
+            // So does a layout reaching past the store: its last rows hold
+            // bits of missing bytes.
+            let short = TimelineStore::new(bytes - 1, MEMO_CYCLES);
+            let err =
+                PreparedStore::new(&short).mb_avf_grid(&layout, &grid_modes(), &grid_configs());
+            assert!(err.is_err(), "{what}: a layout past the store must fail");
+            assert_grid_matches_per_call(&short, &layout, &grid_modes(), &format!("short {what}"));
+        }
+
+        // Wide rows: modes past the 16-bit memo cutoff take the direct sweep.
+        let layout = LinearLayout::new(4, 24, bits_per_domain);
+        let bytes = (layout.num_bits() as usize).div_ceil(8);
+        let store = replicated_store(rng, bytes, 1, bytes);
+        let modes: Vec<FaultMode> = grid_modes().into_iter().chain([FaultMode::mx1(20)]).collect();
+        assert_grid_matches_per_call(&store, &layout, &modes, &format!("{layout:?}"));
+
+        let geom = CacheGeometry { sets: 4, ways: 4, line_bytes: 2 };
+        for f in [2, 4] {
+            for il in [
+                CacheInterleave::Logical(f),
+                CacheInterleave::WayPhysical(f),
+                CacheInterleave::IndexPhysical(f),
+            ] {
+                let layout = CacheLayout::new(geom, il).unwrap();
+                let store = replicated_store(rng, geom.lines() as usize, 2, 1);
+                assert_grid_matches_per_call(&store, &layout, &grid_modes(), &il.label());
+            }
+        }
+
+        let geom = VgprGeometry { threads: 4, regs: 4 };
+        for il in [
+            VgprInterleave::IntraThread(2),
+            VgprInterleave::IntraThread(4),
+            VgprInterleave::InterThread(2),
+            VgprInterleave::InterThread(4),
+        ] {
+            let layout = VgprLayout::new(geom, il).unwrap();
+            let store = replicated_store(rng, geom.instances() as usize, 4, 4);
+            assert_grid_matches_per_call(&store, &layout, &grid_modes(), &il.label());
         }
     });
 }
