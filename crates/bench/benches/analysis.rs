@@ -8,7 +8,7 @@
 //! shape compares one `mb_avf` call per mode and scheme with one grid.
 
 use mbavf_bench::microbench::{group, run};
-use mbavf_core::analysis::{mb_avf, windowed_mb_avf, AnalysisConfig, PreparedStore};
+use mbavf_core::analysis::{mb_avf, mb_avf_grid, windowed_mb_avf, AnalysisConfig};
 use mbavf_core::geometry::FaultMode;
 use mbavf_core::layout::{
     CacheGeometry, CacheInterleave, CacheLayout, VgprGeometry, VgprInterleave, VgprLayout,
@@ -116,7 +116,6 @@ fn main() {
     }
 
     group("Figure 11 shape: Table III modes x {parity, SEC-DED} (lane-replicated VGPR)");
-    let prepared = PreparedStore::new(&vgpr);
     for il in [VgprInterleave::IntraThread(2), VgprInterleave::InterThread(4)] {
         let layout = VgprLayout::new(vgeom, il).unwrap();
         let lock_step = matches!(il, VgprInterleave::InterThread(_));
@@ -124,12 +123,12 @@ fn main() {
             .map(|s| AnalysisConfig::new(s).with_due_preempts_sdc(lock_step));
         run(&format!("fig11_{}_per_call", il.label()), || {
             let per_mode = modes.iter().map(|m| {
-                cfgs.iter().map(|c| prepared.mb_avf(&layout, m, c).unwrap()).collect::<Vec<_>>()
+                cfgs.iter().map(|c| mb_avf(&vgpr, &layout, m, c).unwrap()).collect::<Vec<_>>()
             });
             per_mode.collect::<Vec<_>>()
         });
         run(&format!("fig11_{}_grid", il.label()), || {
-            prepared.mb_avf_grid(&layout, &modes, &cfgs).unwrap()
+            mb_avf_grid(&vgpr, &layout, &modes, &cfgs).unwrap()
         });
     }
 }

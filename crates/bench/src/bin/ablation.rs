@@ -10,7 +10,7 @@
 
 use mbavf_bench::report::{f3, pct, Table};
 use mbavf_bench::{run_workload, scale_from_env};
-use mbavf_core::analysis::{ace_locality, AnalysisConfig, PreparedStore};
+use mbavf_core::analysis::{ace_locality, mb_avf_grid, AnalysisConfig};
 use mbavf_core::geometry::FaultMode;
 use mbavf_core::layout::{CacheGeometry, CacheInterleave, CacheLayout, VgprInterleave, VgprLayout};
 use mbavf_core::markov::MarkovModel;
@@ -39,13 +39,12 @@ fn main() {
     let cfgs = schemes.map(AnalysisConfig::new);
     let factors = [1u32, 2, 4];
     // One grid per layout, `[mode][scheme]`.
-    let l1 = PreparedStore::new(&d.l1);
     let grids: Vec<_> = factors
         .into_iter()
         .map(|factor| {
             let layout = CacheLayout::new(geom, CacheInterleave::WayPhysical(factor))
                 .expect("4-way L1 accepts x1/x2/x4");
-            l1.mb_avf_grid(&layout, &modes, &cfgs).expect("modes fit")
+            mb_avf_grid(&d.l1, &layout, &modes, &cfgs).expect("modes fit")
         })
         .collect();
     let mut t = Table::new(&["scheme", "interleave", "SDC FIT", "DUE FIT"]);
@@ -97,7 +96,7 @@ fn main() {
     let modes = [3u32, 4, 5, 7].map(FaultMode::mx1);
     let cfgs = [false, true]
         .map(|on| AnalysisConfig::new(ProtectionKind::Parity).with_due_preempts_sdc(on));
-    let grid = PreparedStore::new(&d.vgpr).mb_avf_grid(&layout, &modes, &cfgs).expect("fits");
+    let grid = mb_avf_grid(&d.vgpr, &layout, &modes, &cfgs).expect("fits");
     for (mode, row) in modes.iter().zip(&grid) {
         let (off, on) = (&row[0], &row[1]);
         t.row(vec![mode.to_string(), pct(off.sdc_avf()), pct(on.sdc_avf()), pct(on.due_avf())]);

@@ -215,6 +215,12 @@ fn parse_u64(v: &str) -> Result<u64, String> {
     parsed.map_err(|_| format!("not an unsigned integer: {v}"))
 }
 
+/// [`parse_u64`] for a `u32` setting: a value past `u32::MAX` is an error
+/// naming `flag`, never a silent truncation.
+fn parse_u32(flag: &str, v: &str) -> Result<u32, String> {
+    u32::try_from(parse_u64(v)?).map_err(|_| format!("{flag} {v} exceeds {}", u32::MAX))
+}
+
 /// Wall-clock budget spelling: `500ms`, `30s`, `15m`, `2h`, or a bare
 /// number of seconds.
 fn parse_duration(v: &str) -> Result<Duration, String> {
@@ -355,7 +361,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     n => n,
                 }
             }
-            "--max-retries" => args.sup.max_retries = parse_u64(value()?)? as u32,
+            "--max-retries" => args.sup.max_retries = parse_u32(flag, value()?)?,
             "--backoff-ms" => {
                 let base = Duration::from_millis(parse_u64(value()?)?);
                 args.sup.backoff_base = base;
@@ -395,7 +401,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 audit_rate = Some(r);
             }
             "--max-audit-failures" => {
-                max_audit_failures = Some(parse_u64(value()?)? as u32);
+                max_audit_failures = Some(parse_u32(flag, value()?)?);
             }
             "--batch" => args.batch = parse_u64(value()?)? as usize,
             "--max-injections" => args.max_injections = parse_u64(value()?)? as usize,
@@ -993,6 +999,28 @@ mod tests {
                 "--audit {bad} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn u32_flags_reject_values_past_u32_max() {
+        let process = ["--workload", "dct", "--isolation", "process"];
+        let args =
+            parse_args(&argv(&[&process[..], &["--max-retries", "4294967295"]].concat())).unwrap();
+        assert_eq!(args.sup.max_retries, u32::MAX);
+        let Err(err) =
+            parse_args(&argv(&[&process[..], &["--max-retries", "4294967296"]].concat()))
+        else {
+            panic!("--max-retries past u32::MAX must be rejected, not truncated to 0");
+        };
+        assert!(err.contains("--max-retries"), "{err}");
+
+        let audit = [&process[..], &["--audit", "1.0", "--max-audit-failures"]].concat();
+        let args = parse_args(&argv(&[&audit[..], &["4294967295"]].concat())).unwrap();
+        assert_eq!(args.sup.audit, Some(AuditPolicy::new(1.0, u32::MAX)));
+        let Err(err) = parse_args(&argv(&[&audit[..], &["0x100000000"]].concat())) else {
+            panic!("--max-audit-failures past u32::MAX must be rejected, not truncated to 0");
+        };
+        assert!(err.contains("--max-audit-failures"), "{err}");
     }
 
     #[test]

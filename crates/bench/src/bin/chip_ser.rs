@@ -10,7 +10,7 @@
 
 use mbavf_bench::report::{pct, Table};
 use mbavf_bench::{run_workload, scale_from_env};
-use mbavf_core::analysis::{AnalysisConfig, PreparedStore};
+use mbavf_core::analysis::{mb_avf_grid, AnalysisConfig};
 use mbavf_core::geometry::FaultMode;
 use mbavf_core::layout::{
     CacheInterleave, CacheLayout, PhysicalLayout, VgprInterleave, VgprLayout,
@@ -38,7 +38,7 @@ fn compose(
 ) -> StructureSer {
     let rates = paper_table3();
     let modes: Vec<FaultMode> = rates.iter().map(|r| FaultMode::mx1(r.mode_bits)).collect();
-    let grid = PreparedStore::new(store).mb_avf_grid(layout, &modes, &[cfg]).expect("fits");
+    let grid = mb_avf_grid(store, layout, &modes, &[cfg]).expect("fits");
     // Table III rates are per a notional 100-FIT array; scale by bit count
     // so structures of different sizes weigh correctly.
     let scale = bits as f64 / (16.0 * 1024.0 * 8.0); // normalize to one L1

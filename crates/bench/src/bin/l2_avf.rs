@@ -4,7 +4,7 @@
 
 use mbavf_bench::report::{f3, ratio, Table};
 use mbavf_bench::scale_from_env;
-use mbavf_core::analysis::{AnalysisConfig, PreparedStore};
+use mbavf_core::analysis::{mb_avf, mb_avf_grid, AnalysisConfig};
 use mbavf_core::avf::{normalized, raw_avf};
 use mbavf_core::geometry::FaultMode;
 use mbavf_core::layout::{CacheInterleave, CacheLayout};
@@ -19,10 +19,9 @@ fn main() {
             .expect("8-way L2 accepts x2");
         let flat = CacheLayout::new(d.l2_geom, CacheInterleave::Logical(1)).expect("valid");
         let cfg = AnalysisConfig::new(ProtectionKind::Parity);
-        let l2 = PreparedStore::new(&d.l2);
-        let sb = l2.mb_avf(&flat, &FaultMode::mx1(1), &cfg).expect("fits").due_avf();
+        let sb = mb_avf(&d.l2, &flat, &FaultMode::mx1(1), &cfg).expect("fits").due_avf();
         let modes = [FaultMode::mx1(2), FaultMode::mx1(4)];
-        let grid = l2.mb_avf_grid(&layout, &modes, &[cfg]).expect("fits");
+        let grid = mb_avf_grid(&d.l2, &layout, &modes, &[cfg]).expect("fits");
         let (mb2, mb4) = (grid[0][0].due_avf(), grid[1][0].due_avf());
         t.row(vec![
             d.name.into(),

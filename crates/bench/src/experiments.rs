@@ -1,7 +1,7 @@
 //! Per-exhibit computations over [`WorkloadData`].
 
 use crate::pipeline::WorkloadData;
-use mbavf_core::analysis::{mb_avf, windowed_mb_avf, AnalysisConfig, MbAvfResult, PreparedStore};
+use mbavf_core::analysis::{mb_avf, mb_avf_grid, windowed_mb_avf, AnalysisConfig, MbAvfResult};
 use mbavf_core::avf::{normalized, raw_avf};
 use mbavf_core::geometry::FaultMode;
 use mbavf_core::layout::{CacheInterleave, CacheLayout, VgprInterleave, VgprLayout};
@@ -49,9 +49,7 @@ fn l1_grid(
 ) -> Vec<Vec<MbAvfResult>> {
     let modes: Vec<FaultMode> = ms.iter().map(|&m| FaultMode::mx1(m)).collect();
     let cfgs: Vec<AnalysisConfig> = schemes.iter().map(|&s| AnalysisConfig::new(s)).collect();
-    PreparedStore::new(&d.l1)
-        .mb_avf_grid(&l1_layout(d, il), &modes, &cfgs)
-        .expect("modes fit the L1")
+    mb_avf_grid(&d.l1, &l1_layout(d, il), &modes, &cfgs).expect("modes fit the L1")
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +308,6 @@ pub fn fig11(d: &WorkloadData) -> Vec<Fig11Row> {
     let modes: Vec<FaultMode> = rates.iter().map(|r| FaultMode::mx1(r.mode_bits)).collect();
     // Every design below analyses the same store, and the designs of one
     // interleaving share a layout: one grid each, `[mode][scheme]`.
-    let vgpr = PreparedStore::new(&d.vgpr);
     let grids: Vec<Vec<Vec<MbAvfResult>>> = FIG11_INTERLEAVES
         .into_iter()
         .map(|il| {
@@ -320,7 +317,7 @@ pub fn fig11(d: &WorkloadData) -> Vec<Fig11Row> {
             let lock_step = matches!(il, VgprInterleave::InterThread(_));
             let cfgs =
                 FIG11_SCHEMES.map(|s| AnalysisConfig::new(s).with_due_preempts_sdc(lock_step));
-            vgpr.mb_avf_grid(&layout, &modes, &cfgs).expect("modes fit the VGPR row")
+            mb_avf_grid(&d.vgpr, &layout, &modes, &cfgs).expect("modes fit the VGPR row")
         })
         .collect();
     let mut rows = Vec::new();
@@ -520,7 +517,6 @@ mod tests {
         pub fn fig11(d: &WorkloadData) -> Vec<Fig11Row> {
             let rates = paper_table3();
             let sb_ace = raw_avf(&d.vgpr);
-            let vgpr = PreparedStore::new(&d.vgpr);
             fig11_designs()
                 .into_iter()
                 .map(|(scheme, il)| {
@@ -531,8 +527,7 @@ mod tests {
                     let mut due_pairs = Vec::new();
                     let mut approx_pairs = Vec::new();
                     for rate in &rates {
-                        let res = vgpr
-                            .mb_avf(&layout, &FaultMode::mx1(rate.mode_bits), &cfg)
+                        let res = mb_avf(&d.vgpr, &layout, &FaultMode::mx1(rate.mode_bits), &cfg)
                             .expect("mode fits the VGPR row");
                         sdc_pairs.push((rate.clone(), res.sdc_avf()));
                         due_pairs.push((rate.clone(), res.due_avf()));

@@ -23,18 +23,25 @@
 //!    mode `m`x1, the ACE-model SDC AVF (from the timed run's VGPR
 //!    timelines, restricted to the architectural registers injection can
 //!    hit) is compared against the injection-measured visible-error rate
-//!    with a Wilson interval. The two measures weight time differently
-//!    (model: cycles; injection: dynamic instructions), so agreement is
-//!    expected within a multiplicative tolerance band, not exactly: the
-//!    verdict is [`Verdict::Agree`] when the interval intersects the band,
-//!    [`Verdict::ConfirmedDivergence`] when a well-resolved interval lies
-//!    entirely outside it, and [`Verdict::Inconclusive`] when the trial
-//!    budget is too small to call.
+//!    with a Wilson interval. The model is the MB-AVF engine itself
+//!    ([`mbavf_core::analysis::mb_avf`]) on the injectable-register
+//!    layout, with the clipped top window weighted `m` as the campaign's
+//!    bit draws weight it ([`mode_model_sdc`]), so the gate checks the
+//!    engine that draws the figures. The two measures weight time
+//!    differently (model: cycles; injection: dynamic instructions), so
+//!    agreement is expected within a multiplicative tolerance band, not
+//!    exactly: the verdict is [`Verdict::Agree`] when the interval
+//!    intersects the band, [`Verdict::ConfirmedDivergence`] when a
+//!    well-resolved interval lies entirely outside it, and
+//!    [`Verdict::Inconclusive`] when the trial budget is too small to call.
 
 use crate::pipeline::{try_run_workload, WorkloadData};
+use mbavf_core::analysis::{mb_avf, AnalysisConfig};
 use mbavf_core::error::PipelineError;
+use mbavf_core::geometry::FaultMode;
+use mbavf_core::layout::{BitRef, PhysicalLayout, VgprGeometry, VgprInterleave, VgprLayout};
+use mbavf_core::protection::ProtectionKind;
 use mbavf_core::stats::{two_proportion_test, wilson, AgreementTest, RateEstimate};
-use mbavf_core::timeline::{ByteTimeline, Cycle};
 use mbavf_inject::{
     run_campaign, CampaignConfig, FaultSite, Outcome, RunnerConfig, SingleBitRecord,
     DEFAULT_BUNDLE_CAP,
@@ -156,7 +163,7 @@ pub struct ModeRow {
 }
 
 /// The exact checked-rate differential for one workload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckedRate {
     /// Analytic read-before-overwrite probability over the whole fault
     /// space (from the golden-run profile).
@@ -373,62 +380,51 @@ impl ValidationReport {
 /// `[0, 32)` (so the top `m` draws clip to the same window, same as
 /// [`FaultSite::injection`](mbavf_inject::FaultSite)), and the fault is
 /// modeled as SDC when *any* flipped bit is ACE at the fault cycle.
+///
+/// The model is the MB-AVF engine itself: the unprotected `m`x1 SDC
+/// group-cycles of the injectable registers laid out one register per row
+/// (`rx1`), plus `m - 1` more copies of the clipped top window's, over
+/// `cycles · registers · 32` draws.
 pub fn mode_model_sdc(d: &WorkloadData, num_vregs: u32, mode_bits: u8) -> f64 {
-    let geom = d.vgpr_geom;
+    // `byte_index` is register-major, so this layout covers exactly the
+    // store's `reg < num_vregs` prefix.
+    let geom = VgprGeometry { regs: num_vregs.min(d.vgpr_geom.regs), ..d.vgpr_geom };
+    let layout = VgprLayout::new(geom, VgprInterleave::IntraThread(1)).expect("rx1 fits any file");
     let total = d.vgpr.total_cycles();
-    let regs = num_vregs.min(geom.regs);
-    if total == 0 || regs == 0 {
+    if total == 0 || layout.rows() == 0 {
         return 0.0;
     }
     let m = u32::from(mode_bits.min(32)).max(1);
-    let mut acc = 0.0f64;
-    for thread in 0..geom.threads {
-        for reg in 0..regs {
-            // Per-bit ACE interval lists for the register's 32 bits.
-            let mut per_bit: Vec<Vec<(Cycle, Cycle)>> = vec![Vec::new(); 32];
-            for byte in 0..4u32 {
-                let tl: &ByteTimeline = d.vgpr.byte(geom.byte_index(thread, reg, byte) as usize);
-                for iv in tl.intervals() {
-                    for bit in 0..8u32 {
-                        if iv.ace_mask & (1 << bit) != 0 {
-                            per_bit[(byte * 8 + bit) as usize].push((iv.start, iv.end));
-                        }
-                    }
-                }
-            }
-            // Weighted windows: draws `bit <= 32 - m` map to themselves,
-            // the top `m - 1` draws clip onto `32 - m`.
-            for lo in 0..=(32 - m) {
-                let weight = if lo == 32 - m { m } else { 1 };
-                let len = union_len(&per_bit[lo as usize..(lo + m) as usize]);
-                acc += f64::from(weight) * (len as f64 / total as f64);
-            }
-        }
-    }
-    acc / (f64::from(geom.threads) * f64::from(regs) * 32.0)
+    let mode = FaultMode::mx1(m);
+    let cfg = AnalysisConfig::new(ProtectionKind::None);
+    let in_store = "the injectable registers lie in the VGPR store";
+    let all = mb_avf(&d.vgpr, &layout, &mode, &cfg).expect(in_store).sdc_group_cycles();
+    let top = TopColumns { inner: layout, m };
+    let top = mb_avf(&d.vgpr, &top, &mode, &cfg).expect(in_store).sdc_group_cycles();
+    let draws = u128::from(total) * u128::from(layout.rows()) * u128::from(VgprGeometry::REG_BITS);
+    (all + u128::from(m - 1) * top) as f64 / draws as f64
 }
 
-/// Total length of the union of several sorted interval lists.
-fn union_len(lists: &[Vec<(Cycle, Cycle)>]) -> Cycle {
-    let mut all: Vec<(Cycle, Cycle)> = lists.iter().flatten().copied().collect();
-    all.sort_unstable();
-    let mut len = 0;
-    let mut cur: Option<(Cycle, Cycle)> = None;
-    for (s, e) in all {
-        match &mut cur {
-            Some((_, ce)) if s <= *ce => *ce = (*ce).max(e),
-            _ => {
-                if let Some((cs, ce)) = cur {
-                    len += ce - cs;
-                }
-                cur = Some((s, e));
-            }
-        }
+/// The top `m` columns of every row of an `rx1` register layout: the window
+/// `32 - m ..= 31` of each register, where the campaign clips its top
+/// `m - 1` bit draws.
+struct TopColumns {
+    inner: VgprLayout,
+    m: u32,
+}
+
+impl PhysicalLayout for TopColumns {
+    fn rows(&self) -> u32 {
+        self.inner.rows()
     }
-    if let Some((cs, ce)) = cur {
-        len += ce - cs;
+
+    fn cols(&self) -> u32 {
+        self.m
     }
-    len
+
+    fn bit_at(&self, row: u32, col: u32) -> BitRef {
+        self.inner.bit_at(row, self.inner.cols() - self.m + col)
+    }
 }
 
 /// The checked-rate gate's per-site oracle: the golden run's register-use
@@ -585,10 +581,17 @@ pub fn validate_workload(
 
     let mut oracle = SiteOracle::new(w, cfg.scale);
 
+    // The checked-rate gate needs a 1x1 campaign; run one after the
+    // requested modes if they do not include it (the read flag is
+    // mode-independent, but 1x1 is the canonical space).
+    let mut runs = cfg.modes.clone();
+    if !runs.iter().any(|&m| m <= 1) {
+        runs.push(1);
+    }
     let mut checked = None;
     let mut modes = Vec::with_capacity(cfg.modes.len());
     let mut bundles: Vec<PathBuf> = Vec::new();
-    for &m in &cfg.modes {
+    for (i, &m) in runs.iter().enumerate() {
         let campaign = CampaignConfig {
             seed: cfg.seed,
             injections: cfg.injections,
@@ -598,7 +601,6 @@ pub fn validate_workload(
         };
         let report = run_campaign(w, &campaign, &RunnerConfig::default())
             .map_err(|source| PipelineError::Inject { workload: w.name.to_string(), source })?;
-        let stats = report.summary.stats(cfg.confidence);
         if m <= 1 {
             let (c, mismatched) = checked_rate(&mut oracle, &report.summary, cfg.confidence);
             if let Some(dir) = cfg.repro_dir.as_deref() {
@@ -614,6 +616,10 @@ pub fn validate_workload(
             }
             checked = Some(c);
         }
+        if i >= cfg.modes.len() {
+            continue; // the added 1x1 campaign: no mode row
+        }
+        let stats = report.summary.stats(cfg.confidence);
         let model_sdc = mode_model_sdc(&data, u32::from(oracle.prof.num_vregs), m);
         let verdict =
             band_verdict(model_sdc, &stats.error, cfg.tolerance, cfg.min_trials_to_confirm);
@@ -632,36 +638,7 @@ pub fn validate_workload(
             verdict,
         });
     }
-    // The checked-rate gate needs a 1x1 campaign; run one if the mode list
-    // did not include it (the read flag is mode-independent, but 1x1 is the
-    // canonical space).
-    let checked = match checked {
-        Some(c) => c,
-        None => {
-            let campaign = CampaignConfig {
-                seed: cfg.seed,
-                injections: cfg.injections,
-                scale: cfg.scale,
-                mode_bits: 1,
-                ..CampaignConfig::default()
-            };
-            let report = run_campaign(w, &campaign, &RunnerConfig::default())
-                .map_err(|source| PipelineError::Inject { workload: w.name.to_string(), source })?;
-            let (c, mismatched) = checked_rate(&mut oracle, &report.summary, cfg.confidence);
-            if let Some(dir) = cfg.repro_dir.as_deref() {
-                if c.site_mismatches > 0 {
-                    bundles.extend(emit_bundles(
-                        dir,
-                        w,
-                        &campaign,
-                        &report.summary.records,
-                        &|r| mismatched.binary_search(&r.trial).is_ok(),
-                    ));
-                }
-            }
-            c
-        }
-    };
+    let checked = checked.expect("the runs hold a 1x1 campaign");
     // The writer dedups per (kind, trial) across calls, so the same path
     // can come back from several mode campaigns; report each file once.
     bundles.sort();
@@ -691,6 +668,8 @@ pub fn validate_suite(workloads: &[Workload], cfg: &ValidateConfig) -> Validatio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbavf_core::layout::CacheGeometry;
+    use mbavf_core::timeline::{Cycle, Interval, TimelineStore};
     use mbavf_workloads::{by_name, nondet_drill};
 
     fn quick_cfg() -> ValidateConfig {
@@ -716,6 +695,129 @@ mod tests {
         // Band edges are inclusive-ish: touching counts as agreement.
         let r = wilson(20, 100, 0.95);
         assert_eq!(band_verdict(r.hi * 5.0, &r, 5.0, 50), Verdict::Agree);
+    }
+
+    /// The gate's model before it ran on the MB-AVF engine: a per-bit
+    /// union of ACE intervals over every clipped window. Kept as the
+    /// reference `mode_model_sdc` must match.
+    fn reference_model_sdc(d: &WorkloadData, num_vregs: u32, mode_bits: u8) -> f64 {
+        let geom = d.vgpr_geom;
+        let total = d.vgpr.total_cycles();
+        let regs = num_vregs.min(geom.regs);
+        if total == 0 || regs == 0 {
+            return 0.0;
+        }
+        let m = u32::from(mode_bits.min(32)).max(1);
+        let mut acc = 0.0f64;
+        for thread in 0..geom.threads {
+            for reg in 0..regs {
+                // Per-bit ACE interval lists for the register's 32 bits.
+                let mut per_bit: Vec<Vec<(Cycle, Cycle)>> = vec![Vec::new(); 32];
+                for byte in 0..4u32 {
+                    let tl = d.vgpr.byte(geom.byte_index(thread, reg, byte) as usize);
+                    for iv in tl.intervals() {
+                        for bit in 0..8u32 {
+                            if iv.ace_mask & (1 << bit) != 0 {
+                                per_bit[(byte * 8 + bit) as usize].push((iv.start, iv.end));
+                            }
+                        }
+                    }
+                }
+                // Weighted windows: draws `bit <= 32 - m` map to themselves,
+                // the top `m - 1` draws clip onto `32 - m`.
+                for lo in 0..=(32 - m) {
+                    let weight = if lo == 32 - m { m } else { 1 };
+                    let len = union_len(&per_bit[lo as usize..(lo + m) as usize]);
+                    acc += f64::from(weight) * (len as f64 / total as f64);
+                }
+            }
+        }
+        acc / (f64::from(geom.threads) * f64::from(regs) * 32.0)
+    }
+
+    /// Total length of the union of several sorted interval lists.
+    fn union_len(lists: &[Vec<(Cycle, Cycle)>]) -> Cycle {
+        let mut all: Vec<(Cycle, Cycle)> = lists.iter().flatten().copied().collect();
+        all.sort_unstable();
+        let mut len = 0;
+        let mut cur: Option<(Cycle, Cycle)> = None;
+        for (s, e) in all {
+            match &mut cur {
+                Some((_, ce)) if s <= *ce => *ce = (*ce).max(e),
+                _ => {
+                    if let Some((cs, ce)) = cur {
+                        len += ce - cs;
+                    }
+                    cur = Some((s, e));
+                }
+            }
+        }
+        if let Some((cs, ce)) = cur {
+            len += ce - cs;
+        }
+        len
+    }
+
+    fn num_vregs(w: &Workload) -> u32 {
+        u32::from(w.build(Scale::Test).program.num_vregs())
+    }
+
+    #[test]
+    fn engine_model_matches_the_interval_union_reference() {
+        for name in ["dct", "fast_walsh", "minife", "pathfinder"] {
+            let w = by_name(name).expect("registered");
+            let d = try_run_workload(&w, Scale::Test).unwrap_or_else(|e| panic!("{e}"));
+            let nv = num_vregs(&w);
+            for m in [1u8, 2, 4, 32] {
+                let engine = mode_model_sdc(&d, nv, m);
+                let reference = reference_model_sdc(&d, nv, m);
+                assert!(reference > 0.0, "{name} {m}x1: reference model is zero");
+                let rel = (engine - reference).abs() / reference;
+                assert!(rel <= 1e-12, "{name} {m}x1: engine {engine} vs reference {reference}");
+            }
+        }
+    }
+
+    #[test]
+    fn clipped_top_window_counts_m_times() {
+        // Two threads of three registers; only bit 31 of thread 1's
+        // register 1 is ACE, for `len` cycles. Of the 4x1 windows only the
+        // top one (bits 28..32) covers it, and four draws clip onto it.
+        let geom = VgprGeometry { threads: 2, regs: 3 };
+        let (total, len) = (100u64, 40u64);
+        let mut vgpr = TimelineStore::new((geom.instances() * 4) as usize, total);
+        let ace = Interval { start: 10, end: 10 + len, ace_mask: 0x80, checked: false };
+        vgpr.byte_mut(geom.byte_index(1, 1, 3) as usize).push(ace).unwrap();
+        let empty = CacheGeometry { sets: 1, ways: 1, line_bytes: 1 };
+        let d = WorkloadData {
+            name: "hand-built",
+            l1: TimelineStore::new(1, total),
+            l1_geom: empty,
+            l2: TimelineStore::new(1, total),
+            l2_geom: empty,
+            vgpr,
+            vgpr_geom: geom,
+            cycles: total,
+            retired: 0,
+            live_fraction: 0.0,
+        };
+        // Only registers 0 and 1 are injectable: 2 threads x 2 registers.
+        let den = u128::from(total) * 2 * 2 * 32;
+        assert_eq!(mode_model_sdc(&d, 2, 4), (4 * u128::from(len)) as f64 / den as f64);
+        assert_eq!(mode_model_sdc(&d, 2, 1), u128::from(len) as f64 / den as f64);
+        // Register 1 lies outside a one-register prefix.
+        assert_eq!(mode_model_sdc(&d, 1, 4), 0.0);
+    }
+
+    #[test]
+    fn checked_rate_does_not_depend_on_the_requested_modes() {
+        let w = by_name("fast_walsh").expect("registered");
+        let with_1x1 = validate_workload(&w, &quick_cfg()).unwrap_or_else(|e| panic!("{e}"));
+        let cfg = ValidateConfig { modes: vec![2], ..quick_cfg() };
+        let without = validate_workload(&w, &cfg).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(without.checked, with_1x1.checked);
+        let rows: Vec<u8> = without.modes.iter().map(|r| r.mode_bits).collect();
+        assert_eq!(rows, [2], "the added 1x1 campaign has no mode row");
     }
 
     #[test]
@@ -756,10 +858,7 @@ mod tests {
         // subset of some m-bit window's union coverage per draw.
         let w = by_name("dct").expect("registered");
         let d = try_run_workload(&w, Scale::Test).unwrap_or_else(|e| panic!("{e}"));
-        let nv = {
-            let inst = w.build(Scale::Test);
-            u32::from(inst.program.num_vregs())
-        };
+        let nv = num_vregs(&w);
         let m1 = mode_model_sdc(&d, nv, 1);
         let m2 = mode_model_sdc(&d, nv, 2);
         let m32 = mode_model_sdc(&d, nv, 32);

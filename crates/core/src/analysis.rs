@@ -31,7 +31,6 @@ use crate::timeline::{BitState, Cycle, Interval, TimelineStore};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::slice;
-use std::sync::OnceLock;
 
 /// Classification of one fault group during one cycle, in increasing order of
 /// severity (the precedence order of Section VII-B).
@@ -241,10 +240,8 @@ impl Scratch {
 /// The returned [`MbAvfResult`] carries SDC, true-DUE, and false-DUE
 /// components; single-bit AVFs are simply the `1x1` mode.
 ///
-/// A thin wrapper over [`PreparedStore::mb_avf`]; prepare the store once
-/// instead when analysing it under many layouts, and ask
-/// [`PreparedStore::mb_avf_grid`] for every mode and scheme of a layout at
-/// once.
+/// The 1×1 case of [`mb_avf_grid`]; ask the grid for every mode and scheme of
+/// a layout at once.
 ///
 /// # Errors
 ///
@@ -257,181 +254,97 @@ pub fn mb_avf<L: PhysicalLayout>(
     mode: &FaultMode,
     cfg: &AnalysisConfig,
 ) -> Result<MbAvfResult, CoreError> {
-    PreparedStore::new(store).mb_avf(layout, mode, cfg)
+    let mut grid = mb_avf_grid(store, layout, slice::from_ref(mode), slice::from_ref(cfg))?;
+    Ok(grid.swap_remove(0).swap_remove(0))
 }
 
-/// A timeline store prepared for repeated whole-run MB-AVF analysis: the
-/// store plus the canonical id of every bit's timeline, computed once (on
-/// the first memoized analysis) and shared by every
-/// [`mb_avf_grid`](Self::mb_avf_grid) and [`mb_avf`](Self::mb_avf) call over
-/// it.
+/// [`mb_avf`] of every fault mode in `modes` under every configuration in
+/// `cfgs`, on one layout, as `[mode][cfg]` — the one entry point of the
+/// engine.
+///
+/// Equal to one [`mb_avf`] call per pair, but the work that does not depend
+/// on the scheme is done once: the store's timeline ids are computed once
+/// per call, the anchor rows are classified once per mode row span, and each
+/// fault group is resolved, partitioned into regions and swept once for all
+/// configurations.
 ///
 /// ```
-/// use mbavf_core::analysis::{mb_avf, AnalysisConfig, PreparedStore};
+/// use mbavf_core::analysis::{mb_avf, mb_avf_grid, AnalysisConfig};
 /// use mbavf_core::geometry::FaultMode;
 /// use mbavf_core::layout::LinearLayout;
 /// use mbavf_core::protection::ProtectionKind;
 /// use mbavf_core::timeline::{Interval, TimelineStore};
 ///
 /// let mut store = TimelineStore::new(2, 100);
-/// store.byte_mut(1).push(Interval { start: 10, end: 60, ace_mask: 0x0f, checked: true }).unwrap();
-/// let layout = LinearLayout::new(1, 16, 2);
-/// let cfg = AnalysisConfig::new(ProtectionKind::Parity);
-/// let prepared = PreparedStore::new(&store);
-/// for m in 1..=4 {
-///     let mode = FaultMode::mx1(m);
-///     assert_eq!(prepared.mb_avf(&layout, &mode, &cfg)?, mb_avf(&store, &layout, &mode, &cfg)?);
+/// store.byte_mut(0).push(Interval { start: 0, end: 40, ace_mask: 0x3c, checked: true }).unwrap();
+/// let layout = LinearLayout::new(1, 16, 4);
+/// let modes: Vec<FaultMode> = (1..=4).map(FaultMode::mx1).collect();
+/// let cfgs = [ProtectionKind::Parity, ProtectionKind::SecDed].map(AnalysisConfig::new);
+/// let grid = mb_avf_grid(&store, &layout, &modes, &cfgs)?;
+/// for (mode, row) in modes.iter().zip(&grid) {
+///     for (cfg, result) in cfgs.iter().zip(row) {
+///         assert_eq!(*result, mb_avf(&store, &layout, mode, cfg)?);
+///     }
 /// }
-/// # Ok::<(), mbavf_core::CoreError>(())
-/// ```
-pub struct PreparedStore<'s> {
-    store: &'s TimelineStore,
-    ids: OnceLock<TimelineIds>,
-}
-
-impl<'s> PreparedStore<'s> {
-    /// Prepare `store`. Cheap: the timeline ids are computed on first use.
-    pub fn new(store: &'s TimelineStore) -> Self {
-        Self { store, ids: OnceLock::new() }
-    }
-
-    /// [`mb_avf`] over the prepared store: the 1×1 case of
-    /// [`mb_avf_grid`](Self::mb_avf_grid).
-    ///
-    /// # Errors
-    ///
-    /// As [`mb_avf`].
-    pub fn mb_avf<L: PhysicalLayout>(
-        &self,
-        layout: &L,
-        mode: &FaultMode,
-        cfg: &AnalysisConfig,
-    ) -> Result<MbAvfResult, CoreError> {
-        let mut grid = self.mb_avf_grid(layout, slice::from_ref(mode), slice::from_ref(cfg))?;
-        Ok(grid.swap_remove(0).swap_remove(0))
-    }
-
-    /// [`mb_avf`] of every fault mode in `modes` under every configuration
-    /// in `cfgs`, on one layout, as `[mode][cfg]`.
-    ///
-    /// Equal to one [`mb_avf`](Self::mb_avf) call per pair, but the work that
-    /// does not depend on the scheme is done once: the anchor rows are
-    /// classified once per mode row span, and each fault group is resolved,
-    /// partitioned into regions and swept once for all configurations.
-    ///
-    /// ```
-    /// use mbavf_core::analysis::{AnalysisConfig, PreparedStore};
-    /// use mbavf_core::geometry::FaultMode;
-    /// use mbavf_core::layout::LinearLayout;
-    /// use mbavf_core::protection::ProtectionKind;
-    /// use mbavf_core::timeline::{Interval, TimelineStore};
-    ///
-    /// let mut store = TimelineStore::new(2, 100);
-    /// store.byte_mut(0).push(Interval { start: 0, end: 40, ace_mask: 0x3c, checked: true }).unwrap();
-    /// let layout = LinearLayout::new(1, 16, 4);
-    /// let modes: Vec<FaultMode> = (1..=4).map(FaultMode::mx1).collect();
-    /// let cfgs = [ProtectionKind::Parity, ProtectionKind::SecDed].map(AnalysisConfig::new);
-    /// let prepared = PreparedStore::new(&store);
-    /// let grid = prepared.mb_avf_grid(&layout, &modes, &cfgs)?;
-    /// for (mode, row) in modes.iter().zip(&grid) {
-    ///     for (cfg, result) in cfgs.iter().zip(row) {
-    ///         assert_eq!(*result, prepared.mb_avf(&layout, mode, cfg)?);
-    ///     }
-    /// }
-    /// # Ok::<(), mbavf_core::CoreError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// The error of the first failing per-pair [`mb_avf`] in mode order. An
-    /// analysis's errors never depend on its configuration.
-    pub fn mb_avf_grid<L: PhysicalLayout>(
-        &self,
-        layout: &L,
-        modes: &[FaultMode],
-        cfgs: &[AnalysisConfig],
-    ) -> Result<Vec<Vec<MbAvfResult>>, CoreError> {
-        if cfgs.is_empty() {
-            return Ok(modes.iter().map(|_| Vec::new()).collect());
-        }
-        let store = self.store;
-        // Band classes per mode row span: modes of one span share them.
-        let mut spans: Vec<(u32, Vec<BandClass>)> = Vec::new();
-        let mut memo: Option<GroupMemo> = None;
-        let mut grid = Vec::with_capacity(modes.len());
-        for mode in modes {
-            let groups = mode.group_count(layout.rows(), layout.cols());
-            let mut results: Vec<MbAvfResult> = cfgs
-                .iter()
-                .map(|_| MbAvfResult::new(mode, groups, store.total_cycles(), None))
-                .collect();
-            if mode.len() <= MEMO_MAX_BITS {
-                // Whole-run totals admit memoization at two levels: anchor
-                // rows with one band fingerprint share their totals
-                // (`BandClass`), groups with one key theirs (`GroupMemo`).
-                // This collapses the 64 replicated SIMT lanes of a register
-                // file, and the sea of untouched cache lines, into one row
-                // computation each.
-                mode.groups(layout.rows(), layout.cols())?; // fails before any bit is resolved
-                let ids = self.ids.get_or_init(|| TimelineIds::new(store));
-                let span = match spans.iter().position(|(rows, _)| *rows == mode.rows()) {
-                    Some(i) => i,
-                    None => {
-                        spans.push((mode.rows(), band_classes(layout, ids, mode.rows())));
-                        spans.len() - 1
-                    }
-                };
-                let memo = memo.get_or_insert_with(|| GroupMemo::new(ids));
-                memo.clear();
-                for class in &spans[span].1 {
-                    let row = memo.row_totals(store, layout, mode, cfgs, class.anchor_row)?;
-                    for (result, totals) in results.iter_mut().zip(row) {
-                        result.add_rows(totals, class.rows);
-                    }
-                }
-            } else {
-                sweep_groups(store, layout, mode, cfgs, |c, class, start, end| {
-                    results[c].add(class, u128::from(end - start));
-                })?;
-            }
-            grid.push(results);
-        }
-        Ok(grid)
-    }
-}
-
-/// Sweep the contiguous wordline fault modes `1x1 ..= max_bits x1` in one
-/// call — the per-mode loop every soft-error-rate composition needs.
-///
-/// ```
-/// use mbavf_core::analysis::{mb_avf_modes, AnalysisConfig};
-/// use mbavf_core::layout::LinearLayout;
-/// use mbavf_core::protection::ProtectionKind;
-/// use mbavf_core::timeline::{Interval, TimelineStore};
-///
-/// let mut store = TimelineStore::new(1, 100);
-/// store.byte_mut(0).push(Interval { start: 0, end: 40, ace_mask: 0xff, checked: true }).unwrap();
-/// let layout = LinearLayout::new(1, 8, 4);
-/// let cfg = AnalysisConfig::new(ProtectionKind::SecDed);
-/// let sweep = mb_avf_modes(&store, &layout, 4, &cfg)?;
-/// assert_eq!(sweep.len(), 4);
-/// assert_eq!(sweep[0].total_avf(), 0.0); // SEC-DED corrects single bits
-/// assert!(sweep[1].due_avf() > 0.0);     // ...and detects pairs
 /// # Ok::<(), mbavf_core::CoreError>(())
 /// ```
 ///
 /// # Errors
 ///
-/// As [`mb_avf`], for the first failing mode.
-pub fn mb_avf_modes<L: PhysicalLayout>(
+/// The error of the first failing per-pair [`mb_avf`] in mode order. An
+/// analysis's errors never depend on its configuration.
+pub fn mb_avf_grid<L: PhysicalLayout>(
     store: &TimelineStore,
     layout: &L,
-    max_bits: u32,
-    cfg: &AnalysisConfig,
-) -> Result<Vec<MbAvfResult>, CoreError> {
-    let modes: Vec<FaultMode> = (1..=max_bits).map(FaultMode::mx1).collect();
-    let grid = PreparedStore::new(store).mb_avf_grid(layout, &modes, slice::from_ref(cfg))?;
-    Ok(grid.into_iter().map(|mut row| row.swap_remove(0)).collect())
+    modes: &[FaultMode],
+    cfgs: &[AnalysisConfig],
+) -> Result<Vec<Vec<MbAvfResult>>, CoreError> {
+    if cfgs.is_empty() {
+        return Ok(modes.iter().map(|_| Vec::new()).collect());
+    }
+    let ids = modes.iter().any(|m| m.len() <= MEMO_MAX_BITS).then(|| TimelineIds::new(store));
+    // Band classes per mode row span: modes of one span share them.
+    let mut spans: Vec<(u32, Vec<BandClass>)> = Vec::new();
+    let mut memo: Option<GroupMemo> = None;
+    let mut grid = Vec::with_capacity(modes.len());
+    for mode in modes {
+        let groups = mode.group_count(layout.rows(), layout.cols());
+        let mut results: Vec<MbAvfResult> = cfgs
+            .iter()
+            .map(|_| MbAvfResult::new(mode, groups, store.total_cycles(), None))
+            .collect();
+        if mode.len() <= MEMO_MAX_BITS {
+            // Whole-run totals admit memoization at two levels: anchor
+            // rows with one band fingerprint share their totals
+            // (`BandClass`), groups with one key theirs (`GroupMemo`).
+            // This collapses the 64 replicated SIMT lanes of a register
+            // file, and the sea of untouched cache lines, into one row
+            // computation each.
+            mode.groups(layout.rows(), layout.cols())?; // fails before any bit is resolved
+            let ids = ids.as_ref().expect("built for every memoized mode");
+            let span = match spans.iter().position(|(rows, _)| *rows == mode.rows()) {
+                Some(i) => i,
+                None => {
+                    spans.push((mode.rows(), band_classes(layout, ids, mode.rows())));
+                    spans.len() - 1
+                }
+            };
+            let memo = memo.get_or_insert_with(|| GroupMemo::new(ids));
+            memo.clear();
+            for class in &spans[span].1 {
+                let row = memo.row_totals(store, layout, mode, cfgs, class.anchor_row)?;
+                for (result, totals) in results.iter_mut().zip(row) {
+                    result.add_rows(totals, class.rows);
+                }
+            }
+        } else {
+            sweep_groups(store, layout, mode, cfgs, |c, class, start, end| {
+                results[c].add(class, u128::from(end - start));
+            })?;
+        }
+        grid.push(results);
+    }
+    Ok(grid)
 }
 
 /// Memoization cutoff: modes larger than this fall back to the direct sweep.
@@ -766,7 +679,7 @@ pub fn ace_locality<L: PhysicalLayout>(
 ) -> Result<f64, CoreError> {
     let cfg = AnalysisConfig::new(ProtectionKind::None);
     let modes = [FaultMode::mx1(1), FaultMode::mx1(2)];
-    let grid = PreparedStore::new(store).mb_avf_grid(layout, &modes, &[cfg])?;
+    let grid = mb_avf_grid(store, layout, &modes, &[cfg])?;
     let (sb, mb2) = (grid[0][0].sdc_avf(), grid[1][0].sdc_avf());
     if mb2 <= 0.0 {
         return Ok(1.0);

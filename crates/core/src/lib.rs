@@ -74,7 +74,7 @@ pub mod stats;
 pub mod timeline;
 
 pub use analysis::{
-    ace_locality, mb_avf, mb_avf_modes, windowed_mb_avf, AnalysisConfig, MbAvfResult, PreparedStore,
+    ace_locality, mb_avf, mb_avf_grid, windowed_mb_avf, AnalysisConfig, MbAvfResult,
 };
 pub use crc::{crc32, Crc32};
 pub use error::{

@@ -6,7 +6,7 @@
 //! [`SplitMix64`] streams. Every case's stream index is part of the panic
 //! message, so a failure reproduces with `SplitMix64::stream(SEED, index)`.
 
-use mbavf_core::analysis::{mb_avf, windowed_mb_avf, AnalysisConfig, PreparedStore};
+use mbavf_core::analysis::{mb_avf, mb_avf_grid, windowed_mb_avf, AnalysisConfig};
 use mbavf_core::ecc::{Crc32, Crc8, DecTed, Decoded, Gf64, Parity, SecDed};
 use mbavf_core::geometry::FaultMode;
 use mbavf_core::layout::{
@@ -421,7 +421,7 @@ fn assert_grid_matches_per_call<L: PhysicalLayout>(
         .iter()
         .map(|mode| cfgs.iter().map(|cfg| mb_avf(store, layout, mode, cfg)).collect())
         .collect();
-    let grid = PreparedStore::new(store).mb_avf_grid(layout, modes, &cfgs);
+    let grid = mb_avf_grid(store, layout, modes, &cfgs);
     assert_eq!(grid, per_call, "{what}");
 }
 
@@ -442,14 +442,13 @@ fn mb_avf_grid_matches_per_call() {
             // A mode too wide for the layout fails the grid.
             let mut modes = grid_modes();
             modes.insert(3, FaultMode::mx1(layout.cols() + 1));
-            let err = PreparedStore::new(&store).mb_avf_grid(&layout, &modes, &grid_configs());
+            let err = mb_avf_grid(&store, &layout, &modes, &grid_configs());
             assert!(err.is_err(), "{what}: a mode wider than the layout must fail");
             assert_grid_matches_per_call(&store, &layout, &modes, &what);
             // So does a layout reaching past the store: its last rows hold
             // bits of missing bytes.
             let short = TimelineStore::new(bytes - 1, MEMO_CYCLES);
-            let err =
-                PreparedStore::new(&short).mb_avf_grid(&layout, &grid_modes(), &grid_configs());
+            let err = mb_avf_grid(&short, &layout, &grid_modes(), &grid_configs());
             assert!(err.is_err(), "{what}: a layout past the store must fail");
             assert_grid_matches_per_call(&short, &layout, &grid_modes(), &format!("short {what}"));
         }

@@ -10,7 +10,7 @@
 
 use mbavf::core::analysis::{mb_avf, AnalysisConfig};
 use mbavf::core::geometry::FaultMode;
-use mbavf::core::layout::{VgprInterleave, VgprLayout};
+use mbavf::core::layout::{VgprGeometry, VgprInterleave, VgprLayout};
 use mbavf::core::protection::ProtectionKind;
 use mbavf::inject::{single_bit_campaign, CampaignConfig};
 use mbavf::sim::extract::vgpr_timelines;
@@ -25,26 +25,15 @@ fn model_sdc_avf(name: &str) -> f64 {
     let res = run_timed(&program, &mut inst.mem, inst.workgroups, &GpuConfig::default());
     let lv = analyze(&res.trace, &inst.mem);
     let (vgpr, geom) = vgpr_timelines(&res, &lv, 0);
-    // Sanity: the full-file 1x1 unprotected SDC AVF is computable.
-    let layout = VgprLayout::new(geom, VgprInterleave::IntraThread(1)).unwrap();
+    // Restrict to the registers injection can target: wavefront slot 0's
+    // architectural registers (injection never hits the unused slots of the
+    // physical file). `byte_index` is register-major, so they are a prefix
+    // of the store.
+    let regs = u32::from(program.num_vregs()).min(geom.regs);
+    let layout =
+        VgprLayout::new(VgprGeometry { regs, ..geom }, VgprInterleave::IntraThread(1)).unwrap();
     let cfg = AnalysisConfig::new(ProtectionKind::None);
-    let _full = mb_avf(&vgpr, &layout, &FaultMode::mx1(1), &cfg).unwrap().sdc_avf();
-    // For the injection comparison, restrict to the registers injection can
-    // target: wavefront slot 0's architectural registers (injection never
-    // hits the unused slots of the physical file).
-    let nv = u32::from(program.num_vregs());
-    let mut ace: u128 = 0;
-    let mut bits: u64 = 0;
-    for reg in 0..nv {
-        for thread in 0..geom.threads {
-            for byte in 0..4 {
-                let tl = vgpr.byte(geom.byte_index(thread, reg, byte) as usize);
-                ace += tl.ace_bit_cycles();
-                bits += 8;
-            }
-        }
-    }
-    ace as f64 / (bits as f64 * vgpr.total_cycles() as f64)
+    mb_avf(&vgpr, &layout, &FaultMode::mx1(1), &cfg).unwrap().sdc_avf()
 }
 
 fn injected_sdc_rate(name: &str, n: usize) -> f64 {
