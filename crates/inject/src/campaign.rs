@@ -716,15 +716,17 @@ pub(crate) fn golden_shape(
 ) -> Result<GoldenShape, InjectError> {
     let failed =
         |detail| InjectError::GoldenRunFailed { workload: workload.name.to_string(), detail };
+    // Neither run reads provenance, so both run on untracked images.
     let first = mbavf_sim::isolate::catch_crash(|| {
-        let mut inst = workload.build(cfg.scale);
-        run_golden(&inst.program, &mut inst.mem, inst.workgroups)
+        let inst = workload.build(cfg.scale);
+        run_golden(&inst.program, &mut inst.mem.into_untracked(), inst.workgroups)
     })
     .map_err(failed)?;
     let (output, profile) = mbavf_sim::isolate::catch_crash(|| {
-        let mut inst = workload.build(cfg.scale);
-        let profile = profile_golden(&inst.program, &mut inst.mem, inst.workgroups);
-        (inst.mem.output_snapshot(), profile)
+        let inst = workload.build(cfg.scale);
+        let mut mem = inst.mem.into_untracked();
+        let profile = profile_golden(&inst.program, &mut mem, inst.workgroups);
+        (mem.output_snapshot(), profile)
     })
     .map_err(failed)?;
     let per_wg_retired: Vec<u64> = profile.per_wg.iter().map(|wg| wg.retired).collect();

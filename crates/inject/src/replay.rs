@@ -31,7 +31,9 @@ use crate::checkpoint::config_fingerprint;
 use mbavf_core::error::{BundleError, InjectError};
 use mbavf_core::rng::fnv1a;
 use mbavf_sim::exec::{step, NullPorts, StepCtx, Wavefront};
+use mbavf_sim::isa::Inst;
 use mbavf_sim::isolate::catch_crash;
+use mbavf_sim::{Memory, Program};
 use mbavf_workloads::{by_name, Workload};
 use std::cell::Cell;
 use std::path::Path;
@@ -146,14 +148,26 @@ impl std::fmt::Display for Divergence {
     }
 }
 
+/// Which memory bytes [`state_delta`] compares after a lockstep step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MemScan {
+    /// None: neither side stored, so memory is as equal as it was.
+    Skip,
+    /// The pages either image wrote since the lockstep began, ascending.
+    Dirty,
+    /// Every byte: the reference the other two must agree with.
+    Full,
+}
+
 /// Compare golden vs. faulty state after one lockstep step. `skip` is the
 /// injected (reg, lane): that cell differs by construction until the fault
 /// is overwritten, and reporting it would bury the interesting delta.
 fn state_delta(
     g: &Wavefront,
     f: &Wavefront,
-    gmem: &[u8],
-    fmem: &[u8],
+    gmem: &Memory,
+    fmem: &Memory,
+    scan: MemScan,
     skip: Option<(u8, u8)>,
 ) -> Option<String> {
     if g.done != f.done {
@@ -183,10 +197,14 @@ fn state_delta(
             }
         }
     }
-    if let Some(i) = gmem.iter().zip(fmem.iter()).position(|(a, b)| a != b) {
-        return Some(format!("memory byte {i:#x}: {:#04x} vs {:#04x}", gmem[i], fmem[i]));
-    }
-    None
+    let (gb, fb) = (gmem.bytes(), fmem.bytes());
+    let first = match scan {
+        MemScan::Skip => None,
+        MemScan::Dirty => gmem.first_difference(fmem),
+        MemScan::Full if gb == fb => None,
+        MemScan::Full => gb.iter().zip(fb).position(|(a, b)| a != b),
+    };
+    first.map(|i| format!("memory byte {i:#x}: {:#04x} vs {:#04x}", gb[i], fb[i]))
 }
 
 /// Run the bundle's workload twice — fault-free and with the recorded
@@ -198,6 +216,14 @@ fn state_delta(
 /// crashing instruction; a fault that hangs is reported when the faulty
 /// side exceeds the campaign's step budget.
 pub fn find_divergence(b: &ReproBundle) -> Result<Option<Divergence>, InjectError> {
+    trace_lockstep(b, false)
+}
+
+/// [`find_divergence`]'s lockstep. Memory changes only at a store, so
+/// after each step it compares memory only if either side stored, and then
+/// only the pages either image wrote since the lockstep began; with
+/// `full_scan` it compares every byte after every step instead.
+fn trace_lockstep(b: &ReproBundle, full_scan: bool) -> Result<Option<Divergence>, InjectError> {
     let (w, cfg, golden) = prepare(b)?;
     let site = b.site;
     let inj = site.injection(b.mode_bits.clamp(1, 32));
@@ -224,8 +250,15 @@ pub fn find_divergence(b: &ReproBundle) -> Result<Option<Divergence>, InjectErro
             }
         }
         // Lockstep the injected workgroup. Register state dies at
-        // workgroup end and memory is compared every step, so if no delta
-        // surfaces here, none ever will: later workgroups are identical.
+        // workgroup end and memory is compared after every store, so if no
+        // delta surfaces here, none ever will: later workgroups are
+        // identical. The images are equal here, so from now on every
+        // difference lies on a page one of them writes.
+        gi.mem.clear_dirty();
+        fi.mem.clear_dirty();
+        let stores = |program: &Program, wf: &Wavefront| {
+            !wf.done && matches!(program.inst(wf.pc as usize), Inst::VStore { .. })
+        };
         let mut wf_g = Wavefront::launch(&gp, site.wg, 0, wgs);
         let mut wf_f = Wavefront::launch(&fp, site.wg, 0, wgs);
         let mut injected = false;
@@ -236,6 +269,11 @@ pub fn find_divergence(b: &ReproBundle) -> Result<Option<Divergence>, InjectErro
             }
             let at = (wf_f.retired, wf_f.pc);
             progress.set(at);
+            let scan = match (full_scan, stores(&gp, &wf_g) || stores(&fp, &wf_f)) {
+                (true, _) => MemScan::Full,
+                (false, true) => MemScan::Dirty,
+                (false, false) => MemScan::Skip,
+            };
             if !wf_g.done {
                 let mut ctx =
                     StepCtx { mem: &mut gi.mem, trace: None, ports: &mut NullPorts, now: 0 };
@@ -247,7 +285,7 @@ pub fn find_divergence(b: &ReproBundle) -> Result<Option<Divergence>, InjectErro
                 step(&mut wf_f, &fp, &mut ctx);
             }
             let skip = (injected && site.wg == wf_f.wf_id).then_some((site.reg, site.lane));
-            if let Some(detail) = state_delta(&wf_g, &wf_f, gi.mem.bytes(), fi.mem.bytes(), skip) {
+            if let Some(detail) = state_delta(&wf_g, &wf_f, &gi.mem, &fi.mem, scan, skip) {
                 return Some(Divergence { wg: site.wg, after_retired: at.0, pc: at.1, detail });
             }
             if wf_f.retired >= golden.max_steps {
@@ -279,7 +317,7 @@ pub fn find_divergence(b: &ReproBundle) -> Result<Option<Divergence>, InjectErro
 mod tests {
     use super::*;
     use crate::bundle::BundleWriter;
-    use crate::campaign::single_bit_campaign;
+    use crate::campaign::{single_bit_campaign, OutcomeKind, SingleBitRecord};
     use std::path::PathBuf;
 
     fn campaign_bundles(dir_name: &str, cfg: &CampaignConfig) -> Vec<PathBuf> {
@@ -372,6 +410,26 @@ mod tests {
         std::fs::remove_dir_all(paths[0].parent().unwrap()).ok();
     }
 
+    /// The bundle a campaign over `w` would write for `r`.
+    fn bundle_of(w: &Workload, cfg: &CampaignConfig, r: &SingleBitRecord) -> ReproBundle {
+        let golden = golden_shape(w, cfg).unwrap();
+        ReproBundle {
+            workload: w.name.to_string(),
+            config_fingerprint: config_fingerprint(w.name, cfg),
+            seed: cfg.seed,
+            scale: cfg.scale,
+            hang_factor: cfg.hang_factor,
+            wrap_oob: cfg.wrap_oob,
+            mode_bits: cfg.mode_bits,
+            trial: r.trial,
+            site: r.site,
+            outcome: r.outcome.clone(),
+            read_before_overwrite: r.read_before_overwrite,
+            golden_digest: fnv1a(&golden.output),
+            minimized: None,
+        }
+    }
+
     #[test]
     fn masked_fault_has_no_divergence() {
         // Build a bundle for a site the campaign classified as masked and
@@ -379,28 +437,34 @@ mod tests {
         let w = by_name("fast_walsh").expect("registered");
         let cfg = CampaignConfig { seed: 7, injections: 60, ..CampaignConfig::default() };
         let summary = single_bit_campaign(&w, &cfg);
-        let golden = golden_shape(&w, &cfg).unwrap();
         let masked = summary
             .records
             .iter()
             .find(|r| r.outcome == Outcome::Masked && !r.read_before_overwrite)
             .expect("campaign must mask some faults");
-        let b = ReproBundle {
-            workload: w.name.to_string(),
-            config_fingerprint: config_fingerprint(w.name, &cfg),
-            seed: cfg.seed,
-            scale: cfg.scale,
-            hang_factor: cfg.hang_factor,
-            wrap_oob: cfg.wrap_oob,
-            mode_bits: cfg.mode_bits,
-            trial: masked.trial,
-            site: masked.site,
-            outcome: Outcome::Masked,
-            read_before_overwrite: masked.read_before_overwrite,
-            golden_digest: fnv1a(&golden.output),
-            minimized: None,
-        };
+        let b = bundle_of(&w, &cfg, masked);
         assert!(replay_bundle(&b).unwrap().reproduced);
         assert_eq!(find_divergence(&b).unwrap(), None);
+    }
+
+    /// Comparing memory only after stores, and only on written pages,
+    /// finds the same first delta as comparing every byte after every
+    /// step, on masked and corrupted trials alike.
+    #[test]
+    fn store_scoped_memory_compare_matches_full_compare() {
+        let w = by_name("fast_walsh").expect("registered");
+        let cfg =
+            CampaignConfig { seed: 7, injections: 24, mode_bits: 2, ..CampaignConfig::default() };
+        let summary = single_bit_campaign(&w, &cfg);
+        let (mut memory_deltas, mut kinds) = (0, std::collections::HashSet::new());
+        for r in &summary.records {
+            let b = bundle_of(&w, &cfg, r);
+            let want = trace_lockstep(&b, true).unwrap();
+            assert_eq!(find_divergence(&b).unwrap(), want, "trial {}", r.trial);
+            memory_deltas += usize::from(want.is_some_and(|d| d.detail.starts_with("memory")));
+            kinds.insert(r.outcome.kind());
+        }
+        assert!(kinds.contains(&OutcomeKind::Sdc) && kinds.contains(&OutcomeKind::Masked));
+        assert!(memory_deltas > 0, "no trial diverged first in memory");
     }
 }

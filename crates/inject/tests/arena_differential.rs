@@ -8,13 +8,17 @@
 //! outcomes appear — and for 1-, 2- and 4-bit modes, the verdict and the
 //! read-before-overwrite bit must agree on every sampled site.
 //!
+//! The arena runs untracked images ([`mbavf_sim::Memory::into_untracked`])
+//! while every fresh build here keeps its provenance, so the suite also
+//! pins the untracked fast path to the tracked one.
+//!
 //! It lives here rather than in `mbavf-sim` because the simulator crate
 //! cannot see the workloads.
 
 use mbavf_inject::campaign::{CampaignConfig, OutcomeKind, SiteSampler};
 use mbavf_sim::interp::{run_functional_isolated, run_golden, InterpError, Termination};
 use mbavf_sim::TrialArena;
-use mbavf_workloads::{by_name, Workload};
+use mbavf_workloads::{by_name, injection_suite, Workload};
 
 const TRIALS: u64 = 40;
 
@@ -30,9 +34,9 @@ fn verdict(result: Result<(Termination, bool, bool), InterpError>) -> (OutcomeKi
     }
 }
 
-/// Compare arena and fresh-build verdicts over `TRIALS` sampled sites per
+/// Compare arena and fresh-build verdicts over `trials` sampled sites per
 /// mode width, returning how many trials crashed.
-fn assert_arena_matches_fresh_builds(w: &Workload, cfg: &CampaignConfig) -> usize {
+fn assert_arena_matches_fresh_builds(w: &Workload, cfg: &CampaignConfig, trials: u64) -> usize {
     let mut inst = w.build(cfg.scale);
     let golden = run_golden(&inst.program, &mut inst.mem, inst.workgroups);
     let max_steps = golden.per_wg_retired.iter().copied().max().unwrap_or(1) * cfg.hang_factor;
@@ -42,7 +46,7 @@ fn assert_arena_matches_fresh_builds(w: &Workload, cfg: &CampaignConfig) -> usiz
 
     let mut crashes = 0;
     for m in [1u8, 2, 4] {
-        for trial in 0..TRIALS {
+        for trial in 0..trials {
             let inj = sampler.sample(cfg.seed, trial).injection(m);
             let from_arena = verdict(
                 arena
@@ -50,6 +54,7 @@ fn assert_arena_matches_fresh_builds(w: &Workload, cfg: &CampaignConfig) -> usiz
                     .map(|r| (r.termination, r.output_matches, r.injected_value_read)),
             );
             let mut built = w.build(cfg.scale);
+            assert!(built.mem.tracking(), "fresh builds keep their provenance");
             built.mem.set_wrap_oob(cfg.wrap_oob);
             let from_fresh = verdict(
                 run_functional_isolated(
@@ -72,13 +77,21 @@ fn assert_arena_matches_fresh_builds(w: &Workload, cfg: &CampaignConfig) -> usiz
 fn arena_matches_fresh_builds_on_fast_walsh() {
     let w = by_name("fast_walsh").expect("registered");
     let cfg = CampaignConfig { seed: 7, ..CampaignConfig::default() };
-    assert_arena_matches_fresh_builds(&w, &cfg);
+    assert_arena_matches_fresh_builds(&w, &cfg, TRIALS);
+}
+
+#[test]
+fn untracked_arena_matches_tracked_fresh_builds_on_every_injection_workload() {
+    let cfg = CampaignConfig { seed: 11, ..CampaignConfig::default() };
+    for w in injection_suite() {
+        assert_arena_matches_fresh_builds(&w, &cfg, 12);
+    }
 }
 
 #[test]
 fn arena_matches_fresh_builds_on_crashing_histogram() {
     let w = by_name("histogram").expect("registered");
     let cfg = CampaignConfig { seed: 0xC0FFEE, wrap_oob: false, ..CampaignConfig::default() };
-    let crashes = assert_arena_matches_fresh_builds(&w, &cfg);
+    let crashes = assert_arena_matches_fresh_builds(&w, &cfg, TRIALS);
     assert!(crashes > 0, "histogram with wild accesses faulting must produce crash outcomes");
 }

@@ -6,8 +6,10 @@
 //! of that: it keeps one golden memory image as a template plus one working
 //! copy, and between trials restores only the pages the previous run dirtied
 //! ([`Memory::reset_from`]) and relaunches the one resident wavefront in
-//! place ([`Wavefront::relaunch`]). The steady-state hot path performs no
-//! heap allocation.
+//! place ([`Wavefront::relaunch`]). Both images are untracked
+//! ([`Memory::into_untracked`]): no trial reads provenance, so a reset
+//! copies each dirty page's data bytes and nothing else. The steady-state
+//! hot path performs no heap allocation.
 //!
 //! Semantics are bit-identical to
 //! [`run_functional_isolated`](crate::interp::run_functional_isolated) on a
@@ -94,8 +96,10 @@ impl TrialArena {
     ///
     /// `template` must be the instance's post-build memory (not yet run);
     /// `wrap_oob` is the fault-model policy applied to trial runs (the
-    /// template itself is never executed).
+    /// template itself is never executed). The arena keeps the template
+    /// without its provenance.
     pub fn new(program: Program, template: Memory, workgroups: u32, wrap_oob: bool) -> Self {
+        let template = template.into_untracked();
         let mut mem = template.clone();
         mem.set_wrap_oob(wrap_oob);
         let wf = Wavefront::launch(&program, 0, 0, workgroups.max(1));

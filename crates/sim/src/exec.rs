@@ -200,6 +200,9 @@ impl Wavefront {
     }
 }
 
+/// The quiet bit of an f32 NaN.
+const QUIET_NAN: u32 = 0x0040_0000;
+
 /// Evaluate a vector ALU op on one lane.
 pub fn eval_valu(op: VAluOp, a: u32, b: u32) -> u32 {
     let fa = f32::from_bits(a);
@@ -208,6 +211,11 @@ pub fn eval_valu(op: VAluOp, a: u32, b: u32) -> u32 {
         VAluOp::AddU => a.wrapping_add(b),
         VAluOp::SubU => a.wrapping_sub(b),
         VAluOp::MulU => a.wrapping_mul(b),
+        // Rust leaves open which NaN payload `+` and `*` return when both
+        // operands are NaN, and LLVM commutes them freely, so the lane loop
+        // and a one-lane call could differ. Fix the choice the interpreter
+        // has always made on x86-64: the second operand's, quieted.
+        VAluOp::AddF | VAluOp::MulF if fb.is_nan() => b | QUIET_NAN,
         VAluOp::AddF => (fa + fb).to_bits(),
         VAluOp::SubF => (fa - fb).to_bits(),
         VAluOp::MulF => (fa * fb).to_bits(),
@@ -220,6 +228,33 @@ pub fn eval_valu(op: VAluOp, a: u32, b: u32) -> u32 {
         VAluOp::Shl => a << (b & 31),
         VAluOp::Shr => a >> (b & 31),
     }
+}
+
+/// [`eval_valu`] over every lane, matching on `op` once: each arm passes
+/// a constant op, so the per-lane match folds away.
+fn valu_lanes(op: VAluOp, a: &Lanes, b: &Lanes) -> Lanes {
+    macro_rules! per_op {
+        ($($op:ident),*) => {
+            match op {
+                $(VAluOp::$op => std::array::from_fn(|l| eval_valu(VAluOp::$op, a[l], b[l])),)*
+            }
+        };
+    }
+    per_op!(AddU, SubU, MulU, AddF, SubF, MulF, DivF, MinF, MaxF, And, Or, Xor, Shl, Shr)
+}
+
+/// [`eval_cmp`] over every lane as a lane mask, matching on `op` once.
+fn cmp_lanes(op: CmpOp, a: &Lanes, b: &Lanes) -> u64 {
+    macro_rules! per_op {
+        ($($op:ident),*) => {
+            match op {
+                $(CmpOp::$op => (0..WAVE_LANES).fold(0, |mask, l| {
+                    mask | u64::from(eval_cmp(CmpOp::$op, a[l], b[l])) << l
+                }),)*
+            }
+        };
+    }
+    per_op!(EqU, NeU, LtU, GeU, LtF, GtF)
 }
 
 /// Evaluate a comparison on one lane (or on scalars).
@@ -296,6 +331,19 @@ impl OperandEnv {
         transfer: Transfer,
         ctx: &mut StepCtx<'_, P>,
     ) -> Lanes {
+        self.note_vop(wf, op, transfer, ctx);
+        vop_values(wf, op)
+    }
+
+    /// Record the provenance and VGPR read events of reading a vector
+    /// operand, without copying its values.
+    fn note_vop<P: Ports>(
+        &mut self,
+        wf: &Wavefront,
+        op: VOp,
+        transfer: Transfer,
+        ctx: &mut StepCtx<'_, P>,
+    ) {
         match op {
             VOp::Reg(r) => {
                 if let Some(trace) = ctx.trace.as_deref_mut() {
@@ -306,15 +354,13 @@ impl OperandEnv {
                     ctx.ports.reg_read(ctx.now, wf.slot, r.0, self.dyn_id, self.next_src, wf.exec);
                     self.next_src += 1;
                 }
-                wf.vregs[r.0 as usize]
             }
             VOp::Sreg(s) => {
                 if let Some(trace) = ctx.trace.as_deref_mut() {
                     trace.last_mut().push_src(wf.sreg_writer[s.0 as usize], transfer);
                 }
-                [wf.sregs[s.0 as usize]; WAVE_LANES]
             }
-            VOp::Imm(v) => [v; WAVE_LANES],
+            VOp::Imm(_) => {}
         }
     }
 
@@ -371,15 +417,16 @@ pub fn step<P: Ports>(wf: &mut Wavefront, program: &Program, ctx: &mut StepCtx<'
         Inst::VAlu { op, dst, a, b } => {
             let va = vop_values(wf, a);
             let vb = vop_values(wf, b);
-            let b_imm = if let VOp::Imm(v) = b { Some(v) } else { None };
-            let (ta, tb) = valu_transfers(op, or_lanes(&va), or_lanes(&vb), b_imm);
-            env.read_vop(wf, a, ta, ctx);
-            env.read_vop(wf, b, tb, ctx);
-            let mut out = [0u32; WAVE_LANES];
-            for l in 0..WAVE_LANES {
-                out[l] = eval_valu(op, va[l], vb[l]);
-            }
-            write_vreg(wf, dst.0, out, dyn_id, ctx);
+            // Transfers feed only the trace's demand analysis.
+            let (ta, tb) = if ctx.trace.is_some() {
+                let b_imm = if let VOp::Imm(v) = b { Some(v) } else { None };
+                valu_transfers(op, or_lanes(&va), or_lanes(&vb), b_imm)
+            } else {
+                (Transfer::Full, Transfer::Full)
+            };
+            env.note_vop(wf, a, ta, ctx);
+            env.note_vop(wf, b, tb, ctx);
+            write_vreg(wf, dst.0, valu_lanes(op, &va, &vb), dyn_id, ctx);
         }
         Inst::VMov { dst, src } => {
             let v = env.read_vop(wf, src, Transfer::Copy, ctx);
@@ -400,13 +447,7 @@ pub fn step<P: Ports>(wf: &mut Wavefront, program: &Program, ctx: &mut StepCtx<'
         Inst::VCmp { op, a, b } => {
             let va = env.read_vop(wf, a, Transfer::Full, ctx);
             let vb = env.read_vop(wf, b, Transfer::Full, ctx);
-            let mut vcc = 0u64;
-            for l in 0..WAVE_LANES {
-                if eval_cmp(op, va[l], vb[l]) {
-                    vcc |= 1 << l;
-                }
-            }
-            wf.vcc = vcc;
+            wf.vcc = cmp_lanes(op, &va, &vb);
             wf.vcc_writer = dyn_id;
         }
         Inst::VReadLane { sdst, vsrc, lane } => {
@@ -442,10 +483,16 @@ pub fn step<P: Ports>(wf: &mut Wavefront, program: &Program, ctx: &mut StepCtx<'
                 }
             }
             let mut out = wf.vregs[dst.0 as usize];
-            for l in 0..WAVE_LANES {
-                if wf.exec >> l & 1 == 1 {
-                    out[l] = ctx.mem.load(addrs[l], width.bytes());
+            if let VOp::Reg(_) = addr {
+                for l in 0..WAVE_LANES {
+                    if wf.exec >> l & 1 == 1 {
+                        out[l] = ctx.mem.load(addrs[l], width.bytes());
+                    }
                 }
+            } else if wf.exec != 0 {
+                // A scalar or immediate address is the same in every lane:
+                // load it once; `write_vreg` keeps the inactive lanes.
+                out = [ctx.mem.load(addrs[0], width.bytes()); WAVE_LANES];
             }
             cost = ctx.ports.mem_access(ctx.now, dyn_id, &addrs, wf.exec, width, false);
             write_vreg(wf, dst.0, out, dyn_id, ctx);
@@ -577,6 +624,10 @@ mod tests {
         assert_eq!(eval_valu(VAluOp::MulF, 2.0f32.to_bits(), 3.5f32.to_bits()), 7.0f32.to_bits());
         assert_eq!(eval_valu(VAluOp::DivF, 1.0f32.to_bits(), 2.0f32.to_bits()), 0.5f32.to_bits());
         assert_eq!(eval_valu(VAluOp::Shl, 1, 33), 2); // shift amount masked
+
+        // Two NaN operands: `+` and `*` return the second one's, quieted.
+        assert_eq!(eval_valu(VAluOp::AddF, 0x7FC0_1234, 0xFF80_0001), 0xFFC0_0001);
+        assert_eq!(eval_valu(VAluOp::MulF, 0xFF80_0001, 0x7FC0_1234), 0x7FC0_1234);
         assert!(eval_cmp(CmpOp::LtF, 1.0f32.to_bits(), 2.0f32.to_bits()));
         assert!(eval_cmp(CmpOp::GeU, 5, 5));
         assert_eq!(eval_salu(SAluOp::Mul, 6, 7), 42);
@@ -788,6 +839,119 @@ mod tests {
         assert_eq!(dst.sreg_writer, src.sreg_writer);
         assert_eq!(dst.vcc_writer, src.vcc_writer);
         assert_eq!(dst.scc_writer, src.scc_writer);
+    }
+
+    /// Edge operands for the lane-op equivalence test: shift amounts at and
+    /// past 32, ±0.0, infinities, subnormals, and NaNs with payloads.
+    const EDGES: [u32; 20] = [
+        0,
+        1,
+        31,
+        32,
+        33,
+        64,
+        0x7FFF_FFFF,
+        0x8000_0000, // -0.0
+        u32::MAX,    // a negative NaN with a full payload
+        0x3F80_0000, // 1.0
+        0xBFC0_0000, // -1.5
+        0x7F80_0000, // +inf
+        0xFF80_0000, // -inf
+        0x7FC0_0000, // quiet NaN
+        0x7FC0_1234, // quiet NaN with a payload
+        0x7F80_0001, // signalling NaN
+        0xFFC0_0000, // negative quiet NaN
+        0x0000_0001, // smallest subnormal
+        0x0080_0000, // smallest normal
+        0x4B80_0000, // 2^24
+    ];
+
+    #[test]
+    fn lane_ops_match_per_lane_eval_on_edge_values() {
+        use VAluOp::*;
+        let pairs: Vec<(u32, u32)> =
+            EDGES.iter().flat_map(|&a| EDGES.iter().map(move |&b| (a, b))).collect();
+        for chunk in pairs.chunks(WAVE_LANES) {
+            let mut a = [0u32; WAVE_LANES];
+            let mut b = [0u32; WAVE_LANES];
+            for (l, &(x, y)) in chunk.iter().enumerate() {
+                (a[l], b[l]) = (x, y);
+            }
+            for op in [AddU, SubU, MulU, AddF, SubF, MulF, DivF, MinF, MaxF, And, Or, Xor, Shl, Shr]
+            {
+                let out = valu_lanes(op, &a, &b);
+                for l in 0..WAVE_LANES {
+                    assert_eq!(
+                        out[l],
+                        eval_valu(op, a[l], b[l]),
+                        "{op:?}({:#x}, {:#x})",
+                        a[l],
+                        b[l]
+                    );
+                }
+            }
+            for op in [CmpOp::EqU, CmpOp::NeU, CmpOp::LtU, CmpOp::GeU, CmpOp::LtF, CmpOp::GtF] {
+                let mask = cmp_lanes(op, &a, &b);
+                for l in 0..WAVE_LANES {
+                    let want = eval_cmp(op, a[l], b[l]);
+                    assert_eq!(mask >> l & 1 == 1, want, "{op:?}({:#x}, {:#x})", a[l], b[l]);
+                }
+            }
+        }
+    }
+
+    /// A load from a scalar or immediate address — loaded once and
+    /// broadcast — leaves every lane as a per-lane load of the same address
+    /// does: under a partial and an empty exec mask, traced or not, and
+    /// with a wild address it panics with the same message.
+    #[test]
+    fn scalar_address_load_matches_per_lane_load() {
+        let mut template = Memory::new(1 << 12);
+        let buf = template.alloc_u32(&[0xDEAD_BEEF, 0x0BAD_F00D]);
+        let wild = 0x8000_0000u32;
+        // `lanes` selects the exec mask (0 = none); `via` the address form.
+        let run = |addr: u32, lanes: u32, via: u8, traced: bool| {
+            let mut a = Assembler::new();
+            a.v_mov(VReg(3), 0x5555_5555u32);
+            a.v_cmp(CmpOp::LtU, VReg(0), lanes);
+            a.s_set_exec(crate::isa::ExecOp::Vcc);
+            a.s_mov(SReg(2), addr);
+            a.v_mov(VReg(4), SReg(2));
+            match via {
+                0 => a.v_load(VReg(3), SReg(2), 4),
+                1 => a.v_load(VReg(3), addr.wrapping_add(4), 0),
+                _ => a.v_load(VReg(3), VReg(4), 4),
+            };
+            a.v_load_byte(VReg(5), SReg(2), 1);
+            a.end();
+            let p = a.finish().unwrap();
+            let mut mem = template.clone();
+            let mut trace = Trace::new();
+            crate::isolate::catch_crash(|| {
+                let mut wf = Wavefront::launch(&p, 0, 0, 1);
+                while !wf.done {
+                    let trace = traced.then_some(&mut trace);
+                    let mut ctx = StepCtx { mem: &mut mem, trace, ports: &mut NullPorts, now: 0 };
+                    step(&mut wf, &p, &mut ctx);
+                }
+                (wf.vregs[3], wf.vregs[5])
+            })
+        };
+        for addr in [buf, wild] {
+            for lanes in [0, 1, 37, 64] {
+                for traced in [false, true] {
+                    let want = run(addr, lanes, 2, traced);
+                    assert_eq!(want.is_err(), addr == wild && lanes > 0, "{want:?}");
+                    for via in [0, 1] {
+                        let got = run(addr, lanes, via, traced);
+                        assert_eq!(got, want, "addr {addr:#x} lanes {lanes} via {via}");
+                    }
+                }
+            }
+        }
+        let (v3, v5) = run(buf, 37, 0, false).unwrap();
+        assert_eq!((v3[36], v3[37]), (0x0BAD_F00D, 0x5555_5555));
+        assert_eq!((v5[0], v5[63]), (0xBE, 0));
     }
 
     #[test]

@@ -106,8 +106,10 @@ impl Memory {
         Self::with_tracking(size, true)
     }
 
-    /// A memory of `size` bytes; `track = false` skips provenance metadata
-    /// (the fast path for fault-injection runs).
+    /// A memory of `size` bytes; `track = false` skips provenance metadata.
+    /// Fault-injection runs take that fast path: a trial arena and the
+    /// campaign's golden runs turn each built image into an untracked one
+    /// with [`Memory::into_untracked`].
     pub fn with_tracking(size: u32, track: bool) -> Self {
         let pages = (size as usize).div_ceil(1 << PAGE_SHIFT);
         Self {
@@ -179,6 +181,18 @@ impl Memory {
         } else {
             i
         }
+    }
+
+    /// This image without provenance: drops the per-byte writer arrays,
+    /// five of every six bytes of a tracked image, and keeps the data,
+    /// outputs, allocation cursor, dirty map and `wrap_oob` policy. No
+    /// fault-injection trial reads provenance, so trial images take this
+    /// form and restore only data bytes between trials.
+    pub fn into_untracked(mut self) -> Self {
+        self.writer = Vec::new();
+        self.writer_byte = Vec::new();
+        self.track = false;
+        self
     }
 
     /// Whether provenance tracking is on.
@@ -342,6 +356,19 @@ impl Memory {
     ///
     /// Panics on out-of-bounds access (a kernel bug).
     pub fn load(&self, addr: u32, len: u32) -> u32 {
+        let a = addr as usize;
+        match self.data.get(a..a + len as usize) {
+            Some(&[b]) => u32::from(b),
+            Some(&[b0, b1, b2, b3]) => u32::from_le_bytes([b0, b1, b2, b3]),
+            _ => self.load_bytewise(addr, len),
+        }
+    }
+
+    /// [`Memory::load`] byte by byte through the `wrap_oob` policy: the
+    /// path of an access that leaves the image, and the reference the
+    /// in-bounds word path equals.
+    #[cold]
+    fn load_bytewise(&self, addr: u32, len: u32) -> u32 {
         let mut v = 0u32;
         for k in 0..len as usize {
             v |= u32::from(self.data[self.index(addr, k)]) << (8 * k);
@@ -356,6 +383,26 @@ impl Memory {
     ///
     /// Panics on out-of-bounds access (a kernel bug).
     pub fn store(&mut self, addr: u32, len: u32, value: u32, dyn_id: u32) {
+        let (a, n) = (addr as usize, len as usize);
+        if a + n > self.data.len() || n > 4 {
+            self.store_bytewise(addr, len, value, dyn_id);
+            return;
+        }
+        self.mark_dirty_range(a, n);
+        self.data[a..a + n].copy_from_slice(&value.to_le_bytes()[..n]);
+        if self.track {
+            for k in 0..n {
+                self.writer[a + k] = dyn_id;
+                self.writer_byte[a + k] = k as u8;
+            }
+        }
+    }
+
+    /// [`Memory::store`] byte by byte through the `wrap_oob` policy: the
+    /// path of an access that leaves the image, and the reference the
+    /// in-bounds word path equals.
+    #[cold]
+    fn store_bytewise(&mut self, addr: u32, len: u32, value: u32, dyn_id: u32) {
         // Validate every byte before mutating anything: a store that panics
         // must leave the image untouched, so the dirty map covers exactly
         // the bytes that changed (a partial write with unmarked tail bytes
@@ -466,11 +513,36 @@ impl Memory {
     /// as [`Memory::fork_from`]. Used to detect a faulty trial whose image
     /// has reconverged with the golden image at a workgroup boundary.
     pub(crate) fn same_device_bytes(&self, other: &Memory) -> bool {
-        debug_assert_eq!(self.data.len(), other.data.len(), "same_device_bytes: size mismatch");
-        (0..self.dirty.len()).all(|wi| {
-            pages_of(wi, self.dirty[wi] | other.dirty[wi]).all(|page| {
+        self.first_difference(other).is_none()
+    }
+
+    /// Forget which pages have been written, so the dirty map counts only
+    /// later writes. An image cleared this way can no longer be restored
+    /// by [`Memory::reset_from`]: this is for images that are compared
+    /// with [`Memory::first_difference`] and then dropped.
+    pub fn clear_dirty(&mut self) {
+        self.dirty.fill(0);
+    }
+
+    /// The lowest byte index at which this image and `other` differ,
+    /// scanning only the pages dirty in either, in ascending order. It
+    /// finds every difference when the two images were equal at their
+    /// last [`Memory::clear_dirty`] (or at their last reset from one
+    /// template).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` differs in size.
+    pub fn first_difference(&self, other: &Memory) -> Option<usize> {
+        assert_eq!(self.data.len(), other.data.len(), "first_difference: size mismatch");
+        (0..self.dirty.len()).find_map(|wi| {
+            pages_of(wi, self.dirty[wi] | other.dirty[wi]).find_map(|page| {
                 let r = self.page_range(page);
-                self.data[r.clone()] == other.data[r]
+                let (a, b) = (&self.data[r.clone()], &other.data[r.clone()]);
+                if a == b {
+                    return None;
+                }
+                a.iter().zip(b).position(|(x, y)| x != y).map(|i| r.start + i)
             })
         })
     }
@@ -898,6 +970,93 @@ mod tests {
         assert_eq!(work.bytes(), template.bytes());
         work.reset_from(&template);
         assert_eq!(work.bytes(), template.bytes());
+    }
+
+    /// The word path of `load` and `store` equals the byte-by-byte
+    /// reference at every kind of offset — data, provenance, dirty map, and
+    /// the panic (message and location) of an access that leaves the image
+    /// — and a panicking store leaves the image untouched.
+    #[test]
+    fn word_access_matches_bytewise_reference() {
+        use crate::isolate::catch_crash;
+        const SIZE: u32 = 4096;
+        let offsets = [
+            100,          // page interior
+            1020,         // last word of a page
+            1022,         // straddles a page edge
+            1024,         // first word of a page
+            SIZE - 4,     // last word of the image
+            SIZE - 1,     // last byte of the image
+            SIZE - 2,     // straddles the end
+            SIZE,         // one past the end
+            0x8000_0001,  // wild
+            u32::MAX - 1, // wild, wraps the address space
+        ];
+        let pattern: Vec<u8> = (0..SIZE).map(|i| (i * 37 + 11) as u8).collect();
+        for track in [false, true] {
+            let mut template = Memory::with_tracking(SIZE, track);
+            template.write_bytes_host(0, &pattern);
+            template.store(2000, 4, 0x0102_0304, 5); // a device writer to overwrite
+            template.clear_dirty();
+            for wrap in [false, true] {
+                template.set_wrap_oob(wrap);
+                let mut panics = 0;
+                for len in [1, 4] {
+                    for addr in offsets {
+                        let at = format!("addr {addr:#x} len {len} wrap {wrap} track {track}");
+                        let got = catch_crash(|| template.load(addr, len));
+                        assert_eq!(got, catch_crash(|| template.load_bytewise(addr, len)), "{at}");
+                        let (mut word, mut bytewise) = (template.clone(), template.clone());
+                        let got = catch_crash(|| word.store(addr, len, 0xA1B2_C3D4, 77));
+                        let want =
+                            catch_crash(|| bytewise.store_bytewise(addr, len, 0xA1B2_C3D4, 77));
+                        assert_eq!(got, want, "{at}");
+                        assert_eq!(word.data, bytewise.data, "{at}");
+                        assert_eq!(word.writer, bytewise.writer, "{at}");
+                        assert_eq!(word.writer_byte, bytewise.writer_byte, "{at}");
+                        assert_eq!(word.dirty, bytewise.dirty, "{at}");
+                        if got.is_err() {
+                            panics += 1;
+                            assert_eq!(word.data, template.data, "{at}: partial write");
+                            assert_eq!(word.dirty, template.dirty, "{at}: stray dirty mark");
+                        }
+                    }
+                }
+                assert_eq!(panics > 0, !wrap, "wrap {wrap} track {track}: {panics} panics");
+            }
+        }
+    }
+
+    #[test]
+    fn into_untracked_keeps_the_image_and_drops_provenance() {
+        let mut m = Memory::new(4096);
+        let a = m.alloc_u32(&[1, 2, 3]);
+        m.mark_output(a, 12);
+        m.set_wrap_oob(true);
+        let (tracked, untracked) = (m.clone(), m.into_untracked());
+        assert!(!untracked.tracking());
+        assert!(untracked.writer.is_empty() && untracked.writer_byte.is_empty());
+        assert_eq!(untracked.bytes(), tracked.bytes());
+        assert_eq!(untracked.outputs(), tracked.outputs());
+        assert_eq!(untracked.dirty, tracked.dirty);
+        assert_eq!(untracked.next_alloc, tracked.next_alloc);
+        assert_eq!(untracked.load(4095, 4), tracked.load(4095, 4), "wrap policy kept");
+    }
+
+    #[test]
+    fn first_difference_scans_written_pages_in_order() {
+        let mut base = Memory::with_tracking(8192, false);
+        base.write_bytes_host(0, &[7; 8192]);
+        base.clear_dirty();
+        let (mut a, mut b) = (base.clone(), base.clone());
+        assert_eq!(a.first_difference(&b), None);
+        b.store(5000, 1, 9, 1);
+        assert_eq!(a.first_difference(&b), Some(5000));
+        a.store(3000, 4, 0x0707_0107, 2); // differs in byte 3001 only
+        assert_eq!(a.first_difference(&b), Some(3001));
+        assert_eq!(b.first_difference(&a), Some(3001));
+        a.store(3000, 4, 0x0707_0707, 3);
+        assert_eq!(a.first_difference(&b), Some(5000), "same bytes again");
     }
 
     #[test]
