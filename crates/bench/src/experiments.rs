@@ -550,6 +550,78 @@ mod tests {
         }
     }
 
+    /// Figures 5 and 8 without windowed analysis: each window's value is
+    /// the whole-run MB-AVF of the L1 clipped to that window.
+    mod direct {
+        use super::super::*;
+        use mbavf_core::timeline::{Interval, TimelineStore};
+
+        /// `store`'s timelines within `[start, end)`, shifted to start at
+        /// cycle 0.
+        fn clip(store: &TimelineStore, start: u64, end: u64) -> TimelineStore {
+            let mut clipped = TimelineStore::new(store.num_bytes(), end - start);
+            for (b, tl) in store.iter().enumerate() {
+                for iv in tl.intervals().iter().filter(|iv| iv.start < end && iv.end > start) {
+                    let (s, e) = (iv.start.max(start) - start, iv.end.min(end) - start);
+                    let iv = Interval { start: s, end: e, ..*iv };
+                    clipped.byte_mut(b).push(iv).expect("clipped intervals stay ordered");
+                }
+            }
+            clipped
+        }
+
+        /// The L1 clipped to each of the windows `fig5` and `fig8` use.
+        pub fn windows(d: &WorkloadData, windows: u64) -> Vec<TimelineStore> {
+            let window = d.cycles.div_ceil(windows.max(1));
+            let total = d.l1.total_cycles();
+            (0..total.div_ceil(window))
+                .map(|w| clip(&d.l1, w * window, (w * window + window).min(total)))
+                .collect()
+        }
+
+        /// Per window, the parity MB-AVFs of the `Mx1` modes `ms` on one
+        /// layout, as `[window][mode]`.
+        fn series(
+            d: &WorkloadData,
+            clipped: &[TimelineStore],
+            il: CacheInterleave,
+            ms: &[u32],
+        ) -> Vec<Vec<MbAvfResult>> {
+            let layout = l1_layout(d, il);
+            let modes: Vec<FaultMode> = ms.iter().map(|&m| FaultMode::mx1(m)).collect();
+            let cfg = [AnalysisConfig::new(ProtectionKind::Parity)];
+            clipped
+                .iter()
+                .map(|store| {
+                    let grid = mb_avf_grid(store, &layout, &modes, &cfg).expect("modes fit the L1");
+                    grid.into_iter().map(|mut row| row.remove(0)).collect()
+                })
+                .collect()
+        }
+
+        pub fn fig5_fig8(
+            d: &WorkloadData,
+            windows: u64,
+            clipped: &[TimelineStore],
+        ) -> (Fig5Series, Fig8Series) {
+            let window = d.cycles.div_ceil(windows.max(1));
+            let index = series(d, clipped, CacheInterleave::IndexPhysical(2), &[1, 2, 3]);
+            let way = series(d, clipped, CacheInterleave::WayPhysical(2), &[2, 3]);
+            let logical = series(d, clipped, CacheInterleave::Logical(2), &[2]);
+            let due = |s: &[Vec<MbAvfResult>], m: usize| s.iter().map(|w| w[m].due_avf()).collect();
+            let fig5 = Fig5Series {
+                window,
+                sb: due(&index, 0),
+                mb: [due(&logical, 0), due(&way, 0), due(&index, 1)],
+            };
+            let sdc_due = |s: &[Vec<MbAvfResult>], m: usize| -> Vec<(f64, f64)> {
+                s.iter().map(|w| (w[m].sdc_avf(), w[m].due_avf())).collect()
+            };
+            let fig8 = Fig8Series { window, index: sdc_due(&index, 2), way: sdc_due(&way, 1) };
+            (fig5, fig8)
+        }
+    }
+
     fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
         values.into_iter().map(f64::to_bits).collect()
     }
@@ -582,6 +654,27 @@ mod tests {
                 assert_eq!(row(g), row(w), "{name} fig11 {}", g.label);
             }
         }
+    }
+
+    /// Windowed Figures 5 and 8 reproduce, bit for bit, the whole-run
+    /// analysis of each window's clipped L1 on MiniFE.
+    #[test]
+    fn windowed_figures_match_the_direct_sweep() {
+        const WINDOWS: u64 = 40;
+        let d = data("minife");
+        let clipped = direct::windows(&d, WINDOWS);
+        let (want5, want8) = direct::fig5_fig8(&d, WINDOWS, &clipped);
+        let got = fig5(&d, WINDOWS);
+        assert_eq!(got.window, want5.window);
+        assert_eq!(bits(got.sb), bits(want5.sb), "fig5 SB");
+        for (i, (g, w)) in got.mb.into_iter().zip(want5.mb).enumerate() {
+            assert_eq!(bits(g), bits(w), "fig5 {:?}", FIG4_SCHEMES[i]);
+        }
+        let got = fig8(&d, WINDOWS);
+        assert_eq!(got.window, want8.window);
+        let flat = |s: Vec<(f64, f64)>| bits(s.into_iter().flat_map(|(sdc, due)| [sdc, due]));
+        assert_eq!(flat(got.index), flat(want8.index), "fig8 index-physical");
+        assert_eq!(flat(got.way), flat(want8.way), "fig8 way-physical");
     }
 
     #[test]

@@ -74,3 +74,58 @@ where
             .collect()
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mbavf_core::analysis::{mb_avf_grid, AnalysisConfig};
+    use mbavf_core::geometry::FaultMode;
+    use mbavf_core::layout::{CacheGeometry, CacheInterleave, CacheLayout};
+    use mbavf_core::protection::ProtectionKind;
+    use mbavf_core::rng::SplitMix64;
+    use mbavf_core::timeline::{Interval, TimelineStore};
+    use std::sync::Barrier;
+
+    /// One store analysed from several threads at once, each on its own
+    /// layout, gives the results of analysing it on one thread: the
+    /// store's timeline ids are computed once, by whichever thread comes
+    /// first, and shared. A barrier starts every analysis together.
+    #[test]
+    fn concurrent_analyses_of_one_store_match_the_serial_ones() {
+        let geom = CacheGeometry { sets: 8, ways: 4, line_bytes: 4 };
+        let mut store = TimelineStore::new(geom.bytes() as usize, 200);
+        let mut rng = SplitMix64::new(11);
+        // Four line patterns, so rows and groups repeat.
+        let patterns: Vec<Vec<u8>> =
+            (0..4).map(|_| (0..4).map(|_| rng.next_u32() as u8).collect()).collect();
+        for line in 0..geom.lines() as usize {
+            let pattern = &patterns[rng.below(4) as usize];
+            for (b, &mask) in pattern.iter().enumerate() {
+                let iv = Interval { start: 10 * b as u64, end: 150, ace_mask: mask, checked: true };
+                store.byte_mut(line * 4 + b).push(iv).unwrap();
+            }
+        }
+        let layouts: Vec<CacheLayout> = [2, 4]
+            .into_iter()
+            .flat_map(|f| {
+                [
+                    CacheInterleave::Logical(f),
+                    CacheInterleave::WayPhysical(f),
+                    CacheInterleave::IndexPhysical(f),
+                ]
+            })
+            .map(|il| CacheLayout::new(geom, il).unwrap())
+            .collect();
+        let modes: Vec<FaultMode> = (1..=4).map(FaultMode::mx1).collect();
+        let cfgs = [ProtectionKind::Parity, ProtectionKind::SecDed].map(AnalysisConfig::new);
+        let unanalysed = store.clone();
+        let serial: Vec<_> =
+            layouts.iter().map(|l| mb_avf_grid(&store, l, &modes, &cfgs).unwrap()).collect();
+        let start = Barrier::new(layouts.len());
+        let parallel = par_map(layouts, |l| {
+            start.wait();
+            mb_avf_grid(&unanalysed, &l, &modes, &cfgs).unwrap()
+        });
+        assert_eq!(parallel, serial);
+    }
+}
