@@ -63,6 +63,7 @@ pub mod avf;
 pub mod crc;
 pub mod ecc;
 pub mod error;
+mod fxhash;
 pub mod geometry;
 pub mod layout;
 pub mod markov;
