@@ -86,7 +86,5 @@ pub use geometry::{FaultGroup, FaultMode};
 pub use layout::{BitRef, PhysicalLayout};
 pub use protection::{Action, ProtectionKind};
 pub use rng::SplitMix64;
-pub use stats::{
-    clopper_pearson, two_proportion_test, wilson, z_for_confidence, AgreementTest, RateEstimate,
-};
+pub use stats::{two_proportion_test, wilson, z_for_confidence, AgreementTest, RateEstimate};
 pub use timeline::{ByteTimeline, Cycle, Interval, TimelineStore};

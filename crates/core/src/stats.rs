@@ -1,18 +1,14 @@
 //! Binomial uncertainty for fault-injection campaigns: confidence
-//! intervals, standard errors, and agreement tests — pure, dependency-free,
-//! deterministic `f64` arithmetic.
+//! intervals and agreement tests — pure, dependency-free, deterministic
+//! `f64` arithmetic.
 //!
 //! Every rate this repo measures is a binomial proportion (k SDC outcomes
 //! out of n trials), so a 5000-trial estimate and a 50-trial estimate must
 //! not print identically: the statistical fault-injection literature (and
 //! the paper's own Section VII-A validation against multi2sim) only
-//! compares rates *with* their uncertainty. Two interval families are
-//! provided:
-//!
-//! * [`wilson`] — the Wilson score interval, the recommended default for
-//!   reporting (good coverage at all `k`, never escapes `[0, 1]`, cheap);
-//! * [`clopper_pearson`] — the exact (conservative) interval, guaranteeing
-//!   at least nominal coverage, used when a hard bound is needed.
+//! compares rates *with* their uncertainty. Every interval is the
+//! [`wilson`] score interval: good coverage at all `k`, never escapes
+//! `[0, 1]`, cheap.
 //!
 //! [`two_proportion_test`] is the agreement test the ACE-vs-injection
 //! validation gate uses to decide whether two measured rates are consistent
@@ -105,16 +101,6 @@ pub fn z_for_confidence(confidence: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// The standard error `sqrt(p (1-p) / n)` of a binomial proportion
-/// (0 when `n == 0`).
-pub fn standard_error(p: f64, n: u64) -> f64 {
-    if n == 0 {
-        0.0
-    } else {
-        (p * (1.0 - p) / n as f64).sqrt()
-    }
-}
-
 /// The Wilson score interval for `successes` out of `n` at the given
 /// confidence level.
 ///
@@ -145,147 +131,6 @@ pub fn wilson(successes: u64, n: u64, confidence: f64) -> RateEstimate {
     let lo = if successes == 0 { 0.0 } else { (center - hw).max(0.0) };
     let hi = if successes == n { 1.0 } else { (center + hw).min(1.0) };
     RateEstimate { successes, n, estimate: p, lo, hi, confidence }
-}
-
-/// The Clopper–Pearson ("exact") interval for `successes` out of `n`:
-/// the bounds solve `P(X ≥ k | p_lo) = α/2` and `P(X ≤ k | p_hi) = α/2`,
-/// guaranteeing at least nominal coverage for every true rate.
-///
-/// # Panics
-///
-/// Panics if `successes > n` or `confidence` is outside `(0, 1)`.
-pub fn clopper_pearson(successes: u64, n: u64, confidence: f64) -> RateEstimate {
-    assert!(successes <= n, "successes {successes} > trials {n}");
-    assert!(
-        confidence > 0.0 && confidence < 1.0,
-        "confidence level must be in (0, 1), got {confidence}"
-    );
-    if n == 0 {
-        return RateEstimate::vacuous(confidence);
-    }
-    let alpha = 1.0 - confidence;
-    let k = successes as f64;
-    let nf = n as f64;
-    // P(X >= k | p) = I_p(k, n-k+1) is increasing in p; the lower bound
-    // solves it equal to alpha/2. Symmetrically for the upper bound.
-    let lo = if successes == 0 {
-        0.0
-    } else {
-        solve_increasing(|p| reg_inc_beta(k, nf - k + 1.0, p), alpha / 2.0)
-    };
-    let hi = if successes == n {
-        1.0
-    } else {
-        solve_increasing(|p| reg_inc_beta(k + 1.0, nf - k, p), 1.0 - alpha / 2.0)
-    };
-    RateEstimate { successes, n, estimate: k / nf, lo, hi, confidence }
-}
-
-/// Bisection for `f(p) = target` where `f` is nondecreasing on `[0, 1]`.
-fn solve_increasing(f: impl Fn(f64) -> f64, target: f64) -> f64 {
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if f(mid) < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
-/// `ln Γ(x)` for `x > 0` (Lanczos approximation, g = 7, n = 9).
-pub fn ln_gamma(x: f64) -> f64 {
-    // Standard published Lanczos coefficients.
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    debug_assert!(x > 0.0, "ln_gamma needs x > 0, got {x}");
-    let x = x - 1.0;
-    let mut a = COEF[0];
-    let t = x + 7.5;
-    for (i, &c) in COEF.iter().enumerate().skip(1) {
-        a += c / (x + i as f64);
-    }
-    0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
-}
-
-/// The regularized incomplete beta function `I_x(a, b)`, via the standard
-/// continued-fraction expansion (modified Lentz evaluation).
-pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
-    }
-    if x >= 1.0 {
-        return 1.0;
-    }
-    let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
-    let front = ln_front.exp();
-    // The continued fraction converges fast for x < (a+1)/(a+b+2); use the
-    // symmetry I_x(a,b) = 1 - I_{1-x}(b,a) otherwise.
-    if x < (a + 1.0) / (a + b + 2.0) {
-        front * beta_cf(a, b, x) / a
-    } else {
-        1.0 - front * beta_cf(b, a, 1.0 - x) / b
-    }
-}
-
-/// Continued fraction for the incomplete beta (Lentz's method).
-fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
-    const TINY: f64 = 1e-300;
-    const EPS: f64 = 1e-15;
-    let qab = a + b;
-    let qap = a + 1.0;
-    let qam = a - 1.0;
-    let mut c = 1.0;
-    let mut d = 1.0 - qab * x / qap;
-    if d.abs() < TINY {
-        d = TINY;
-    }
-    d = 1.0 / d;
-    let mut h = d;
-    for m in 1..300 {
-        let mf = m as f64;
-        let m2 = 2.0 * mf;
-        // Even step.
-        let aa = mf * (b - mf) * x / ((qam + m2) * (a + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < TINY {
-            d = TINY;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < TINY {
-            c = TINY;
-        }
-        d = 1.0 / d;
-        h *= d * c;
-        // Odd step.
-        let aa = -(a + mf) * (qab + mf) * x / ((a + m2) * (qap + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < TINY {
-            d = TINY;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < TINY {
-            c = TINY;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < EPS {
-            break;
-        }
-    }
-    h
 }
 
 /// Outcome of a two-proportion agreement test.
@@ -335,22 +180,6 @@ pub fn two_proportion_test(k1: u64, n1: u64, k2: u64, n2: u64, confidence: f64) 
 mod tests {
     use super::*;
 
-    /// Exact binomial tail P(X >= k | n, p) by direct summation (test-only
-    /// oracle, independent of the incomplete-beta machinery).
-    fn binom_tail_ge(n: u64, k: u64, p: f64) -> f64 {
-        let mut total = 0.0;
-        for j in k..=n {
-            let mut term = 1.0f64;
-            // C(n, j) p^j (1-p)^(n-j), built factor by factor to stay finite.
-            for i in 0..j {
-                term *= (n - i) as f64 / (i + 1) as f64 * p;
-            }
-            term *= (1.0 - p).powi((n - j) as i32);
-            total += term;
-        }
-        total
-    }
-
     #[test]
     fn normal_cdf_and_critical_values() {
         assert!((std_normal_cdf(0.0) - 0.5).abs() < 1e-9);
@@ -358,30 +187,6 @@ mod tests {
         assert!((z_for_confidence(0.95) - 1.959_964).abs() < 1e-4);
         assert!((z_for_confidence(0.99) - 2.575_829).abs() < 1e-4);
         assert!((z_for_confidence(0.6827) - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn ln_gamma_reference() {
-        // Γ(1) = Γ(2) = 1, Γ(5) = 24, Γ(0.5) = sqrt(pi).
-        assert!(ln_gamma(1.0).abs() < 1e-10);
-        assert!(ln_gamma(2.0).abs() < 1e-10);
-        assert!((ln_gamma(5.0) - 24.0f64.ln()).abs() < 1e-10);
-        assert!((ln_gamma(0.5) - 0.5 * std::f64::consts::PI.ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn incomplete_beta_matches_binomial_tail() {
-        // I_p(k, n-k+1) = P(X >= k) for X ~ Binomial(n, p).
-        for &(n, k) in &[(10u64, 3u64), (40, 10), (25, 25), (17, 1)] {
-            for &p in &[0.05, 0.3, 0.62, 0.9] {
-                let beta = reg_inc_beta(k as f64, (n - k + 1) as f64, p);
-                let tail = binom_tail_ge(n, k, p);
-                assert!(
-                    (beta - tail).abs() < 1e-10,
-                    "n={n} k={k} p={p}: beta {beta} vs tail {tail}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -406,51 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn clopper_pearson_reference_values() {
-        // Published tables: 1/10 at 95% is (0.00253, 0.44502).
-        let r = clopper_pearson(1, 10, 0.95);
-        assert!((r.lo - 0.002_529).abs() < 1e-4, "lo {}", r.lo);
-        assert!((r.hi - 0.445_016).abs() < 1e-4, "hi {}", r.hi);
-        // k = 0 closed form: hi = 1 - (alpha/2)^(1/n).
-        let r = clopper_pearson(0, 30, 0.95);
-        assert_eq!(r.lo, 0.0);
-        assert!((r.hi - (1.0 - 0.025f64.powf(1.0 / 30.0))).abs() < 1e-9);
-        // 81/263 at 95%.
-        let r = clopper_pearson(81, 263, 0.95);
-        assert!((r.lo - 0.252_737).abs() < 1e-4);
-        assert!((r.hi - 0.367_622).abs() < 1e-4);
-        // 4/10 at 99%.
-        let r = clopper_pearson(4, 10, 0.99);
-        assert!((r.lo - 0.076_768).abs() < 1e-4);
-        assert!((r.hi - 0.809_084).abs() < 1e-4);
-    }
-
-    #[test]
-    fn clopper_pearson_defining_property() {
-        // The bounds are where the exact binomial tails equal alpha/2.
-        for &(n, k) in &[(40u64, 10u64), (12, 1), (30, 29)] {
-            let r = clopper_pearson(k, n, 0.95);
-            let tail_lo = binom_tail_ge(n, k, r.lo);
-            let tail_hi = 1.0 - binom_tail_ge(n, k + 1, r.hi);
-            assert!((tail_lo - 0.025).abs() < 1e-6, "n={n} k={k}: {tail_lo}");
-            assert!((tail_hi - 0.025).abs() < 1e-6, "n={n} k={k}: {tail_hi}");
-        }
-    }
-
-    #[test]
-    fn exact_contains_wilson_roughly_and_both_contain_estimate() {
+    fn wilson_contains_its_estimate() {
         for &(k, n) in &[(0u64, 50u64), (1, 50), (12, 50), (50, 50), (499, 1000)] {
             let w = wilson(k, n, 0.95);
-            let cp = clopper_pearson(k, n, 0.95);
             assert!(w.contains(w.estimate));
-            assert!(cp.contains(cp.estimate));
-            // Clopper–Pearson is conservative: at least as wide as Wilson
-            // for interior counts (at k = 0 and k = n the clipped Wilson
-            // bound can poke marginally past the exact one).
-            if k > 0 && k < n {
-                assert!(cp.lo <= w.lo + 1e-9, "k={k} n={n}");
-                assert!(cp.hi >= w.hi - 1e-9, "k={k} n={n}");
-            }
             assert!(w.halfwidth() > 0.0);
         }
     }
@@ -467,12 +231,10 @@ mod tests {
 
     #[test]
     fn empty_sample_is_vacuous_not_nan() {
-        for r in [wilson(0, 0, 0.95), clopper_pearson(0, 0, 0.95)] {
-            assert_eq!(r.estimate, 0.0);
-            assert_eq!((r.lo, r.hi), (0.0, 1.0));
-            assert!(!r.estimate.is_nan() && !r.lo.is_nan() && !r.hi.is_nan());
-        }
-        assert_eq!(standard_error(0.5, 0), 0.0);
+        let r = wilson(0, 0, 0.95);
+        assert_eq!(r.estimate, 0.0);
+        assert_eq!((r.lo, r.hi), (0.0, 1.0));
+        assert!(!r.estimate.is_nan() && !r.lo.is_nan() && !r.hi.is_nan());
     }
 
     #[test]

@@ -711,33 +711,25 @@ fn markov_monotonicity() {
     }
 }
 
-/// Empirical coverage of the binomial intervals: across many seeded
-/// Bernoulli campaigns, a nominal-95% interval must contain the true rate
-/// about 95% of the time. Wilson may dip slightly below nominal at awkward
-/// (p, n) pairs; Clopper–Pearson is conservative by construction and must
-/// stay at or above nominal (up to sampling noise of the 400-campaign
-/// estimate itself).
+/// Empirical coverage of the binomial interval: across many seeded
+/// Bernoulli campaigns, a nominal-95% Wilson interval must contain the true
+/// rate about 95% of the time. It may dip slightly below nominal at awkward
+/// (p, n) pairs.
 #[test]
 fn interval_empirical_coverage() {
-    use mbavf_core::stats::{clopper_pearson, wilson};
+    use mbavf_core::stats::wilson;
     const CAMPAIGNS: u64 = 400;
     for &(p, n) in &[(0.05f64, 200u64), (0.3, 120), (0.7, 80)] {
         let mut wilson_hits = 0u64;
-        let mut cp_hits = 0u64;
         for c in 0..CAMPAIGNS {
             let mut rng = SplitMix64::stream(SEED ^ (n << 8), c);
             let k = (0..n).filter(|_| rng.f64() < p).count() as u64;
             if wilson(k, n, 0.95).contains(p) {
                 wilson_hits += 1;
             }
-            if clopper_pearson(k, n, 0.95).contains(p) {
-                cp_hits += 1;
-            }
         }
         let w_cov = wilson_hits as f64 / CAMPAIGNS as f64;
-        let cp_cov = cp_hits as f64 / CAMPAIGNS as f64;
         assert!((0.91..=0.99).contains(&w_cov), "p={p} n={n}: wilson coverage {w_cov}");
-        assert!(cp_cov >= 0.93, "p={p} n={n}: clopper-pearson coverage {cp_cov}");
         // Intervals that claim less must also deliver less: 80% interval is
         // strictly narrower than the 95% one on the same data.
         let narrow = wilson(n / 4, n, 0.80);

@@ -18,7 +18,7 @@ pub enum TrialAction {
     /// After sending the trial's record, replay the lease's records and
     /// tear the connection mid-frame.
     Sever,
-    /// Freeze the executor before the trial, heartbeat still beating.
+    /// Freeze the executor before the trial, connection still open.
     Stall,
 }
 

@@ -16,9 +16,9 @@
 //! Also here: [`reset_sigpipe`]. Rust sets SIGPIPE to ignore before
 //! `main`, which turns `campaign ... | head` into a broken-pipe panic;
 //! CLI mains call this first to restore the default die-quietly
-//! disposition. And the hook for the `term@N` / `term2@N` entries of
+//! disposition. And the hooks for the `term@N` / `term2@N` entries of
 //! `MBAVF_DRILL` ([`crate::drill`]), which signal this process at an exact
-//! trial count.
+//! trial count, and for a daemon's `die@T`, which SIGKILLs it.
 //!
 //! On non-unix targets everything degrades to a no-op: tokens still work
 //! (budgets, explicit cancels), there is just no signal source.
@@ -40,6 +40,7 @@ mod ffi {
     #![allow(unsafe_code)]
 
     pub(super) const SIGINT: i32 = 2;
+    pub(super) const SIGKILL: i32 = 9;
     pub(super) const SIGPIPE: i32 = 13;
     pub(super) const SIGTERM: i32 = 15;
     const SIG_DFL: usize = 0;
@@ -165,6 +166,22 @@ fn term_self() {
 
 #[cfg(not(unix))]
 fn term_self() {}
+
+/// The `die@T` drill ([`crate::drill`]): deliver SIGKILL to this process
+/// with `raise(3)`, as an external killer (OOM, operator) would — no
+/// in-process handler can observe it.
+#[cfg(unix)]
+pub(crate) fn sigkill_self() -> ! {
+    ffi::raise_now(ffi::SIGKILL);
+    // SIGKILL cannot be caught, blocked or ignored: never reached.
+    ffi::exit_now(128 + ffi::SIGKILL)
+}
+
+/// Non-unix: no SIGKILL; abort still exercises the death path.
+#[cfg(not(unix))]
+pub(crate) fn sigkill_self() -> ! {
+    std::process::abort()
+}
 
 #[cfg(test)]
 mod tests {

@@ -4,8 +4,7 @@
 //! history, so retry/poison accounting survives the shard being re-offered
 //! to a different worker after its original endpoint dies. While a worker
 //! holds a shard, a [`Lease`] tracks the revocation deadline: a sliding
-//! deadline renewed by progress (records, or heartbeat frames whose
-//! completion count advanced).
+//! deadline renewed by progress (the handshake, then committed records).
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -58,9 +57,8 @@ impl LeaseQueue {
 
 /// Deadline tracking for one leased shard attempt: a sliding deadline
 /// renewed on progress. A worker keeps its shard as long as records keep
-/// landing, and loses it `timeout` after progress stalls — even if its
-/// heartbeat is still beating, so a livelocked executor cannot hold a lease
-/// forever.
+/// landing, and loses it `timeout` after progress stalls — even with its
+/// connection open, so a livelocked executor cannot hold a lease forever.
 pub(crate) struct Lease {
     timeout: Duration,
     deadline: Instant,

@@ -26,13 +26,14 @@
 //!   processes at the given endpoints, one handler per endpoint.
 //!
 //! Per connection the supervisor sends the campaign config once (a hello
-//! frame), then a lease frame per shard. Frames are length-delimited JSON:
+//! frame, `{"mbavf_hello": 2, "workload": …, <config fields>}`), then a
+//! lease frame per shard. Frames are length-delimited JSON. The daemon
+//! answers each lease with:
 //!
-//! 1. a handshake — `{"mbavf_worker": 1, "fingerprint": <u64>}` — that the
+//! 1. a handshake — `{"mbavf_worker": 2, "fingerprint": <u64>}` — that the
 //!    supervisor validates against its own config fingerprint,
 //! 2. one record frame per trial, in order (checkpoint record fields plus
-//!    `"us"`, the trial's wall-clock in microseconds), interleaved with
-//!    `{"hb": N}` heartbeat frames,
+//!    `"us"`, the trial's wall-clock in microseconds),
 //! 3. a `{"done": N}` sentinel on success; or `{"error": "<detail>"}` for a
 //!    fatal configuration error.
 //!
@@ -42,12 +43,12 @@
 //! ## Failure policy
 //!
 //! While a worker holds a shard, a `lease::Lease` tracks the revocation
-//! deadline: a **sliding lease** (`lease_timeout`) renewed by progress —
-//! records, or heartbeat frames whose completion count advanced, so a
-//! livelocked executor with a beating heart still loses its lease. A missed
-//! deadline revokes the lease (sever the socket; kill a local daemon) and
-//! retries the shard's *remaining* trials with bounded, per-handler-jittered
-//! exponential backoff; because records arrive in trial order and are
+//! deadline: a **sliding lease** (`lease_timeout`) renewed by the handshake
+//! and by committed records only, so a livelocked executor on an open
+//! connection still loses its lease. A missed deadline revokes the lease
+//! (sever the socket; kill a local daemon) and retries the shard's
+//! *remaining* trials with bounded, per-handler-jittered exponential
+//! backoff; because records arrive in trial order and are
 //! committed through an idempotent [`merge`] keyed by trial index, a
 //! reconnect simply re-leases from the first missing trial, and duplicated
 //! or reordered records can never double-count. A **remote endpoint that
@@ -107,8 +108,9 @@ use self::transport::{render_hello, ChannelEvent, Transport};
 
 /// Version of the supervisor↔worker protocol (the handshake's
 /// `mbavf_worker` field, and the hello frame's `mbavf_hello` field). Bumped
-/// whenever the frame format changes.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// whenever the frame format changes; a daemon answers a hello of another
+/// version with an error frame.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Version of the `*.poison.json` sidecar format.
 pub const POISON_VERSION: u64 = 1;
@@ -195,9 +197,10 @@ pub struct SupervisorConfig {
     /// `campaign --listen` endpoints.
     pub transport: TransportKind,
     /// Shard lease: a worker whose *progress* stalls for this long loses
-    /// its shard (revoked and re-leased, possibly elsewhere). Renewed by
-    /// records and by heartbeat frames whose completion count advanced —
-    /// never by heartbeats alone.
+    /// its shard (revoked and re-leased, possibly elsewhere). Renewed by the
+    /// handshake and by committed records, nothing else: a trial that runs
+    /// longer than this loses its lease. Also bounds the dial and the
+    /// arrival of a frame already begun.
     pub lease_timeout: Duration,
     /// Trust-but-verify: deterministically sample worker records for local
     /// re-execution before commit, and quarantine endpoints whose records
@@ -576,8 +579,7 @@ impl SupCtx<'_> {
 
     /// Build handler `id`'s channel to its worker.
     fn make_transport(&self, id: usize) -> Transport {
-        let hello =
-            render_hello(self.campaign.workload.name, self.campaign.cfg, self.sup.lease_timeout);
+        let hello = render_hello(self.campaign.workload.name, self.campaign.cfg);
         match &self.sup.transport {
             TransportKind::Local => {
                 Transport::local(self.sup.worker_env.clone(), self.sup.lease_timeout, hello)
@@ -608,10 +610,6 @@ impl SupCtx<'_> {
             handshaken: false,
         };
         let mut drain_sent = false;
-        // Progress gate for heartbeats: renew only when the daemon's
-        // completion count *changes*, so a frozen executor with a beating
-        // heart still loses its lease.
-        let mut last_hb: Option<u64> = None;
         loop {
             // Stop and cancellation are acted on between groups: an open
             // group commits at the next empty poll, or once it is full.
@@ -653,7 +651,7 @@ impl SupCtx<'_> {
             };
             let v = frame.and_then(|frame| json::parse(frame).ok());
             let control =
-                |v: &Value| ["hb", "drained", "error", "done"].iter().any(|k| v.get(k).is_some());
+                |v: &Value| ["drained", "error", "done"].iter().any(|k| v.get(k).is_some());
             let record = frame
                 .zip(v.as_ref())
                 .filter(|(_, v)| s.handshaken && !control(v))
@@ -765,13 +763,6 @@ impl SupCtx<'_> {
                 return ShardRun::Fatal(SupervisorError::Protocol {
                     detail: format!("bad record frame: {detail}"),
                 });
-            }
-            if let Some(n) = v.get("hb").and_then(Value::as_u64) {
-                if last_hb != Some(n) {
-                    last_hb = Some(n);
-                    s.lease.renew();
-                }
-                continue;
             }
             if v.get("drained").is_some() {
                 // The daemon honored our drain frame: its in-flight trial is
@@ -1203,9 +1194,10 @@ mod tests {
 
     /// A scripted fake worker daemon on a loopback port: it accepts any
     /// number of connections, reads each one's hello, and answers every
-    /// lease frame with `frames` — then stays silent until the supervisor
-    /// hangs up. Returns the address to connect to.
-    fn fake_daemon(frames: Vec<String>) -> String {
+    /// lease frame with `frames`, pausing `gap` before each but the first —
+    /// then stays silent until the supervisor hangs up. Returns the address
+    /// to connect to.
+    fn fake_daemon(frames: Vec<String>, gap: Duration) -> String {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
@@ -1220,7 +1212,10 @@ mod tests {
                         if leases == 1 {
                             continue; // the hello
                         }
-                        for f in &frames {
+                        for (i, f) in frames.iter().enumerate() {
+                            if i > 0 {
+                                std::thread::sleep(gap);
+                            }
                             if transport::write_frame(&mut &stream, f).is_err() {
                                 return;
                             }
@@ -1234,11 +1229,16 @@ mod tests {
 
     /// A supervisor pointed at one fake daemon, failing fast.
     fn fake_sup(frames: Vec<String>) -> SupervisorConfig {
+        paced_sup(frames, Duration::ZERO)
+    }
+
+    /// [`fake_sup`] with the fake daemon pausing `gap` between frames.
+    fn paced_sup(frames: Vec<String>, gap: Duration) -> SupervisorConfig {
         SupervisorConfig {
             max_retries: 0,
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(5),
-            transport: TransportKind::Tcp { endpoints: vec![fake_daemon(frames)] },
+            transport: TransportKind::Tcp { endpoints: vec![fake_daemon(frames, gap)] },
             ..SupervisorConfig::default()
         }
     }
@@ -1486,6 +1486,28 @@ mod tests {
             "{}",
             report.poisoned[0].reason
         );
+    }
+
+    #[test]
+    fn records_alone_keep_a_slow_workers_lease() {
+        // A worker whose records land half a lease timeout apart, over three
+        // timeouts, with nothing in between: each committed record renews
+        // the lease, so the campaign completes with nothing poisoned (with
+        // no retries, one expiry would poison a trial).
+        let w = by_name("transpose").expect("registered");
+        let cfg = cfg(6);
+        let thread = run_campaign(&w, &cfg, &RunnerConfig::serial()).unwrap();
+        let lease_timeout = Duration::from_millis(300);
+        let mut frames = vec![handshake(&w, &cfg)];
+        frames.extend(thread.summary.records.iter().map(|r| render_record_frame(r, 1)));
+        frames.push("{\"done\": 6}".into());
+        let sup = SupervisorConfig { lease_timeout, ..paced_sup(frames, lease_timeout / 2) };
+        let t0 = std::time::Instant::now();
+        let report = run_supervised(&w, &cfg, &RunnerConfig::serial(), &sup).unwrap();
+        assert!(t0.elapsed() > 2 * lease_timeout, "the stream must outlast two lease timeouts");
+        assert!(report.complete);
+        assert!(report.poisoned.is_empty(), "poisoned: {:?}", report.poisoned);
+        assert_eq!(report.summary, thread.summary);
     }
 
     #[test]

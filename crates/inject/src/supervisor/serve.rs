@@ -7,15 +7,14 @@
 //! supervisor connections forever, one thread per connection.
 //!
 //! Per connection: the supervisor sends a *hello* frame carrying the
-//! protocol version, the lease budget, and the full campaign config; the
-//! daemon runs the golden reference and builds the site sampler and a
-//! width-1 trial executor from it — paid once per connection, reused
-//! across leases. Each subsequent *lease* frame names a trial range; the
-//! daemon answers with the fingerprint handshake, one record frame per
-//! trial in order, and a `done` sentinel, while a side thread emits
-//! `{"hb": N}` heartbeat frames (N = trials completed in this lease) so the
-//! supervisor's progress-gated lease can distinguish a slow-but-alive
-//! worker from a dead or livelocked one.
+//! protocol version and the full campaign config; the daemon runs the
+//! golden reference and builds the site sampler and a width-1 trial
+//! executor from it — paid once per connection, reused across leases. Each
+//! subsequent *lease* frame names a trial range; the daemon answers with
+//! the fingerprint handshake, one record frame per trial in order, and a
+//! `done` sentinel. The records are the supervisor's only sign of life: a
+//! worker slower than its lease timeout per trial, dead or livelocked,
+//! loses the lease the same way.
 //!
 //! The daemon holds no shard state between leases — after any disconnect
 //! the supervisor simply reconnects and leases whatever its merge is still
@@ -49,9 +48,7 @@ use crate::json::{self, Value};
 use mbavf_workloads::by_name;
 use std::io::{BufReader, Write as _};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::process::Command;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc;
 use std::time::Duration;
 
 /// Version of the `__serve` stdout announcement line.
@@ -61,15 +58,6 @@ pub const SERVE_VERSION: u64 = 1;
 /// then exit. Local daemons are spawned with it; `campaign --listen` never
 /// passes it.
 pub(crate) const EXIT_WITH_SUPERVISOR: &str = "--exit-with-supervisor";
-
-/// Deliver SIGKILL to this process — the `die` drill simulates an external
-/// killer (OOM, operator), which no in-process handler can observe.
-fn sigkill_self() -> ! {
-    let pid = std::process::id().to_string();
-    let _ = Command::new("kill").args(["-9", &pid]).status();
-    // No `kill` binary on PATH: abort still exercises the death path.
-    std::process::abort();
-}
 
 fn flag<'a>(args: &'a [String], name: &str) -> Result<&'a str, String> {
     args.windows(2)
@@ -135,8 +123,8 @@ fn serve_run(args: &[String]) -> Result<(), String> {
 }
 
 /// Parse the supervisor's hello frame into (workload name, campaign
-/// config, lease budget in ms).
-pub(super) fn parse_hello(v: &Value) -> Result<(String, CampaignConfig, u64), String> {
+/// config).
+pub(super) fn parse_hello(v: &Value) -> Result<(String, CampaignConfig), String> {
     let bad = |e: String| format!("hello frame: {e}");
     let version = checkpoint::parse_u64(v, "mbavf_hello", ..).map_err(bad)?;
     if version != PROTOCOL_VERSION {
@@ -144,12 +132,11 @@ pub(super) fn parse_hello(v: &Value) -> Result<(String, CampaignConfig, u64), St
             "unsupported protocol version {version} (this daemon speaks {PROTOCOL_VERSION})"
         ));
     }
-    let lease_ms = checkpoint::parse_u64(v, "lease_ms", ..).map_err(bad)?;
     let workload = checkpoint::parse_str(v, "workload").map_err(bad)?.to_string();
     // The budget is not part of the configuration; the trials to run
     // arrive per lease.
     let cfg = checkpoint::parse_config(v).map_err(bad)?;
-    Ok((workload, cfg, lease_ms))
+    Ok((workload, cfg))
 }
 
 /// Parse a lease frame into its trials (at most
@@ -160,11 +147,9 @@ pub(super) fn parse_lease(v: &Value) -> Result<(Vec<u64>, u32), String> {
     Ok((parse_trials(trials)?, attempt))
 }
 
-/// Send one frame through the shared writer (record stream and heartbeat
-/// thread interleave whole frames, never bytes).
-fn send(writer: &Mutex<TcpStream>, payload: &str) -> Result<(), String> {
-    let stream = writer.lock().expect("writer lock");
-    write_frame(&mut &*stream, payload).map_err(|e| format!("writing frame: {e}"))
+/// Send one frame to the supervisor.
+fn send(mut writer: &TcpStream, payload: &str) -> Result<(), String> {
+    write_frame(&mut writer, payload).map_err(|e| format!("writing frame: {e}"))
 }
 
 fn error_frame(detail: &str) -> String {
@@ -174,11 +159,10 @@ fn error_frame(detail: &str) -> String {
     line
 }
 
-fn handle_conn(stream: TcpStream) -> Result<(), String> {
-    let _ = stream.set_nodelay(true);
+fn handle_conn(writer: TcpStream) -> Result<(), String> {
+    let _ = writer.set_nodelay(true);
     let mut reader =
-        BufReader::new(stream.try_clone().map_err(|e| format!("cloning stream: {e}"))?);
-    let writer = Arc::new(Mutex::new(stream));
+        BufReader::new(writer.try_clone().map_err(|e| format!("cloning stream: {e}"))?);
 
     let hello = match read_frame(&mut reader) {
         Ok(Some(frame)) => frame,
@@ -186,11 +170,11 @@ fn handle_conn(stream: TcpStream) -> Result<(), String> {
         Err(e) => return Err(format!("reading hello: {e}")),
     };
     let v = json::parse(&hello).map_err(|d| format!("bad hello frame: {d}"))?;
-    let fatal = |writer: &Mutex<TcpStream>, detail: String| -> String {
+    let fatal = |writer: &TcpStream, detail: String| -> String {
         let _ = send(writer, &error_frame(&detail));
         detail
     };
-    let (workload_name, cfg, lease_ms) = match parse_hello(&v) {
+    let (workload_name, cfg) = match parse_hello(&v) {
         Ok(h) => h,
         Err(detail) => return Err(fatal(&writer, detail)),
     };
@@ -208,7 +192,6 @@ fn handle_conn(stream: TcpStream) -> Result<(), String> {
     let fingerprint = checkpoint::config_fingerprint(workload.name, &cfg);
     let handshake =
         format!("{{\"mbavf_worker\": {PROTOCOL_VERSION}, \"fingerprint\": {fingerprint}}}");
-    let hb_every = Duration::from_millis((lease_ms / 3).max(10));
 
     // Byzantine drill (`lie@<seed>:<rate>`): this daemon becomes a
     // mercurial core — it computes every trial correctly, then flips the
@@ -255,13 +238,13 @@ fn handle_conn(stream: TcpStream) -> Result<(), String> {
             }
             let (trials, attempt) = parse_lease(&v)?;
             send(&writer, &handshake)?;
-            run_lease(&writer, &frames, &mut exec, &trials, attempt, hb_every, liar.as_ref())?;
+            run_lease(&writer, &frames, &mut exec, &trials, attempt, liar.as_ref())?;
         }
     })();
     if served.is_err() {
         // Hang up, not just return: the frame reader thread holds its own
         // handle on the socket, and the peer must see the connection end.
-        let _ = writer.lock().expect("writer lock").shutdown(Shutdown::Both);
+        let _ = writer.shutdown(Shutdown::Both);
     }
     served
 }
@@ -277,116 +260,89 @@ fn flip_outcome(outcome: Outcome) -> Outcome {
     }
 }
 
-/// Execute one lease: stream record frames (with the heartbeat thread
-/// running alongside) and the `done` sentinel. A `drain` frame arriving
-/// mid-lease stops the executor at the next trial boundary: the daemon
-/// acks `{"drained": N}` instead of `done` and returns cleanly, leaving
-/// the lease's leftover trials for the resume.
+/// Execute one lease: stream record frames and the `done` sentinel. A
+/// `drain` frame arriving mid-lease stops the executor at the next trial
+/// boundary: the daemon acks `{"drained": N}` instead of `done` and returns
+/// cleanly, leaving the lease's leftover trials for the resume.
 fn run_lease(
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &TcpStream,
     frames: &mpsc::Receiver<Result<String, String>>,
     exec: &mut TrialExecutor<'_>,
     trials: &[u64],
     attempt: u32,
-    hb_every: Duration,
     liar: Option<&ChaosEngine>,
 ) -> Result<(), String> {
-    let progress = Arc::new(AtomicU64::new(0));
-    let (stop_tx, stop_rx) = mpsc::channel::<()>();
-    let hb = {
-        let writer = Arc::clone(writer);
-        let progress = Arc::clone(&progress);
-        std::thread::spawn(move || loop {
-            match stop_rx.recv_timeout(hb_every) {
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    let frame = format!("{{\"hb\": {}}}", progress.load(Ordering::SeqCst));
-                    if send(&writer, &frame).is_err() {
-                        return; // lease revoked: the supervisor severed us
-                    }
-                }
-                _ => return,
-            }
-        })
-    };
-
     let drills = crate::drill::armed();
-    let result = (|| -> Result<(), String> {
-        // Only the sever drill replays the lease, so only it keeps a copy.
-        let mut sent: Option<Vec<String>> =
-            drills.trials.iter().any(|d| d.0 == TrialAction::Sever).then(Vec::new);
-        for (i, &trial) in trials.iter().enumerate() {
-            // Trial boundary: honor a drain request before starting the
-            // next trial. Every record through trial `i-1` is already on
-            // the wire, so `drained: i` tells the supervisor exactly what
-            // this lease accomplished.
-            match frames.try_recv() {
-                Ok(Ok(frame)) => {
-                    let v = json::parse(&frame).map_err(|d| format!("bad mid-lease frame: {d}"))?;
-                    if v.get("drain").is_none() {
-                        return Err(format!(
-                            "unexpected frame mid-lease: {:?}",
-                            frame.chars().take(120).collect::<String>()
-                        ));
-                    }
-                    return send(writer, &format!("{{\"drained\": {i}}}"));
+    // Only the sever drill replays the lease, so only it keeps a copy.
+    let mut sent: Option<Vec<String>> =
+        drills.trials.iter().any(|d| d.0 == TrialAction::Sever).then(Vec::new);
+    for (i, &trial) in trials.iter().enumerate() {
+        // Trial boundary: honor a drain request before starting the
+        // next trial. Every record through trial `i-1` is already on
+        // the wire, so `drained: i` tells the supervisor exactly what
+        // this lease accomplished.
+        match frames.try_recv() {
+            Ok(Ok(frame)) => {
+                let v = json::parse(&frame).map_err(|d| format!("bad mid-lease frame: {d}"))?;
+                if v.get("drain").is_none() {
+                    return Err(format!(
+                        "unexpected frame mid-lease: {:?}",
+                        frame.chars().take(120).collect::<String>()
+                    ));
                 }
-                Ok(Err(detail)) => return Err(format!("reading mid-lease: {detail}")),
-                Err(mpsc::TryRecvError::Empty) => {}
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    // The supervisor severed us: the lease is revoked. The
-                    // write side would discover this too; stop running
-                    // trials nobody will merge.
-                    return Err("connection closed mid-lease".into());
-                }
+                return send(writer, &format!("{{\"drained\": {i}}}"));
             }
-            // Fault drills ([`crate::drill`]), used by torture tests and
-            // the CI smoke jobs. Read only here, in the daemon: the
-            // supervisor never drills itself.
-            if drills.fires(TrialAction::Die, trial, attempt) {
-                sigkill_self();
-            }
-            if drills.fires(TrialAction::Stall, trial, attempt) {
-                // Freeze the executor with the heartbeat still beating: the
-                // supervisor's progress-gated lease must expire and revoke
-                // even though frames keep arriving.
-                std::thread::sleep(Duration::from_secs(3600));
-            }
-            let (mut record, us) = exec.run_unit(&[trial]).next().expect("one trial, one record");
-            if let Some(engine) = liar {
-                if engine.draw(OpClass::Verdict) == Fault::VerdictFlip {
-                    // The Byzantine lie: a correct computation, reported
-                    // wrong — the failure mode only an audit can catch.
-                    record.outcome = flip_outcome(record.outcome);
-                }
-            }
-            let line = render_record_frame(&record, us);
-            send(writer, &line)?;
-            if let Some(sent) = &mut sent {
-                sent.push(line);
-            }
-            progress.store(i as u64 + 1, Ordering::SeqCst);
-            if drills.fires(TrialAction::Sever, trial, attempt) {
-                // Hostile-network drill: replay every record already sent
-                // in this lease (duplicates the merge must drop without
-                // recounting), then sever the connection mid-frame — a torn
-                // length-prefixed write promising bytes that never come.
-                for line in sent.iter().flatten() {
-                    send(writer, line)?;
-                }
-                let stream = writer.lock().expect("writer lock");
-                let _ = (&*stream).write_all(&64u32.to_be_bytes());
-                let _ = (&*stream).write_all(b"{\"trial\": ");
-                let _ = (&*stream).flush();
-                let _ = stream.shutdown(Shutdown::Both);
-                return Err("sever drill tore the connection".into());
+            Ok(Err(detail)) => return Err(format!("reading mid-lease: {detail}")),
+            Err(mpsc::TryRecvError::Empty) => {}
+            Err(mpsc::TryRecvError::Disconnected) => {
+                // The supervisor severed us: the lease is revoked. The
+                // write side would discover this too; stop running
+                // trials nobody will merge.
+                return Err("connection closed mid-lease".into());
             }
         }
-        send(writer, &format!("{{\"done\": {}}}", trials.len()))
-    })();
-
-    let _ = stop_tx.send(());
-    let _ = hb.join();
-    result
+        // Fault drills ([`crate::drill`]), used by torture tests and
+        // the CI smoke jobs. Read only here, in the daemon: the
+        // supervisor never drills itself.
+        if drills.fires(TrialAction::Die, trial, attempt) {
+            crate::signals::sigkill_self();
+        }
+        if drills.fires(TrialAction::Stall, trial, attempt) {
+            // Freeze the executor with the connection still open: no
+            // record renews the supervisor's lease, so it must expire and
+            // revoke although the daemon is alive.
+            std::thread::sleep(Duration::from_secs(3600));
+        }
+        let (mut record, us) = exec.run_unit(&[trial]).next().expect("one trial, one record");
+        if let Some(engine) = liar {
+            if engine.draw(OpClass::Verdict) == Fault::VerdictFlip {
+                // The Byzantine lie: a correct computation, reported
+                // wrong — the failure mode only an audit can catch.
+                record.outcome = flip_outcome(record.outcome);
+            }
+        }
+        let line = render_record_frame(&record, us);
+        send(writer, &line)?;
+        if let Some(sent) = &mut sent {
+            sent.push(line);
+        }
+        if drills.fires(TrialAction::Sever, trial, attempt) {
+            // Hostile-network drill: replay every record already sent
+            // in this lease (duplicates the merge must drop without
+            // recounting), then sever the connection mid-frame — a torn
+            // length-prefixed write promising bytes that never come.
+            for line in sent.iter().flatten() {
+                send(writer, line)?;
+            }
+            let mut stream = writer;
+            let _ = stream.write_all(&64u32.to_be_bytes());
+            let _ = stream.write_all(b"{\"trial\": ");
+            let _ = stream.flush();
+            let _ = stream.shutdown(Shutdown::Both);
+            return Err("sever drill tore the connection".into());
+        }
+    }
+    send(writer, &format!("{{\"done\": {}}}", trials.len()))
 }
 
 #[cfg(test)]
@@ -394,18 +350,18 @@ mod tests {
     use super::*;
     use crate::supervisor::transport::render_hello;
 
-    fn hello_with(edit: impl FnOnce(&mut String)) -> Result<(String, CampaignConfig, u64), String> {
+    fn hello_with(edit: impl FnOnce(&mut String)) -> Result<(String, CampaignConfig), String> {
         let cfg = CampaignConfig { seed: 9, mode_bits: 3, ..CampaignConfig::default() };
-        let mut hello = render_hello("transpose", &cfg, Duration::from_secs(30));
+        let mut hello = render_hello("transpose", &cfg);
         edit(&mut hello);
         parse_hello(&json::parse(&hello).expect("still JSON"))
     }
 
     #[test]
     fn hello_roundtrips() {
-        let (workload, cfg, lease_ms) = hello_with(|_| {}).unwrap();
+        let (workload, cfg) = hello_with(|_| {}).unwrap();
         assert_eq!(workload, "transpose");
-        assert_eq!((cfg.seed, cfg.mode_bits, lease_ms), (9, 3, 30_000));
+        assert_eq!((cfg.seed, cfg.mode_bits), (9, 3));
         // Every configuration field, at a non-default value and at the
         // edges of its range, comes back as sent.
         for sent in [
@@ -419,8 +375,8 @@ mod tests {
             },
             CampaignConfig { seed: 0, injections: 1, hang_factor: 1, mode_bits: 1, ..cfg },
         ] {
-            let hello = render_hello("transpose", &sent, Duration::from_millis(1));
-            let (_, got, _) = parse_hello(&json::parse(&hello).unwrap()).unwrap();
+            let hello = render_hello("transpose", &sent);
+            let (_, got) = parse_hello(&json::parse(&hello).unwrap()).unwrap();
             assert_eq!(got, sent);
         }
     }

@@ -2,10 +2,12 @@
 //!
 //! A [`Transport`] holds one persistent connection to a worker daemon. Each
 //! lease is a frame naming the trials; the daemon answers with the
-//! handshake, record frames interleaved with heartbeat frames, and `done`.
-//! Connection loss is retried by redialing (the daemon is stateless between
-//! leases, so a reconnect simply re-leases whatever is still missing);
-//! revocation severs the socket. Deadlines slide on progress.
+//! handshake, one record frame per trial, and `done`. Connection loss is
+//! retried by redialing (the daemon is stateless between leases, so a
+//! reconnect simply re-leases whatever is still missing); revocation severs
+//! the socket. The lease timeout bounds the dial and a frame's arrival
+//! once its first byte is in; the lease deadline itself is the stream
+//! loop's.
 //!
 //! The daemon is either **remote** — a `campaign --listen` process at a
 //! fixed address — or **local**: a `__serve` child of this process on a
@@ -124,20 +126,11 @@ pub(crate) enum ChannelEvent {
 }
 
 /// Serialize the per-connection hello the supervisor sends a worker daemon:
-/// protocol version, lease budget, and the full campaign configuration the
-/// daemon must build its executor from.
-pub(crate) fn render_hello(
-    workload: &str,
-    cfg: &CampaignConfig,
-    lease_timeout: Duration,
-) -> String {
+/// protocol version and the full campaign configuration the daemon must
+/// build its executor from.
+pub(crate) fn render_hello(workload: &str, cfg: &CampaignConfig) -> String {
     let mut out = String::with_capacity(192);
-    let _ = write!(
-        out,
-        "{{\"mbavf_hello\": {}, \"lease_ms\": {}, \"workload\": ",
-        super::PROTOCOL_VERSION,
-        lease_timeout.as_millis(),
-    );
+    let _ = write!(out, "{{\"mbavf_hello\": {}, \"workload\": ", super::PROTOCOL_VERSION);
     json::write_str(&mut out, workload);
     out.push_str(", ");
     checkpoint::write_config(&mut out, cfg, ", ");
@@ -442,13 +435,12 @@ mod tests {
     #[test]
     fn hello_carries_the_campaign_config() {
         let cfg = CampaignConfig { seed: 0xACE5, ..CampaignConfig::default() };
-        let hello = render_hello("transpose", &cfg, Duration::from_secs(30));
+        let hello = render_hello("transpose", &cfg);
         let v = crate::json::parse(&hello).unwrap();
         assert_eq!(
             v.get("mbavf_hello").and_then(crate::json::Value::as_u64),
             Some(super::super::PROTOCOL_VERSION)
         );
-        assert_eq!(v.get("lease_ms").and_then(crate::json::Value::as_u64), Some(30_000));
         assert_eq!(v.get("workload").and_then(crate::json::Value::as_str), Some("transpose"));
         assert_eq!(v.get("seed").and_then(crate::json::Value::as_u64), Some(0xACE5));
     }

@@ -9,9 +9,10 @@
 //! actual campaign does, against retirement counts measured independently
 //! of the campaign engine (by single-stepping each workgroup's wavefront).
 
-use mbavf_inject::campaign::CampaignConfig;
+use mbavf_inject::campaign::{CampaignConfig, SiteSampler};
 use mbavf_inject::{run_campaign, CancelToken, RunnerConfig};
 use mbavf_sim::exec::{step, NullPorts, StepCtx, Wavefront};
+use mbavf_sim::profile::profile_golden;
 use mbavf_workloads::{lopsided_drill, Scale, Workload};
 
 /// Retired-instruction count per workgroup, measured with the bare
@@ -74,6 +75,32 @@ fn campaign_injections_track_retirement_shares() {
     // share here is ~1%. Anything near uniform means the bias is back.
     let tail = counts[3] as f64 / n;
     assert!(tail < 0.05, "workgroup 3 drew {tail:.3} of injections — v1-style uniform bias");
+}
+
+/// The profile's exact read fraction is the one the v2 sampler draws: the
+/// pooled ratio over every retired instruction, in which the busy
+/// workgroup weighs by its residency. A mean of per-workgroup ratios (the
+/// v1 weighting) reads 0.5389 here, against the pooled 0.5821.
+#[test]
+fn exact_read_fraction_matches_the_residency_weighted_sampler() {
+    let w = lopsided_drill();
+    let mut inst = w.build(Scale::Test);
+    let profile = profile_golden(&inst.program, &mut inst.mem, inst.workgroups);
+    let exact = profile.read_before_overwrite_probability();
+    assert!((exact - 0.5821).abs() < 5e-5, "exact read fraction {exact:.6}");
+
+    let retired: Vec<u64> = profile.per_wg.iter().map(|wg| wg.retired).collect();
+    let sampler = SiteSampler::new(&retired, profile.num_vregs).unwrap();
+    const DRAWS: u64 = 200_000;
+    let read = (0..DRAWS)
+        .filter(|&trial| {
+            let s = sampler.sample(0xACE5, trial);
+            profile.site_is_read(s.wg, s.after_retired, s.reg, s.lane)
+        })
+        .count();
+    // One standard error of the sampled fraction is about 0.0011.
+    let sampled = read as f64 / DRAWS as f64;
+    assert!((sampled - exact).abs() < 0.005, "sampled {sampled:.4} vs exact {exact:.4}");
 }
 
 /// The lopsided workload obeys the same engine guarantees as the suite:

@@ -687,7 +687,7 @@ fn local_daemon_exits_when_its_supervisor_hangs_up() {
     let mut stream = std::net::TcpStream::connect(&daemon.addr).unwrap();
     send_frame(
         &mut stream,
-        "{\"mbavf_hello\": 1, \"lease_ms\": 30000, \"workload\": \"fast_walsh\", \"seed\": 7, \
+        "{\"mbavf_hello\": 2, \"workload\": \"fast_walsh\", \"seed\": 7, \
          \"scale\": \"test\", \"hang_factor\": 8, \"wrap_oob\": true, \"mode_bits\": 1}",
     );
     send_frame(&mut stream, "{\"trials\": \"0-999\", \"attempt\": 0}");
@@ -855,8 +855,8 @@ fn tcp_net_drill_replays_without_double_count() {
     assert_eq!(report.newly_run, 24, "duplicated records must not inflate the count");
 }
 
-/// A daemon whose executor freezes on the marker trial while its heartbeat
-/// keeps beating: the progress-gated lease must expire anyway, and since
+/// A daemon whose executor freezes on the marker trial with its connection
+/// still open: the progress-gated lease must expire anyway, and since
 /// the stall recurs on every attempt, the marker is eventually poisoned —
 /// with the lease named as the reason — while every other trial completes.
 fn tcp_lease_expiry_poisons_stalled_trial() {

@@ -193,27 +193,25 @@ pub struct RegUseProfile {
 
 impl RegUseProfile {
     /// Exact probability that a campaign fault — sampled uniformly as
-    /// (workgroup, `after_retired` in `[0, retired)`, register, lane) —
-    /// lands in a read-before-overwrite window.
+    /// (retired instruction of the whole run, register, lane) — lands in a
+    /// read-before-overwrite window.
     ///
-    /// Mirrors the campaign sampler: the workgroup is drawn first, then the
-    /// time uniformly within *that* workgroup's retirement span, so the
-    /// result is a mean of per-workgroup ratios, not a pooled ratio.
+    /// Mirrors the campaign sampler, which draws the time uniformly over
+    /// every retired instruction, so a workgroup weighs by its residency:
+    /// the result is the pooled ratio Σ observed / (Σ retired · registers ·
+    /// lanes), counted exactly in integers and divided once.
     pub fn read_before_overwrite_probability(&self) -> f64 {
-        if self.per_wg.is_empty() {
+        let mut observed = 0u128;
+        for wg in &self.per_wg {
+            for reg in 0..self.num_vregs {
+                observed += wg.observed_lanes(reg).iter().map(|&n| u128::from(n)).sum::<u128>();
+            }
+        }
+        let sites = u128::from(self.retired()) * u128::from(self.num_vregs) * WAVE_LANES as u128;
+        if sites == 0 {
             return 0.0;
         }
-        let lanes = WAVE_LANES as f64;
-        let regs = f64::from(self.num_vregs.max(1));
-        let mut acc = 0.0;
-        for wg in &self.per_wg {
-            let mut observed = 0u64;
-            for reg in 0..self.num_vregs {
-                observed += wg.observed_lanes(reg).iter().sum::<u64>();
-            }
-            acc += observed as f64 / (wg.retired.max(1) as f64 * regs * lanes);
-        }
-        acc / self.per_wg.len() as f64
+        observed as f64 / sites as f64
     }
 
     /// Point query: would a fault at this site be read before overwrite?
