@@ -1,5 +1,6 @@
 //! CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the checksum
-//! framing the campaign write-ahead journal.
+//! framing the campaign write-ahead journal, and the detecting code behind
+//! [`crate::ecc::Crc32`].
 //!
 //! Hand-rolled (the workspace takes no external dependencies) with the
 //! standard 256-entry lookup table, built once at first use. The variant is

@@ -520,34 +520,21 @@ impl Default for DecTed {
 // CRC
 // ---------------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), table-driven.
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) as an error
+/// detecting code: the journal's checksum, [`crate::crc::crc32`].
 /// Guarantees detection of any error burst of 32 bits or fewer.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    table: [u32; 256],
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Crc32;
 
 impl Crc32 {
-    /// Build the lookup table.
+    /// The code (stateless; the lookup table is shared).
     pub fn new() -> Self {
-        let mut table = [0u32; 256];
-        for (i, e) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 == 1 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        Self { table }
+        Self
     }
 
     /// Checksum of `data`.
     pub fn checksum(&self, data: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
-        for &b in data {
-            c = self.table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-        }
-        c ^ 0xFFFF_FFFF
+        crate::crc::crc32(data)
     }
 
     /// Verify a `(data, checksum)` pair.
@@ -557,12 +544,6 @@ impl Crc32 {
         } else {
             Decoded::Detected
         }
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

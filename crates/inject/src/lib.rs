@@ -36,6 +36,7 @@
 
 // Unsafe is denied crate-wide and allowed in exactly one place: the two
 // hand-declared libc calls in `signals::ffi` (no external crates allowed).
+// The test build also allows it in its counting allocator (`alloc_tests`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -53,6 +54,9 @@ pub mod runner;
 pub mod shrink;
 pub mod signals;
 pub mod supervisor;
+
+#[cfg(test)]
+mod alloc_tests;
 
 pub use bundle::{Minimized, ReproBundle, BUNDLE_VERSION, DEFAULT_BUNDLE_CAP};
 pub use campaign::{
