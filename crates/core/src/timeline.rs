@@ -142,6 +142,12 @@ impl ByteTimeline {
         Ok(())
     }
 
+    /// Remove every interval, keeping the allocation: a scratch timeline
+    /// can be filled, copied out, and filled again.
+    pub fn clear(&mut self) {
+        self.intervals.clear();
+    }
+
     /// The stored intervals, sorted by time.
     pub fn intervals(&self) -> &[Interval] {
         &self.intervals

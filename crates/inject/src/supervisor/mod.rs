@@ -53,7 +53,11 @@
 //! reconnect simply re-leases from the first missing trial, and duplicated
 //! or reordered records can never double-count. A **remote endpoint that
 //! stays unreachable** hands its shard — failure history intact — back to
-//! the queue for any surviving endpoint to pick up.
+//! the queue for any surviving endpoint to pick up. So does one that
+//! answers the hello with an `error` frame before any handshake (a daemon
+//! that cannot serve this campaign, say one speaking another protocol
+//! version); if no endpoint is left to serve, the campaign fails with that
+//! detail as [`SupervisorError::WorkerFatal`].
 //!
 //! After `max_retries` consecutive no-progress failures a shard's head trial
 //! is **poisoned**: excluded from the summary (the campaign completes with
@@ -478,6 +482,9 @@ enum ShardRun {
     Died { progress: bool, handshaken: bool, detail: String },
     /// Non-retryable worker failure.
     Fatal(SupervisorError),
+    /// A remote daemon answered the hello with an error frame before any
+    /// handshake: it cannot serve this campaign, but another endpoint may.
+    Refused(String),
     /// First frame was not a valid handshake for this campaign.
     Mismatch(String),
     /// The worker sent a record conflicting with committed state, or an
@@ -531,6 +538,9 @@ struct SupCtx<'a> {
     queue: LeaseQueue,
     poison: Mutex<Vec<PoisonEntry>>,
     fatal: Mutex<Option<SupervisorError>>,
+    /// The first refusal's detail, raised as the campaign's error if no
+    /// endpoint is left to serve it.
+    refused: Mutex<Option<String>>,
     degrade: AtomicBool,
     stop: AtomicBool,
     live_children: AtomicUsize,
@@ -731,11 +741,15 @@ impl SupCtx<'_> {
                     return s.died(format!("{status} with {} trials left", s.remaining.len()));
                 }
             };
-            // An error frame is fatal, even before the handshake: there it
-            // means the daemon rejected our hello's configuration.
+            // An error frame is fatal. Before the handshake it means the
+            // daemon rejected our hello, which only rules out that daemon
+            // when it is one remote endpoint among others.
             if let Some(detail) = v.as_ref().and_then(|v| v.get("error")).and_then(Value::as_str) {
                 let detail = detail.to_string();
                 transport.revoke();
+                if !s.handshaken && transport.is_remote() {
+                    return ShardRun::Refused(detail);
+                }
                 return ShardRun::Fatal(SupervisorError::WorkerFatal { detail });
             }
             if !s.handshaken {
@@ -923,6 +937,12 @@ impl SupCtx<'_> {
                     self.raise_fatal(e);
                     return ShardEnd::Stop;
                 }
+                ShardRun::Refused(detail) => {
+                    self.refused.lock().expect("refused lock").get_or_insert(detail.clone());
+                    return ShardEnd::EndpointDead {
+                        detail: format!("refused the hello: {detail}"),
+                    };
+                }
                 ShardRun::Hostile { quarantined, detail } => {
                     if !transport.is_remote() {
                         // A local daemon contradicting committed state or
@@ -1006,9 +1026,14 @@ impl SupCtx<'_> {
             if pending > 0
                 && !self.should_stop()
                 && self.fatal.lock().expect("fatal lock").is_none()
-                && !self.try_degrade()
             {
-                self.raise_fatal(TransportError::AllEndpointsLost { pending }.into());
+                // A daemon's refusal outranks both: it names a configuration
+                // error that no other rung would fix.
+                if let Some(detail) = self.refused.lock().expect("refused lock").take() {
+                    self.raise_fatal(SupervisorError::WorkerFatal { detail });
+                } else if !self.try_degrade() {
+                    self.raise_fatal(TransportError::AllEndpointsLost { pending }.into());
+                }
             }
         }
     }
@@ -1101,6 +1126,7 @@ pub fn run_supervised(
         queue: LeaseQueue::new(shards),
         poison: Mutex::new(Vec::new()),
         fatal: Mutex::new(None),
+        refused: Mutex::new(None),
         degrade: AtomicBool::new(false),
         stop: AtomicBool::new(false),
         live_children: AtomicUsize::new(0),
@@ -1198,21 +1224,29 @@ mod tests {
     /// then stays silent until the supervisor hangs up. Returns the address
     /// to connect to.
     fn fake_daemon(frames: Vec<String>, gap: Duration) -> String {
+        fake_daemon_with(move |_| frames.clone(), gap)
+    }
+
+    /// [`fake_daemon`] answering each lease frame with `reply(lease)`.
+    fn fake_daemon_with(
+        reply: impl Fn(&str) -> Vec<String> + Clone + Send + 'static,
+        gap: Duration,
+    ) -> String {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { return };
-                let frames = frames.clone();
+                let reply = reply.clone();
                 std::thread::spawn(move || {
                     let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
                     let mut leases = 0;
-                    while let Ok(Some(_)) = transport::read_frame(&mut reader) {
+                    while let Ok(Some(lease)) = transport::read_frame(&mut reader) {
                         leases += 1;
                         if leases == 1 {
                             continue; // the hello
                         }
-                        for (i, f) in frames.iter().enumerate() {
+                        for (i, f) in reply(&lease).iter().enumerate() {
                             if i > 0 {
                                 std::thread::sleep(gap);
                             }
@@ -1575,5 +1609,44 @@ mod tests {
             }
             other => panic!("expected WorkerFatal, got {other}"),
         }
+    }
+
+    #[test]
+    fn an_endpoint_refusing_the_hello_is_set_aside() {
+        // The first endpoint refuses the hello, as a daemon speaking another
+        // protocol version does; the second serves every lease from the
+        // thread-mode records. The refusing endpoint's shard fails over, and
+        // the campaign finishes equal to thread mode.
+        let w = by_name("transpose").expect("registered");
+        let cfg = cfg(6);
+        let thread = run_campaign(&w, &cfg, &RunnerConfig::serial()).unwrap();
+        let refusing = fake_daemon(
+            vec!["{\"error\": \"unsupported protocol version 2\"}".into()],
+            Duration::ZERO,
+        );
+        let (hello, records) = (handshake(&w, &cfg), thread.summary.records.clone());
+        let serving = fake_daemon_with(
+            move |lease| {
+                let v = json::parse(lease).unwrap();
+                let (trials, _) = serve::parse_lease(&v).unwrap();
+                let mut frames = vec![hello.clone()];
+                frames.extend(trials.iter().map(|&t| render_record_frame(&records[t as usize], 1)));
+                frames.push(format!("{{\"done\": {}}}", trials.len()));
+                frames
+            },
+            Duration::ZERO,
+        );
+        let sup = SupervisorConfig {
+            shard_size: 3,
+            max_retries: 0,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(5),
+            transport: TransportKind::Tcp { endpoints: vec![refusing, serving] },
+            ..SupervisorConfig::default()
+        };
+        let report = run_supervised(&w, &cfg, &RunnerConfig::serial(), &sup).unwrap();
+        assert!(report.complete);
+        assert!(report.poisoned.is_empty(), "poisoned: {:?}", report.poisoned);
+        assert_eq!(report.summary, thread.summary);
     }
 }

@@ -28,58 +28,164 @@ use crate::liveness::Liveness;
 use crate::mem::Memory;
 use crate::trace::NO_PRODUCER;
 use mbavf_core::layout::{CacheGeometry, VgprGeometry};
-use mbavf_core::timeline::{Interval, TimelineStore};
-use std::collections::HashMap;
+use mbavf_core::timeline::{ByteTimeline, Interval, TimelineStore};
 use std::ops::Range;
 
-/// Index over the global memory log for suffix-demand queries.
+/// Bytes per block of the memory-log index.
+const BLOCK: u32 = 64;
+
+/// Values grouped by a dense key, each group in input order (a counting
+/// sort).
+struct Groups {
+    /// Key `k` owns `values[starts[k]..starts[k + 1]]`.
+    starts: Vec<u32>,
+    values: Vec<u32>,
+}
+
+impl Groups {
+    /// Group the `(key, value)` pairs of `items`, every key below `keys`.
+    fn new(keys: usize, items: impl Iterator<Item = (usize, u32)> + Clone) -> Self {
+        let mut starts = vec![0u32; keys + 1];
+        for (k, _) in items.clone() {
+            starts[k + 1] += 1;
+        }
+        for k in 1..=keys {
+            starts[k] += starts[k - 1];
+        }
+        let mut next = starts.clone();
+        let mut values = vec![0u32; starts[keys] as usize];
+        for (k, v) in items {
+            values[next[k] as usize] = v;
+            next[k] += 1;
+        }
+        Self { starts, values }
+    }
+
+    /// The values of key `k`, empty past the last key.
+    fn get(&self, k: usize) -> &[u32] {
+        match self.starts.get(k..k + 2) {
+            Some(&[start, end]) => &self.values[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+}
+
+/// Index over the global memory log for suffix-demand queries: for every
+/// 64-byte block, the log entries touching it, in log order.
 pub struct MemIndex<'a> {
     log: &'a [MemLogEntry],
-    blocks: HashMap<u32, Vec<u32>>,
+    /// Block number of key 0 of `blocks`.
+    base: u32,
+    /// Per block: the indices of the log entries touching it.
+    blocks: Groups,
     outputs: Vec<Range<u32>>,
 }
 
 impl<'a> MemIndex<'a> {
     /// Build the per-64-byte-block index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the log's cycles ever decrease: a query's scan starts at
+    /// the first entry at or after its cycle.
     pub fn new(log: &'a [MemLogEntry], mem: &Memory) -> Self {
-        let mut blocks: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (i, e) in log.iter().enumerate() {
-            let b0 = e.addr / 64;
-            let b1 = (e.addr + e.len - 1) / 64;
-            for b in b0..=b1 {
-                blocks.entry(b).or_default().push(i as u32);
-            }
-        }
-        Self { log, blocks, outputs: mem.outputs().to_vec() }
+        assert!(
+            log.windows(2).all(|w| w[0].t <= w[1].t),
+            "the memory log must be in nondecreasing cycle order"
+        );
+        let blocks = |e: &MemLogEntry| e.addr / BLOCK..=(e.addr + e.len - 1) / BLOCK;
+        let base = log.iter().map(|e| *blocks(e).start()).min().unwrap_or(0);
+        let top = log.iter().map(|e| *blocks(e).end() + 1).max().unwrap_or(base);
+        let items =
+            log.iter().zip(0..).flat_map(|(e, i)| blocks(e).map(move |b| ((b - base) as usize, i)));
+        let blocks = Groups::new((top - base) as usize, items);
+        Self { log, base, blocks, outputs: mem.outputs().to_vec() }
     }
 
-    fn in_output(&self, addr: u32) -> bool {
-        self.outputs.iter().any(|r| r.contains(&addr))
+    /// The log indices of every entry touching block `b`, in log order.
+    fn block(&self, b: u32) -> &[u32] {
+        b.checked_sub(self.base).map_or(&[], |k| self.blocks.get(k as usize))
     }
 
     /// The demand mask on memory byte `addr` considering only consumers at
     /// time `>= t`: loads of the byte before its next overwrite, plus 0xFF
-    /// if the byte survives as program output.
+    /// if the byte survives as program output. A byte at a time: the
+    /// reference [`line_demand`](Self::line_demand) is checked against.
     pub fn post_demand(&self, lv: &Liveness, addr: u32, t: u64) -> u8 {
         let mut mask = 0u8;
-        if let Some(entries) = self.blocks.get(&(addr / 64)) {
-            for &i in entries {
+        for &i in self.block(addr / BLOCK) {
+            let e = &self.log[i as usize];
+            if e.t < t {
+                continue;
+            }
+            if addr < e.addr || addr >= e.addr + e.len {
+                continue;
+            }
+            if e.is_store {
+                return mask; // version ends: later consumers see new data
+            }
+            let out_byte = (u32::from(e.out_byte0) + (addr - e.addr)) % u32::from(e.width);
+            mask |= lv.byte_demand(e.dyn_id, out_byte as u8);
+        }
+        if self.outputs.iter().any(|r| r.contains(&addr)) {
+            mask |= 0xFF;
+        }
+        mask
+    }
+
+    /// [`post_demand`](Self::post_demand) of every byte of `addr .. addr +
+    /// len` at once: element `o` of the result is byte `addr + o`'s demand.
+    /// Each block's scan starts at its first entry at or after `t` and stops
+    /// once a store has ended every queried byte's version; a byte whose
+    /// version ends gets no output demand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds 64.
+    pub fn line_demand(&self, lv: &Liveness, addr: u32, len: u32, t: u64) -> [u8; 64] {
+        assert!(len <= 64, "a line query covers at most 64 bytes");
+        let mut mask = [0u8; 64];
+        let end = addr + len;
+        // Bits `lo - addr .. hi - addr` of a line-relative byte mask.
+        let span = |lo: u32, hi: u32| -> u64 {
+            if hi <= lo {
+                0
+            } else {
+                (u64::MAX >> (64 - (hi - lo))) << (lo - addr)
+            }
+        };
+        // Bytes whose version current at `t` has not yet been overwritten.
+        let mut open = span(addr, end);
+        for b in addr / BLOCK..=end.saturating_sub(1) / BLOCK {
+            // Each byte is answered from its own block's entries only.
+            let in_block = span(addr.max(b * BLOCK), end.min(b * BLOCK + BLOCK));
+            let entries = self.block(b);
+            let first = entries.partition_point(|&i| self.log[i as usize].t < t);
+            for &i in &entries[first..] {
+                if open & in_block == 0 {
+                    break;
+                }
                 let e = &self.log[i as usize];
-                if e.t < t {
-                    continue;
-                }
-                if addr < e.addr || addr >= e.addr + e.len {
-                    continue;
-                }
+                let mut hit = span(e.addr.max(addr), (e.addr + e.len).min(end)) & in_block & open;
                 if e.is_store {
-                    return mask; // version ends: later consumers see new data
+                    open &= !hit;
+                    continue;
                 }
-                let out_byte = (u32::from(e.out_byte0) + (addr - e.addr)) % u32::from(e.width);
-                mask |= lv.byte_demand(e.dyn_id, out_byte as u8);
+                while hit != 0 {
+                    let o = hit.trailing_zeros();
+                    hit &= hit - 1;
+                    let out_byte =
+                        (u32::from(e.out_byte0) + (addr + o - e.addr)) % u32::from(e.width);
+                    mask[o as usize] |= lv.byte_demand(e.dyn_id, out_byte as u8);
+                }
             }
         }
-        if self.in_output(addr) {
-            mask |= 0xFF;
+        for r in &self.outputs {
+            let mut out = span(r.start.max(addr), r.end.min(end)) & open;
+            while out != 0 {
+                mask[out.trailing_zeros() as usize] = 0xFF;
+                out &= out - 1;
+            }
         }
         mask
     }
@@ -96,10 +202,12 @@ struct AccessRec {
     width: u8,
 }
 
-struct Residency {
+/// One residency of a line: the memory it holds, its fill cycle, and the
+/// accesses it served, in time order.
+struct Residency<'a> {
     addr: u32,
     fill_t: u64,
-    accesses: Vec<AccessRec>,
+    accesses: &'a [AccessRec],
 }
 
 /// Which cache level is being extracted (affects how fill-driven loads are
@@ -108,6 +216,15 @@ struct Residency {
 enum Level {
     L1,
     L2,
+}
+
+/// One stretch `[start, end)` of a residency between consecutive accesses:
+/// each byte's ACE mask and, a bit per byte, whether a check observes it.
+struct LineSeg {
+    start: u64,
+    end: u64,
+    mask: [u8; 64],
+    checked: u64,
 }
 
 /// Build the per-byte timelines of one cache's data array. Byte indexing
@@ -121,129 +238,131 @@ fn cache_timelines(
     total_cycles: u64,
 ) -> TimelineStore {
     let mut store = TimelineStore::new(geom.bytes() as usize, total_cycles.max(1));
-    let lines = geom.lines() as usize;
-    let mut residencies: Vec<Option<Residency>> = (0..lines).map(|_| None).collect();
+    let events = cache.events();
+    // Walk the events a line at a time, each line's in time order: the
+    // line's byte timelines grow in a scratch that stays in cache, and
+    // reach the store once, at their final length.
+    let by_line = Groups::new(
+        geom.lines() as usize,
+        events.iter().zip(0..).map(|(ev, i)| ((ev.set * geom.ways + ev.way) as usize, i)),
+    );
+    let mut line = vec![ByteTimeline::new(); geom.line_bytes as usize];
+    let mut accesses: Vec<AccessRec> = Vec::new();
+    let mut segs: Vec<LineSeg> = Vec::new();
 
-    // Per-byte segments are produced backward, then reversed; reuse buffers.
-    let mut segs: Vec<Interval> = Vec::new();
-
-    for ev in cache.events() {
-        let line_idx = (ev.set * geom.ways + ev.way) as usize;
-        match ev.kind {
-            CacheEventKind::Fill { addr } => {
-                debug_assert!(residencies[line_idx].is_none(), "fill over a live residency");
-                residencies[line_idx] =
-                    Some(Residency { addr, fill_t: ev.t, accesses: Vec::new() });
-            }
-            CacheEventKind::Access { offset, len, dyn_id, is_store, out_byte0, width } => {
-                if let Some(r) = residencies[line_idx].as_mut() {
-                    r.accesses.push(AccessRec {
-                        t: ev.t,
-                        offset,
-                        len,
-                        dyn_id,
-                        is_store,
-                        out_byte0,
-                        width,
-                    });
+    for line_idx in 0..geom.lines() {
+        let mut resident: Option<(u32, u64)> = None;
+        for ev in by_line.get(line_idx as usize).iter().map(|&i| &events[i as usize]) {
+            match ev.kind {
+                CacheEventKind::Fill { addr } => {
+                    debug_assert!(resident.is_none(), "fill over a live residency");
+                    resident = Some((addr, ev.t));
+                    accesses.clear();
+                }
+                CacheEventKind::Access { offset, len, dyn_id, is_store, out_byte0, width } => {
+                    if resident.is_some() {
+                        accesses.push(AccessRec {
+                            t: ev.t,
+                            offset,
+                            len,
+                            dyn_id,
+                            is_store,
+                            out_byte0,
+                            width,
+                        });
+                    }
+                }
+                CacheEventKind::Evict { dirty_mask } => {
+                    if let Some((addr, fill_t)) = resident.take() {
+                        let r = Residency { addr, fill_t, accesses: &accesses };
+                        finalize_residency(
+                            &r, ev.t, dirty_mask, level, lv, midx, &mut segs, &mut line,
+                        );
+                    }
                 }
             }
-            CacheEventKind::Evict { dirty_mask } => {
-                if let Some(r) = residencies[line_idx].take() {
-                    finalize_residency(
-                        &r, ev.t, dirty_mask, ev.set, ev.way, geom, level, lv, midx, &mut store,
-                        &mut segs,
-                    );
-                }
+        }
+        let (set, way) = (line_idx / geom.ways, line_idx % geom.ways);
+        for (o, tl) in (0..).zip(&mut line) {
+            if !tl.intervals().is_empty() {
+                *store.byte_mut(geom.byte_index(set, way, o) as usize) = tl.clone();
+                tl.clear();
             }
         }
     }
     store
 }
 
-/// The demand mask a load access places on byte `offset` of the line.
-fn load_mask(
-    a: &AccessRec,
-    line_addr: u32,
-    offset: u32,
-    level: Level,
-    lv: &Liveness,
-    midx: &MemIndex<'_>,
-) -> u8 {
-    if a.dyn_id != NO_PRODUCER {
-        let out_byte =
-            (u32::from(a.out_byte0) + (offset - u32::from(a.offset))) % u32::from(a.width);
-        lv.byte_demand(a.dyn_id, out_byte as u8)
-    } else {
-        debug_assert_eq!(level, Level::L2, "anonymous loads only occur as L1 fills into L2");
-        // An L1 fill reading this L2 byte: its demand is that of the loads
-        // the fill will serve — approximated by the address-level suffix.
-        midx.post_demand(lv, line_addr + offset, a.t)
-    }
-}
-
+/// Append one residency's intervals to the timelines of its line's bytes,
+/// all bytes in one backward pass over its accesses. Segment boundaries
+/// are the same for every byte of the line: each access time splits them
+/// all.
 #[allow(clippy::too_many_arguments)]
 fn finalize_residency(
-    r: &Residency,
+    r: &Residency<'_>,
     evict_t: u64,
     dirty_mask: u64,
-    set: u32,
-    way: u32,
-    geom: CacheGeometry,
     level: Level,
     lv: &Liveness,
     midx: &MemIndex<'_>,
-    store: &mut TimelineStore,
-    segs: &mut Vec<Interval>,
+    segs: &mut Vec<LineSeg>,
+    line: &mut [ByteTimeline],
 ) {
+    let n = line.len() as u32;
+    let all = u64::MAX >> (64 - n);
+    segs.clear();
+
+    // A whole dirty line is written back, so faults in *any* byte of a dirty
+    // line propagate, and the write-back read checks the domain.
     let line_dirty = dirty_mask != 0;
-    for o in 0..geom.line_bytes {
-        let byte_idx = geom.byte_index(set, way, o) as usize;
-        segs.clear();
+    let mut mask = if line_dirty { midx.line_demand(lv, r.addr, n, evict_t) } else { [0u8; 64] };
+    let mut checked = if line_dirty { all } else { 0 };
+    let mut seg_end = evict_t;
 
-        // Backward scan over this byte's residency. A whole dirty line is
-        // written back, so faults in *any* byte of a dirty line propagate.
-        let mut cur_mask: u8 =
-            if line_dirty { midx.post_demand(lv, r.addr + o, evict_t) } else { 0 };
-        let mut cur_checked = line_dirty; // the write-back read checks the domain
-        let mut seg_end = evict_t;
-
-        for a in r.accesses.iter().rev() {
-            if a.t < seg_end {
-                if seg_end > a.t {
-                    push_seg(segs, a.t, seg_end, cur_mask, cur_checked);
-                }
-                seg_end = a.t;
+    for a in r.accesses.iter().rev() {
+        if a.t < seg_end {
+            segs.push(LineSeg { start: a.t, end: seg_end, mask, checked });
+            seg_end = a.t;
+        }
+        let lo = u32::from(a.offset);
+        let covers = lo..(lo + u32::from(a.len)).min(n);
+        if a.is_store {
+            // Overwrite: faults before this die here, unchecked. Stores do
+            // not check the domain.
+            for o in covers {
+                mask[o as usize] = 0;
+                checked &= !(1 << o);
             }
-            let covers = o >= u32::from(a.offset) && o < u32::from(a.offset) + u32::from(a.len);
-            if a.is_store {
-                if covers {
-                    // Overwrite: faults before this die here, unchecked.
-                    cur_mask = 0;
-                    cur_checked = false;
-                }
-                // Stores do not check the domain.
-            } else {
-                if covers {
-                    cur_mask |= load_mask(a, r.addr, o, level, lv, midx);
-                }
-                cur_checked = true; // any load of the line checks the domain
+            continue;
+        }
+        if a.dyn_id != NO_PRODUCER {
+            for o in covers {
+                let out_byte = (u32::from(a.out_byte0) + (o - lo)) % u32::from(a.width);
+                mask[o as usize] |= lv.byte_demand(a.dyn_id, out_byte as u8);
+            }
+        } else {
+            debug_assert_eq!(level, Level::L2, "anonymous loads only occur as L1 fills into L2");
+            // An L1 fill reading this L2 line: its demand is that of the
+            // loads the fill will serve — approximated by the address-level
+            // suffix.
+            let fill = midx.line_demand(lv, r.addr, n, a.t);
+            for o in covers {
+                mask[o as usize] |= fill[o as usize];
             }
         }
-        if seg_end > r.fill_t {
-            push_seg(segs, r.fill_t, seg_end, cur_mask, cur_checked);
-        }
-
-        let tl = store.byte_mut(byte_idx);
-        for iv in segs.iter().rev() {
-            tl.push(*iv).expect("residencies are time-ordered per line");
-        }
+        checked = all; // any load of the line checks the domain
     }
-}
+    if seg_end > r.fill_t {
+        segs.push(LineSeg { start: r.fill_t, end: seg_end, mask, checked });
+    }
 
-fn push_seg(segs: &mut Vec<Interval>, start: u64, end: u64, ace_mask: u8, checked: bool) {
-    if end > start && (ace_mask != 0 || checked) {
-        segs.push(Interval { start, end, ace_mask, checked });
+    // Forward, a byte at a time; `push` merges equal neighbours.
+    for (o, tl) in line.iter_mut().enumerate() {
+        for s in segs.iter().rev() {
+            let (ace_mask, checked) = (s.mask[o], s.checked >> o & 1 == 1);
+            tl.push(Interval { start: s.start, end: s.end, ace_mask, checked })
+                .expect("residencies are time-ordered per line");
+        }
     }
 }
 
@@ -333,37 +452,39 @@ pub fn vgpr_timelines(res: &RunResult, lv: &Liveness, cu: usize) -> (TimelineSto
         per_reg[idx as usize].push(e);
     }
 
-    let push_segs =
-        |store: &mut TimelineStore, reg_idx: u32, thread: u32, segs: &[(u64, u64, u32, bool)]| {
-            for &(start, end, mask, checked) in segs.iter().rev() {
-                if mask == 0 && !checked {
-                    continue;
-                }
-                for byte in 0..4u32 {
-                    let ace_mask = (mask >> (8 * byte)) as u8;
-                    if ace_mask == 0 && !checked {
-                        continue;
-                    }
-                    let bi = geom.byte_index(thread, reg_idx, byte);
-                    store
-                        .byte_mut(bi as usize)
-                        .push(Interval { start, end, ace_mask, checked })
-                        .expect("register events are time-ordered");
-                }
-            }
-        };
+    // One register byte's timeline of one lane, built from that lane's
+    // backward segments.
+    let byte_timeline = |segs: &[(u64, u64, u32, bool)], byte: u32| {
+        let mut tl = ByteTimeline::new();
+        for &(start, end, mask, checked) in segs.iter().rev() {
+            let ace_mask = (mask >> (8 * byte)) as u8;
+            tl.push(Interval { start, end, ace_mask, checked })
+                .expect("register events are time-ordered");
+        }
+        tl
+    };
 
     for (reg_idx, events) in per_reg.iter().enumerate() {
-        let uniform = events.iter().all(|e| e.exec == !0);
-        if uniform {
+        let reg_idx = reg_idx as u32;
+        if events.iter().all(|e| e.exec == !0) {
+            // Lock-step: every lane shares one set of byte timelines.
             let segs = scan_reg_events(events, None, res.cycles, lv);
-            for thread in 0..geom.threads {
-                push_segs(&mut store, reg_idx as u32, thread, &segs);
+            for byte in 0..4 {
+                let tl = byte_timeline(&segs, byte);
+                if tl.intervals().is_empty() {
+                    continue;
+                }
+                for thread in 0..geom.threads {
+                    *store.byte_mut(geom.byte_index(thread, reg_idx, byte) as usize) = tl.clone();
+                }
             }
         } else {
             for thread in 0..geom.threads {
                 let segs = scan_reg_events(events, Some(thread), res.cycles, lv);
-                push_segs(&mut store, reg_idx as u32, thread, &segs);
+                for byte in 0..4 {
+                    *store.byte_mut(geom.byte_index(thread, reg_idx, byte) as usize) =
+                        byte_timeline(&segs, byte);
+                }
             }
         }
     }
